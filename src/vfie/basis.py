@@ -2,8 +2,10 @@
 
 import math
 
-from .special import sine_integral
-from .transforms import Interval
+import numpy as np
+from scipy.special import sici
+
+from .transforms import Interval, _scalar_or_array
 
 __all__ = ["sinc_S", "sinc_J", "omega_a", "omega_b"]
 
@@ -38,9 +40,9 @@ def sinc_S(j: int, h: float, x: float) -> float:
     return math.sin(y) / y
 
 
-def sinc_J(j: int, h: float, x: float) -> float:
+def sinc_J(j, h: float, x):
     """J(j,h)(x) = h (1/2 + Si(pi(x - jh)/h) / pi), the running integral of
-    S(j,h) from -inf.
+    S(j,h) from -inf.  j and x broadcast as arrays; scalars give a float.
 
     Limits are 0 at -inf and h at +inf, so downstream evaluation at the
     interval endpoints needs no special casing.  The value stays inside
@@ -48,12 +50,14 @@ def sinc_J(j: int, h: float, x: float) -> float:
     """
     if not h > 0.0:
         raise ValueError(f"h must be positive, got {h}")
-    if math.isnan(x):
-        return math.nan
-    if math.isinf(x):
-        return h if x > 0.0 else 0.0
-    r = (x - j * h) / h
-    return h * (0.5 + sine_integral(math.pi * r) / math.pi)
+    r = (np.asarray(x, dtype=float) - np.multiply(j, h)) / h
+    return _scalar_or_array(_running_integral(h, r))
+
+
+def _running_integral(h, r):
+    """J at the offset r = (x - jh)/h, i.e. h (1/2 + Si(pi r)/pi); r may be
+    an array.  Si(+-inf) = +-pi/2 gives the limits h and 0 exactly."""
+    return h * (0.5 + sici(math.pi * r)[0] / math.pi)
 
 
 def omega_a(iv: Interval, t: float) -> float:

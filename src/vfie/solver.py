@@ -12,7 +12,6 @@ interval endpoints, where its kernels and right-hand side must therefore
 be evaluable).
 """
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -21,17 +20,14 @@ import numpy as np
 import scipy.linalg
 
 from .approx import (
+    GeneralizedInterpolant,
     SincGrid,
     approximate,
     build_grid,
     evaluate_many,
     _boundary_pair,
-    _cardinal_rows,
-    _checked_points,
-    _exact_node_indices,
-    _invert_many,
 )
-from .special import sine_integral
+from .basis import _running_integral
 from .transforms import Interval, Method, TransformKind, strip_limit
 
 __all__ = [
@@ -123,14 +119,7 @@ def assemble_new(problem: Problem, method: Method, N: int):
     K_ij = k2(t_i,t_j) w_j h, rhs_i = g(t_i)."""
     if method.is_original:
         raise ValueError(f"assemble_new handles se-new/de-new, got {method.value}")
-    grid = grid_for(problem, method, N)
-    pts, w, h, n = grid.points, grid.weights, grid.h, grid.n
-    k1 = _sample_bivariate(problem.k1, "k1", pts, pts)
-    k2 = _sample_bivariate(problem.k2, "k2", pts, pts)
-    jmat = _offset_matrix(grid.mesh.N, h)
-    A = np.eye(n) - k1 * w[None, :] * jmat - k2 * w[None, :] * h
-    rhs = _sample_univariate(problem.g, "g", pts)
-    return A, rhs
+    return _assemble(problem, method, N)
 
 
 def assemble_shamloo(problem: Problem, N: int):
@@ -140,22 +129,7 @@ def assemble_shamloo(problem: Problem, N: int):
     and last columns carry the discrete operators applied to the boundary
     hats, because the hats are kept as explicit basis functions.
     """
-    grid = grid_for(problem, Method.SHAMLOO_SE, N)
-    pts, w, h, n = grid.points, grid.weights, grid.h, grid.n
-    jmat = _offset_matrix(grid.mesh.N, h)
-    k1 = _sample_bivariate(problem.k1, "k1", pts, pts)
-    k2 = _sample_bivariate(problem.k2, "k2", pts, pts)
-    wa, wb = _boundary_pair(grid.iv, pts)
-
-    E = np.zeros((n, n))
-    E[:, 0] = wa
-    E[:, -1] = wb
-    inner = np.arange(1, n - 1)
-    E[inner, inner] += 1.0
-
-    A = E - _hat_columns(k1, w, jmat, wa, wb) - _hat_columns(k2, w, None, wa, wb, h=h)
-    rhs = _sample_univariate(problem.g, "g", pts)
-    return A, rhs
+    return _assemble(problem, Method.SHAMLOO_SE, N)
 
 
 def assemble_johnogbonna(problem: Problem, N: int, parametric_baseline: bool = False):
@@ -166,62 +140,46 @@ def assemble_johnogbonna(problem: Problem, N: int, parametric_baseline: bool = F
     evaluable at the endpoints; the running-integral factors degenerate
     there to 0 (first row) and h (last row).
     """
-    grid = grid_for(problem, Method.JOHN_OGBONNA_DE, N, parametric_baseline)
+    return _assemble(problem, Method.JOHN_OGBONNA_DE, N, parametric_baseline)
+
+
+def _assemble(problem, method, N, parametric_baseline=False):
+    """A = E - V - K and rhs for any method.
+
+    V_ij = k1(t_i,s_j) w_j J_{i-j} and K_ij = k2(t_i,s_j) w_j h over the
+    collocation points t_i and nodes s_j, with E the identity.  The
+    original variants keep the boundary hats as their first and last basis
+    functions: those columns of E hold the hats at the collocation points,
+    and those of V and K the operators applied to the hats sampled at the
+    nodes (row sums in the naive loops' order).  de-johnogbonna collocates
+    its end rows at a and b, where J is 0 and h.
+    """
+    grid = grid_for(problem, method, N, parametric_baseline)
     pts, w, h, n = grid.points, grid.weights, grid.h, grid.n
-    coll = pts.copy()
-    coll[0] = grid.iv.a
-    coll[-1] = grid.iv.b
-    jmat = _offset_matrix(grid.mesh.N, h).copy()
-    jmat[0, :] = 0.0
-    jmat[-1, :] = h
+    coll = pts
+    jmat = _offset_matrix(grid.mesh.N, h)
+    if method is Method.JOHN_OGBONNA_DE:
+        coll = pts.copy()
+        coll[0], coll[-1] = grid.iv.a, grid.iv.b
+        jmat[0, :] = 0.0
+        jmat[-1, :] = h
     k1 = _sample_bivariate(problem.k1, "k1", coll, pts)
     k2 = _sample_bivariate(problem.k2, "k2", coll, pts)
-    wa, wb = _boundary_pair(grid.iv, pts)
-    wa_c, wb_c = _boundary_pair(grid.iv, coll)
-
-    E = np.zeros((n, n))
-    inner = np.arange(1, n - 1)
-    E[inner, 0] = wa_c[inner]
-    E[inner, -1] = wb_c[inner]
-    E[inner, inner] += 1.0
-    E[0, 0] = 1.0
-    E[-1, -1] = 1.0
-
-    A = E - _hat_columns(k1, w, jmat, wa, wb) - _hat_columns(k2, w, None, wa, wb, h=h)
-    rhs = _sample_univariate(problem.g, "g", coll)
-    return A, rhs
-
-
-def _hat_columns(kernel, w, jmat, wa, wb, h=None):
-    """Discrete operator matrix in the hat-augmented basis.
-
-    Interior columns hold the plain per-node terms; the first and last
-    columns hold the operator applied to the boundary hats, i.e. the
-    row-wise sums with the hat sampled at the quadrature nodes.  `jmat`
-    carries the running-integral factors; `h` the plain quadrature weight.
-    """
-    factor = jmat if jmat is not None else h
-    terms = kernel * w[None, :] * factor
-    out = np.zeros_like(terms)
-    out[:, 1:-1] = terms[:, 1:-1]
-    if jmat is not None:
-        out[:, 0] = (kernel * wa[None, :] * w[None, :] * jmat).sum(axis=1)
-        out[:, -1] = (kernel * wb[None, :] * w[None, :] * jmat).sum(axis=1)
-    else:
-        out[:, 0] = (kernel * wa[None, :] * w[None, :]).sum(axis=1) * h
-        out[:, -1] = (kernel * wb[None, :] * w[None, :]).sum(axis=1) * h
-    return out
-
-
-def _offset_table(N, h):
-    """J(j,h)(ih) depends on i - j only: tabulate h(1/2 + Si(pi m)/pi) for
-    m = -2N..2N, one sine-integral call per diagonal offset."""
-    return np.array([h * (0.5 + sine_integral(math.pi * m) / math.pi)
-                     for m in range(-2 * N, 2 * N + 1)])
+    E = np.eye(n)
+    V = k1 * w[None, :] * jmat
+    K = k2 * w[None, :] * h
+    if method.is_original:
+        E[:, 0], E[:, -1] = _boundary_pair(grid.iv, coll)
+        for col, hat in zip((0, -1), _boundary_pair(grid.iv, pts)):
+            V[:, col] = (k1 * hat[None, :] * w[None, :] * jmat).sum(axis=1)
+            K[:, col] = (k2 * hat[None, :] * w[None, :]).sum(axis=1) * h
+    return E - V - K, _sample_univariate(problem.g, "g", coll)
 
 
 def _offset_matrix(N, h):
-    table = _offset_table(N, h)
+    """J(j,h)(ih) depends on i - j only: one J value per diagonal offset
+    m = -2N..2N, taken at the exact integer offset."""
+    table = _running_integral(h, np.arange(-2 * N, 2 * N + 1))
     idx = np.arange(2 * N + 1)
     return table[idx[:, None] - idx[None, :] + 2 * N]
 
@@ -314,20 +272,13 @@ def evaluate_solution_many(sol: DiscreteSolution, ts) -> np.ndarray:
     variants use their hat-plus-interior-cardinal expansion, for which the
     nodal values are a genuine sum, not c_i.
     """
-    grid = sol.grid
-    c = sol.coeffs
+    grid, c = sol.grid, sol.coeffs
     if not sol.method.is_original:
         return evaluate_many(approximate(grid, c), ts)
-    ts = _checked_points(grid.iv, ts)
-    wa, wb = _boundary_pair(grid.iv, ts)
-    xs = _invert_many(grid.kind, grid.iv, ts)
-    rows = _cardinal_rows(grid.mesh.N, grid.h, xs)
-    out = c[0] * wa + c[-1] * wb + rows[:, 1:-1] @ c[1:-1]
-    node = _exact_node_indices(grid.points, ts, grid.iv)
-    hit = node >= 0
-    if np.any(hit):
-        ni = node[hit]
-        interior = np.where((ni >= 1) & (ni <= grid.n - 2),
-                            c[np.clip(ni, 1, grid.n - 2)], 0.0)
-        out[hit] = c[0] * wa[hit] + c[-1] * wb[hit] + interior
-    return out
+    cardinal = c.copy()
+    cardinal[[0, -1]] = 0.0
+    wa, wb = _boundary_pair(grid.iv, grid.points)
+    interp = GeneralizedInterpolant(grid=grid, samples=c[0] * wa + c[-1] * wb + cardinal,
+                                    boundary_left=float(c[0]), boundary_right=float(c[-1]),
+                                    coeffs=cardinal)
+    return evaluate_many(interp, ts)

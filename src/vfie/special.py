@@ -1,73 +1,23 @@
 """Scalar special functions: the sine integral and the (log-)beta family.
 
+The sine integral and the beta function come from `scipy.special`.
 Everything here is plain double-precision arithmetic with no shared state,
 so all functions are safe to call from any number of threads.
 """
 
 import math
 
-__all__ = ["sine_integral", "log_gamma", "beta"]
+import scipy.special
 
-_SERIES_CUTOFF = 4.0
-_CF_EPS = 1e-16
-_CF_MAX_ITER = 600
+__all__ = ["sine_integral", "log_gamma", "beta"]
 
 
 def sine_integral(x: float) -> float:
-    """Si(x) = integral of sin(t)/t over [0, x].
+    """Si(x) = integral of sin(t)/t over [0, x] (`scipy.special.sici`).
 
-    Two regimes: a Maclaurin series up to |x| = 4 (terms are summed until
-    they fall below 1e-17 of the partial sum; cancellation there costs at
-    most a couple of bits), and the complex continued fraction for E1(i|x|)
-    beyond, from which Si(|x|) = pi/2 + Im E1(i|x|).  Measured relative
-    error stays below 5e-16 in both regimes.  Si is odd, so negative
-    arguments reduce to -Si(-x), which makes the oddness identity exact.
+    Odd, with limits +-pi/2 at +-inf; NaN propagates.
     """
-    if math.isnan(x):
-        return math.nan
-    ax = abs(x)
-    if math.isinf(ax):
-        s = 0.5 * math.pi
-    elif ax <= _SERIES_CUTOFF:
-        s = _si_series(ax)
-    else:
-        s = _si_continued_fraction(ax)
-    return -s if x < 0.0 else s
-
-
-def _si_series(x):
-    if x == 0.0:
-        return 0.0
-    term = x  # x^(2k+1) / (2k+1)!  at k = 0
-    total = x
-    xx = x * x
-    for k in range(1, 64):
-        term *= -xx / ((2 * k) * (2 * k + 1))
-        contrib = term / (2 * k + 1)
-        total += contrib
-        if abs(contrib) < 1e-17 * abs(total):
-            break
-    return total
-
-
-def _si_continued_fraction(x):
-    # Modified Lentz iteration for the even form of the E1 continued
-    # fraction at z = ix; needs < 60 steps for x > 4.
-    b = complex(1.0, x)
-    c = complex(1e308, 0.0)
-    d = 1.0 / b
-    f = d
-    for k in range(1, _CF_MAX_ITER):
-        a = -float(k * k)
-        b += 2.0
-        d = 1.0 / (a * d + b)
-        c = b + a / c
-        delta = c * d
-        f *= delta
-        if abs(delta.real - 1.0) + abs(delta.imag) < _CF_EPS:
-            break
-    e1 = complex(math.cos(x), -math.sin(x)) * f
-    return 0.5 * math.pi + e1.imag
+    return float(scipy.special.sici(x)[0])
 
 
 def log_gamma(x: float) -> float:
@@ -78,11 +28,7 @@ def log_gamma(x: float) -> float:
 
 
 def beta(p: float, q: float) -> float:
-    """Euler beta B(p, q) = Gamma(p)Gamma(q)/Gamma(p+q).
-
-    Computed in log space and exponentiated, which keeps moderate
-    arguments well away from overflow and makes B(p, q) == B(q, p) exact.
-    """
+    """Euler beta B(p, q) = Gamma(p)Gamma(q)/Gamma(p+q) (`scipy.special.beta`)."""
     if not (p > 0.0 and q > 0.0):
         raise ValueError(f"beta requires positive arguments, got ({p}, {q})")
-    return math.exp(log_gamma(p) + log_gamma(q) - log_gamma(p + q))
+    return float(scipy.special.beta(p, q))

@@ -71,6 +71,7 @@ _DE_SCALE = {TransformKind.DE: 0.5 * math.pi, TransformKind.JO_DE: 0.25 * math.p
 
 # sinh overflows past ~710; tanh is fully saturated long before that.
 _SINH_OVERFLOW = 700.0
+_COSH_SQUARE_OVERFLOW = 350.0
 
 
 @dataclass(frozen=True)
@@ -134,63 +135,66 @@ class MeshParams:
         return 2 * self.N + 1
 
 
-def forward(kind: TransformKind, iv: Interval, x: float) -> float:
+def forward(kind: TransformKind, iv: Interval, x):
     """Image of x under the transform; strictly increasing, with
-    forward(-inf) = a and forward(+inf) = b.
+    forward(-inf) = a and forward(+inf) = b.  Accepts an array; a scalar
+    argument gives a float.
 
     Once tanh saturates in floating point the value is clamped to [a, b],
     so extreme nodes can land exactly on an endpoint.
     """
-    if math.isnan(x):
-        return math.nan
+    x = np.asarray(x, dtype=float)
     if kind is TransformKind.SE:
-        u = math.tanh(0.5 * x)
-    elif abs(x) >= _SINH_OVERFLOW:  # also covers +-inf
-        u = math.copysign(1.0, x)
+        u = np.tanh(0.5 * x)
     else:
-        u = math.tanh(_DE_SCALE[kind] * math.sinh(x))
+        u = np.tanh(_DE_SCALE[kind] * np.sinh(np.clip(x, -_SINH_OVERFLOW, _SINH_OVERFLOW)))
     t = 0.5 * (iv.a + iv.b) + 0.5 * iv.length * u
-    return min(max(t, iv.a), iv.b)
+    return _scalar_or_array(np.clip(t, iv.a, iv.b))
 
 
-def inverse(kind: TransformKind, iv: Interval, t: float) -> float:
-    """Preimage of t in [a, b]; returns -inf at t = a and +inf at t = b.
+def inverse(kind: TransformKind, iv: Interval, t):
+    """Preimage of t in [a, b]; -inf at t = a and +inf at t = b.  Accepts
+    an array; a scalar argument gives a float.
 
     The inner argument is formed as log((t - a)/(b - t)), which is the
     tanh inverse rearranged to avoid the cancellation the naive atanh
     form suffers near the endpoints.
     """
-    if not iv.contains(t):
-        raise ValueError(f"t = {t} lies outside [{iv.a}, {iv.b}]")
-    if t == iv.a:
-        return -math.inf
-    if t == iv.b:
-        return math.inf
-    r = math.log((t - iv.a) / (iv.b - t))
-    if kind is TransformKind.SE:
-        return r
+    t = np.asarray(t, dtype=float)
+    inside = (t >= iv.a) & (t <= iv.b)
+    if not np.all(inside):
+        raise ValueError(f"t = {t[~inside][0]} lies outside [{iv.a}, {iv.b}]")
+    with np.errstate(divide="ignore"):
+        r = np.log((t - iv.a) / (iv.b - t))
     if kind is TransformKind.DE:
-        return math.asinh(r / math.pi)
-    return math.asinh(2.0 * r / math.pi)
+        r = np.arcsinh(r / math.pi)
+    elif kind is TransformKind.JO_DE:
+        r = np.arcsinh(2.0 * r / math.pi)
+    return _scalar_or_array(r)
 
 
-def derivative(kind: TransformKind, iv: Interval, x: float) -> float:
+def derivative(kind: TransformKind, iv: Interval, x):
     """Jacobian dt/dx of the forward map; positive, and permitted to
-    underflow to 0 for large |x|."""
-    if math.isnan(x):
-        return math.nan
+    underflow to 0 for large |x|.  Accepts an array; a scalar argument
+    gives a float."""
+    ax = np.abs(np.asarray(x, dtype=float))  # the Jacobian is even
     w = iv.length
     if kind is TransformKind.SE:
-        e = math.exp(-abs(x))  # (1/4) sech^2(x/2) = e / (1 + e)^2
-        return w * e / ((1.0 + e) * (1.0 + e))
-    if abs(x) >= _SINH_OVERFLOW:
-        return 0.0
+        e = np.exp(-ax)  # (1/4) sech^2(x/2) = e / (1 + e)^2
+        return _scalar_or_array(w * e / ((1.0 + e) * (1.0 + e)))
     c = _DE_SCALE[kind]
-    u = c * math.sinh(x)
-    if abs(u) > 350.0:  # cosh(u)^2 would overflow; true value is < 1e-300
-        return 0.0
-    ch = math.cosh(u)
-    return w * 0.5 * c * math.cosh(x) / (ch * ch)
+    ax = np.minimum(ax, _SINH_OVERFLOW)
+    u = c * np.sinh(ax)
+    # past |u| = 350 cosh(u)^2 would overflow; the true value is < 1e-300
+    ch = np.cosh(np.minimum(u, _COSH_SQUARE_OVERFLOW))
+    jac = w * 0.5 * c * np.cosh(ax) / (ch * ch)
+    saturated = (ax >= _SINH_OVERFLOW) | (u > _COSH_SQUARE_OVERFLOW)
+    return _scalar_or_array(np.where(saturated, 0.0, jac))
+
+
+def _scalar_or_array(values):
+    """A float for a 0-d result (every argument was a scalar), else the array."""
+    return float(values) if np.ndim(values) == 0 else values
 
 
 def select_h(method: Method, alpha: float, d: float, N: int,
@@ -240,4 +244,4 @@ def sinc_points(kind: TransformKind, iv: Interval, N: int, h: float) -> np.ndarr
         raise ValueError(f"N must be >= 1, got {N}")
     if not h > 0.0:
         raise ValueError(f"h must be positive, got {h}")
-    return np.array([forward(kind, iv, j * h) for j in range(-N, N + 1)])
+    return forward(kind, iv, np.arange(-N, N + 1) * h)

@@ -53,6 +53,16 @@ def test_J_values():
     assert math.isnan(sinc_J(0, 1.0, math.nan))
 
 
+def test_J_array_calls_equal_scalar_calls():
+    h = 0.3
+    js = np.arange(-50, 51)
+    xs = np.concatenate([np.linspace(-20.0, 20.0, 2001), [math.inf, -math.inf]])
+    got = sinc_J(js[:, None], h, xs[None, :])
+    scalar = [[sinc_J(int(j), h, float(x)) for x in xs] for j in js]
+    assert np.array_equal(got, np.array(scalar))
+    assert np.array_equal(got[:, -2:], np.tile([h, 0.0], (len(js), 1)))
+
+
 def test_J_bound_and_range(rng):
     for _ in range(100):
         j = int(rng.integers(-20, 21))

@@ -21,11 +21,13 @@ from vfie import (
     evaluate_solution_many,
     forward,
     grid_for,
+    inverse,
     max_error,
     omega_a,
     omega_b,
     select_h,
     sinc_J,
+    sinc_S,
     sine_integral,
     solve,
     solve_linear,
@@ -351,17 +353,25 @@ def test_nodal_values_are_coefficients(method, N):
     assert np.all(nodal[left] == sol.coeffs[0])
 
 
-def test_original_variant_nodal_values_differ_from_coefficients():
+def test_original_variant_nodal_values_differ_from_coefficients(rng):
     ex = builtin(1)
-    sol = solve(ex.problem, Method.SHAMLOO_SE, 8)
-    nodal = evaluate_solution_many(sol, sol.grid.points)
-    # hat columns make u_N(t_i) = c_-N w_a(t_i) + c_i + c_N w_b(t_i) != c_i
-    assert not np.allclose(nodal, sol.coeffs, rtol=0.0, atol=1e-12)
-    i = 4  # interior node: check the three-term value explicitly
-    t = sol.grid.points[i]
-    expected = (sol.coeffs[0] * omega_a(UNIT, t) + sol.coeffs[i]
-                + sol.coeffs[-1] * omega_b(UNIT, t))
-    assert nodal[i] == pytest.approx(expected, rel=1e-15)
+    for method in (Method.SHAMLOO_SE, Method.JOHN_OGBONNA_DE):
+        sol = solve(ex.problem, method, 8)
+        c, grid = sol.coeffs, sol.grid
+        nodal = evaluate_solution_many(sol, grid.points)
+        # hat columns make u_N(t_i) = c_-N w_a(t_i) + c_i + c_N w_b(t_i) != c_i
+        assert not np.allclose(nodal, c, rtol=0.0, atol=1e-12)
+        i = 4  # interior node: check the three-term value explicitly
+        t = grid.points[i]
+        expected = c[0] * omega_a(UNIT, t) + c[i] + c[-1] * omega_b(UNIT, t)
+        assert nodal[i] == pytest.approx(expected, rel=1e-15)
+        # off the nodes: hats plus the interior cardinal expansion
+        ts = rng.uniform(0.05, 0.95, size=50)
+        for t, got in zip(ts, evaluate_solution_many(sol, ts)):
+            x = inverse(grid.kind, UNIT, t)
+            cardinal = sum(c[j + 8] * sinc_S(j, grid.h, x) for j in range(-7, 8))
+            expected = c[0] * omega_a(UNIT, t) + cardinal + c[-1] * omega_b(UNIT, t)
+            assert got == pytest.approx(expected, rel=1e-14)
 
 
 def test_evaluate_solution_domain_error():

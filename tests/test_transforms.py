@@ -137,6 +137,28 @@ def test_forward_monotone(kind):
     assert all(b >= a for a, b in zip(ts, ts[1:]))
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_array_calls_equal_scalar_calls(kind):
+    # the naive assembly oracle calls the transforms point by point, so the
+    # array path must round exactly like the scalar one
+    iv = Interval(-2.0, 3.5)
+    xs = np.concatenate([np.linspace(-40.0, 40.0, 20001),
+                         [math.inf, -math.inf, 0.0, 700.0, -710.0, 1e6]])
+    ts = np.concatenate([forward(kind, iv, xs), [iv.a, iv.b]])
+    for func, args in ((forward, xs), (derivative, xs), (inverse, ts)):
+        got = func(kind, iv, args)
+        scalar = [func(kind, iv, float(v)) for v in args]
+        assert all(type(v) is float for v in scalar)
+        assert np.array_equal(got, np.array(scalar)), func.__name__
+        assert np.array_equal(func(kind, iv, np.repeat(args, 2)[::2]), got)
+
+
+def test_transforms_propagate_nan():
+    for kind in ALL_KINDS:
+        assert math.isnan(forward(kind, UNIT, math.nan))
+        assert math.isnan(derivative(kind, UNIT, math.nan))
+
+
 def test_derivative_values():
     assert derivative(TransformKind.SE, UNIT, 0.0) == 0.25
     assert derivative(TransformKind.DE, UNIT, 0.0) == pytest.approx(math.pi / 4.0,
