@@ -69,7 +69,7 @@ _METHOD_TRANSFORM = {
 # Inner scale factor applied to sinh(x) by the two double-exponential maps.
 _DE_SCALE = {TransformKind.DE: 0.5 * math.pi, TransformKind.JO_DE: 0.25 * math.pi}
 
-# sinh overflows past ~710; tanh is fully saturated long before that.
+# sinh overflows past ~710; the maps are fully saturated long before that.
 _SINH_OVERFLOW = 700.0
 _COSH_SQUARE_OVERFLOW = 350.0
 
@@ -140,16 +140,20 @@ def forward(kind: TransformKind, iv: Interval, x):
     forward(-inf) = a and forward(+inf) = b.  Accepts an array; a scalar
     argument gives a float.
 
-    Once tanh saturates in floating point the value is clamped to [a, b],
-    so extreme nodes can land exactly on an endpoint.
+    With v the tanh argument and e = exp(-2|v|), the distance to the
+    nearer endpoint is L e/(1 + e): t = a + that distance for v < 0 and
+    b - it otherwise.  Near a the node therefore keeps its relative
+    precision instead of rounding onto a; near b it still rounds onto b
+    once the distance drops below half an ulp of b.
     """
     x = np.asarray(x, dtype=float)
     if kind is TransformKind.SE:
-        u = np.tanh(0.5 * x)
+        v = 0.5 * x
     else:
-        u = np.tanh(_DE_SCALE[kind] * np.sinh(np.clip(x, -_SINH_OVERFLOW, _SINH_OVERFLOW)))
-    t = 0.5 * (iv.a + iv.b) + 0.5 * iv.length * u
-    return _scalar_or_array(np.clip(t, iv.a, iv.b))
+        v = _DE_SCALE[kind] * np.sinh(np.clip(x, -_SINH_OVERFLOW, _SINH_OVERFLOW))
+    e = np.exp(-2.0 * np.abs(v))
+    offset = iv.length * e / (1.0 + e)
+    return _scalar_or_array(np.where(v < 0.0, iv.a + offset, iv.b - offset))
 
 
 def inverse(kind: TransformKind, iv: Interval, t):

@@ -133,6 +133,16 @@ def test_root_exponential_rate_sqrt_function():
     assert abs(slope - target) <= 0.3 * abs(target)
 
 
+def test_sqrt_interpolation_on_de_grid_reaches_roundoff():
+    # DE nodes within 1e-16 of t = 0 must stay distinct from 0 (and the
+    # samples of sqrt taken there exact); rounding them onto the endpoint
+    # left a 4.7e-11 floor at N = 64
+    grid = de_grid(64, alpha=0.5)
+    interp = approximate(grid, np.sqrt(grid.points))
+    ts = np.linspace(0.0, 1.0, 4096)
+    assert np.max(np.abs(evaluate_many(interp, ts) - np.sqrt(ts))) <= 1e-14
+
+
 def test_de_beats_se_for_analytic_function():
     f = lambda t: 1.0 / (1.0 + t)
     ts = np.linspace(0.0, 1.0, 1001)

@@ -18,6 +18,7 @@ from vfie import (
     self_check,
     solve,
 )
+from vfie.bench import DEFAULT_N_LIST
 
 
 def test_builtin_example1_values():
@@ -200,6 +201,15 @@ def test_example1_se_rate():
     target = -math.sqrt(math.pi * 3.14 * 1.0)
     assert abs(slope - target) <= 0.25 * abs(target)
     assert r2 > 0.99
+
+
+@pytest.mark.parametrize("method", [Method.NEW_DE, Method.JOHN_OGBONNA_DE])
+def test_example2_de_rate_fit_is_clean(method):
+    # the default example-2 sweep decays at a clean almost-exponential rate
+    # once nodes near t = 0 no longer round onto the endpoint
+    records = run_sweep(2, method, DEFAULT_N_LIST, eval_points=4096)
+    _, r2 = fit_rate(records, RateModel.DE_ALMOST_EXP)
+    assert r2 >= 0.99
 
 
 def test_de_family_beats_se_family():
