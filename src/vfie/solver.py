@@ -151,8 +151,9 @@ def _assemble(problem, method, N, parametric_baseline=False):
     original variants keep the boundary hats as their first and last basis
     functions: those columns of E hold the hats at the collocation points,
     and those of V and K the operators applied to the hats sampled at the
-    nodes (row sums in the naive loops' order).  de-johnogbonna collocates
-    its end rows at a and b, where J is 0 and h.
+    nodes.  Those row sums keep the naive loops' product order, which holds
+    them within 1 ulp of the loops; a matrix product does not.
+    de-johnogbonna collocates its end rows at a and b, where J is 0 and h.
     """
     grid = grid_for(problem, method, N, parametric_baseline)
     pts, w, h, n = grid.points, grid.weights, grid.h, grid.n
@@ -270,7 +271,9 @@ def evaluate_solution_many(sol: DiscreteSolution, ts) -> np.ndarray:
     se-new/de-new evaluate the boundary-corrected interpolant through the
     coefficients (so nodal values reproduce c_i exactly); the original
     variants use their hat-plus-interior-cardinal expansion, for which the
-    nodal values are a genuine sum, not c_i.
+    nodal values are a genuine sum, not c_i: an interpolant with boundary
+    values c_-N, c_N, the interior c_j as cardinal coefficients, and those
+    three-term sums as its nodal samples.
     """
     grid, c = sol.grid, sol.coeffs
     if not sol.method.is_original:

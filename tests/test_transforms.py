@@ -142,7 +142,7 @@ def test_array_calls_equal_scalar_calls(kind):
     # the naive assembly oracle calls the transforms point by point, so the
     # array path must round exactly like the scalar one
     iv = Interval(-2.0, 3.5)
-    xs = np.concatenate([np.linspace(-40.0, 40.0, 20001),
+    xs = np.concatenate([np.linspace(-40.0, 40.0, 8001),
                          [math.inf, -math.inf, 0.0, 700.0, -710.0, 1e6]])
     ts = np.concatenate([forward(kind, iv, xs), [iv.a, iv.b]])
     for func, args in ((forward, xs), (derivative, xs), (inverse, ts)):
