@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import transforms
-from .basis import sinc_J
+from .basis import _boundary_pair, sinc_J
 from .transforms import Interval, MeshParams, Method, TransformKind
 
 __all__ = [
@@ -150,11 +150,6 @@ def indefinite(grid: SincGrid, f, t: float) -> float:
     vals = np.array([f(s) for s in grid.points], dtype=float)
     jrow = sinc_J(np.arange(-N, N + 1), grid.h, x)
     return float((vals * grid.weights) @ jrow)
-
-
-def _boundary_pair(iv, ts):
-    w = iv.b - iv.a
-    return (iv.b - ts) / w, (ts - iv.a) / w
 
 
 def _cardinal_rows(N, h, xs):

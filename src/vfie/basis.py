@@ -63,13 +63,19 @@ def _running_integral(h, r):
 def omega_a(iv: Interval, t: float) -> float:
     """Left boundary hat (b - t)/(b - a): 1 at a, 0 at b."""
     _check_inside(iv, t)
-    return (iv.b - t) / (iv.b - iv.a)
+    return _boundary_pair(iv, t)[0]
 
 
 def omega_b(iv: Interval, t: float) -> float:
     """Right boundary hat (t - a)/(b - a): 0 at a, 1 at b."""
     _check_inside(iv, t)
-    return (t - iv.a) / (iv.b - iv.a)
+    return _boundary_pair(iv, t)[1]
+
+
+def _boundary_pair(iv, ts):
+    """Both boundary hats at ts (a scalar or an array), unchecked."""
+    w = iv.b - iv.a
+    return (iv.b - ts) / w, (ts - iv.a) / w
 
 
 def _check_inside(iv, t):

@@ -12,6 +12,9 @@ interval endpoints, where its kernels and right-hand side must therefore
 be evaluable).
 """
 
+import itertools
+import math
+import os
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -25,10 +28,9 @@ from .approx import (
     approximate,
     build_grid,
     evaluate_many,
-    _boundary_pair,
 )
-from .basis import _running_integral
-from .transforms import Interval, Method, TransformKind, strip_limit
+from .basis import _boundary_pair, _running_integral
+from .transforms import Interval, Method, TransformKind, _check_mesh_args
 
 __all__ = [
     "Problem",
@@ -48,6 +50,10 @@ __all__ = [
 
 # rcond below this is treated as numerically singular (warning channel).
 RCOND_FLOOR = 100.0 * np.finfo(float).eps
+
+# n x n float64 arrays alive at once during assembly plus LU: J, k1, k2,
+# E, V, K, two product temporaries, then A and its LU copy.
+_PEAK_ARRAYS = 8
 
 
 class AssemblyError(ValueError):
@@ -77,12 +83,8 @@ class Problem:
     d_de: float
 
     def __post_init__(self):
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not 0.0 < self.d_se < strip_limit(TransformKind.SE):
-            raise ValueError(f"d_se must lie in (0, pi), got {self.d_se}")
-        if not 0.0 < self.d_de < strip_limit(TransformKind.DE):
-            raise ValueError(f"d_de must lie in (0, pi/2), got {self.d_de}")
+        _check_mesh_args(TransformKind.SE, self.alpha, self.d_se)
+        _check_mesh_args(TransformKind.DE, self.alpha, self.d_de)
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,9 +156,17 @@ def _assemble(problem, method, N, parametric_baseline=False):
     nodes.  Those row sums keep the naive loops' product order, which holds
     them within 1 ulp of the loops; a matrix product does not.
     de-johnogbonna collocates its end rows at a and b, where J is 0 and h.
+    An N whose dense system cannot fit in physical memory is refused before
+    any kernel call.
     """
+    n = 2 * N + 1
+    need = _PEAK_ARRAYS * 8 * n * n
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValueError(f"N={N} gives a dense order-{n} system needing about {need:.3g} "
+                         f"bytes for assembly and LU, above the {have:.3g} bytes of memory")
     grid = grid_for(problem, method, N, parametric_baseline)
-    pts, w, h, n = grid.points, grid.weights, grid.h, grid.n
+    pts, w, h = grid.points, grid.weights, grid.h
     coll = pts
     jmat = _offset_matrix(grid.mesh.N, h)
     if method is Method.JOHN_OGBONNA_DE:
@@ -164,8 +174,8 @@ def _assemble(problem, method, N, parametric_baseline=False):
         coll[0], coll[-1] = grid.iv.a, grid.iv.b
         jmat[0, :] = 0.0
         jmat[-1, :] = h
-    k1 = _sample_bivariate(problem.k1, "k1", coll, pts)
-    k2 = _sample_bivariate(problem.k2, "k2", coll, pts)
+    k1 = _sample(problem.k1, "k1", coll, pts)
+    k2 = _sample(problem.k2, "k2", coll, pts)
     E = np.eye(n)
     V = k1 * w[None, :] * jmat
     K = k2 * w[None, :] * h
@@ -174,35 +184,26 @@ def _assemble(problem, method, N, parametric_baseline=False):
         for col, hat in zip((0, -1), _boundary_pair(grid.iv, pts)):
             V[:, col] = (k1 * hat[None, :] * w[None, :] * jmat).sum(axis=1)
             K[:, col] = (k2 * hat[None, :] * w[None, :]).sum(axis=1) * h
-    return E - V - K, _sample_univariate(problem.g, "g", coll)
+    return E - V - K, _sample(problem.g, "g", coll)
 
 
 def _offset_matrix(N, h):
     """J(j,h)(ih) depends on i - j only: one J value per diagonal offset
     m = -2N..2N, taken at the exact integer offset."""
     table = _running_integral(h, np.arange(-2 * N, 2 * N + 1))
-    idx = np.arange(2 * N + 1)
-    return table[idx[:, None] - idx[None, :] + 2 * N]
+    return scipy.linalg.toeplitz(table[2 * N:], table[2 * N::-1])
 
 
-def _sample_bivariate(func, name, trow, scol):
-    vals = np.empty((len(trow), len(scol)))
-    for i, t in enumerate(trow):
-        for j, s in enumerate(scol):
-            vals[i, j] = func(t, s)
+def _sample(func, name, *axes):
+    """func at every point of the grid spanned by the axes, called once per
+    point in row-major order with the axes' elements as arguments."""
+    shape = tuple(len(axis) for axis in axes)
+    calls = itertools.starmap(func, itertools.product(*axes))
+    vals = np.fromiter(calls, dtype=float, count=math.prod(shape)).reshape(shape)
     if not np.all(np.isfinite(vals)):
-        i, j = np.argwhere(~np.isfinite(vals))[0]
-        raise AssemblyError(
-            f"{name}({trow[i]!r}, {scol[j]!r}) returned {vals[i, j]} during assembly"
-        )
-    return vals
-
-
-def _sample_univariate(func, name, ts):
-    vals = np.array([func(t) for t in ts], dtype=float)
-    if not np.all(np.isfinite(vals)):
-        i = int(np.argwhere(~np.isfinite(vals))[0][0])
-        raise AssemblyError(f"{name}({ts[i]!r}) returned {vals[i]} during assembly")
+        idx = tuple(np.argwhere(~np.isfinite(vals))[0])
+        args = ", ".join(repr(axis[i]) for axis, i in zip(axes, idx))
+        raise AssemblyError(f"{name}({args}) returned {vals[idx]} during assembly")
     return vals
 
 

@@ -114,18 +114,12 @@ class MeshParams:
             raise ValueError(f"N must be >= 1, got {self.N}")
         if not self.h > 0.0:
             raise ValueError(f"h must be positive, got {self.h}")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not self.d > 0.0:
-            raise ValueError(f"d must be positive, got {self.d}")
+        _check_mesh_args(None, self.alpha, self.d)
 
     @classmethod
     def for_kind(cls, kind: TransformKind, N: int, h: float, alpha: float, d: float) -> "MeshParams":
         """Construct with d validated against the strip limit of `kind`."""
-        if not d < strip_limit(kind):
-            raise ValueError(
-                f"d must be below {strip_limit(kind):g} for the {kind.value} transform, got {d}"
-            )
+        _check_mesh_args(kind, alpha, d)
         return cls(N=N, h=h, alpha=alpha, d=d)
 
     @property
@@ -229,12 +223,14 @@ def _log_rule(arg, N):
 
 
 def _check_mesh_args(kind, alpha, d):
+    """The one alpha/d check: alpha in (0, 1] and d in (0, strip_limit(kind)),
+    with d unbounded above when kind is None."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    if not 0.0 < d < strip_limit(kind):
-        raise ValueError(
-            f"d must lie in (0, {strip_limit(kind):g}) for the {kind.value} transform, got {d}"
-        )
+    limit = math.inf if kind is None else strip_limit(kind)
+    if not 0.0 < d < limit:
+        where = "" if kind is None else f" for the {kind.value} transform"
+        raise ValueError(f"d must lie in (0, {limit:g}){where}, got {d}")
 
 
 def sinc_points(kind: TransformKind, iv: Interval, N: int, h: float) -> np.ndarray:

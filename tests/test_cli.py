@@ -26,6 +26,13 @@ def test_solve_point_outside_interval(capsys):
     assert "vfie:" in capsys.readouterr().err
 
 
+def test_solve_n_too_large_is_usage_error(capsys):
+    code = run_cli(["solve", "--example", "1", "--method", "de-new",
+                    "--n", "1000000", "--at", "0.5"])
+    assert code == 2
+    assert "N=1000000" in capsys.readouterr().err
+
+
 def test_solve_bad_method_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         run_cli(["solve", "--example", "1", "--method", "bogus",

@@ -238,6 +238,16 @@ def test_assembly_error_names_the_point():
     with pytest.raises(AssemblyError, match="k1"):
         assemble_new(problem, Method.NEW_SE, 8)
 
+    problem = Problem(iv=UNIT, k1=lambda t, s: 0.0, k2=bad_k1,
+                      g=lambda t: t, alpha=1.0, d_se=3.14, d_de=1.57)
+    pts = grid_for(problem, Method.NEW_SE, 8).points
+    with pytest.raises(AssemblyError) as exc:
+        assemble_new(problem, Method.NEW_SE, 8)
+    # the first non-finite entry in row-major order: row 0, first node past 0.9
+    message = str(exc.value)
+    assert message.startswith("k2(")
+    assert f"k2({pts[0]!r}, {pts[pts > 0.9][0]!r})" in message
+
 
 def test_fredholm_rows_sum_to_kernel_integral():
     # with k1 = 0, A = I - K, so row sums of I - A approximate
@@ -460,3 +470,31 @@ def test_johnogbonna_parametric_mesh_rule():
         math.log(4.0 * 1.57 * 16.0) / 16.0, rel=1e-15)
     assert default.grid.h != parametric.grid.h
     assert max_error(parametric, ex.exact, 513) < 1e-6
+
+
+@pytest.mark.parametrize("alpha, d_se, d_de, culprit", [
+    (0.0, 3.14, 1.57, "alpha"), (1.5, 3.14, 1.57, "alpha"),
+    (1.0, 0.0, 1.57, "se transform"), (1.0, math.pi, 1.57, "se transform"),
+    (1.0, 3.14, 0.0, "de transform"), (1.0, 3.14, math.pi / 2, "de transform"),
+])
+def test_problem_rejects_alpha_and_strip_widths_outside_their_ranges(alpha, d_se, d_de,
+                                                                     culprit):
+    zero = lambda t, s: 0.0
+    with pytest.raises(ValueError, match=culprit):
+        Problem(iv=UNIT, k1=zero, k2=zero, g=lambda t: t, alpha=alpha, d_se=d_se, d_de=d_de)
+
+
+def test_problem_accepts_strip_widths_just_inside_the_limits():
+    problem = zero_kernel_problem(g=lambda t: t)
+    assert (problem.alpha, problem.d_se, problem.d_de) == (1.0, 3.14, 1.57)
+
+
+def test_solve_refuses_n_whose_dense_system_cannot_fit():
+    def never(*args):
+        raise AssertionError("kernel called for a system that cannot fit")
+
+    problem = Problem(iv=UNIT, k1=never, k2=never, g=never, alpha=1.0,
+                      d_se=3.14, d_de=1.57)
+    for method in Method:
+        with pytest.raises(ValueError, match=r"N=1000000 .*order-2000001.* bytes"):
+            solve(problem, method, 10**6)
