@@ -163,8 +163,8 @@ def _assemble(problem, method, N, parametric_baseline=False):
     need = _PEAK_ARRAYS * 8 * n * n
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
-        raise ValueError(f"N={N} gives a dense order-{n} system needing about {need:.3g} "
-                         f"bytes for assembly and LU, above the {have:.3g} bytes of memory")
+        raise ValueError(f"N={N} gives a dense order-{n} system: assembly and LU need about "
+                         f"{need:.3g} bytes, above the {have:.3g} bytes of physical memory")
     grid = grid_for(problem, method, N, parametric_baseline)
     pts, w, h = grid.points, grid.weights, grid.h
     coll = pts
