@@ -18,7 +18,6 @@ from .transforms import (
     forward,
     inverse,
     select_h,
-    sinc_points,
     strip_limit,
 )
 from .basis import omega_a, omega_b, sinc_J, sinc_S
@@ -106,7 +105,6 @@ __all__ = [
     "self_check",
     "sinc_J",
     "sinc_S",
-    "sinc_points",
     "sine_integral",
     "solve",
     "solve_linear",

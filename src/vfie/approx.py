@@ -57,16 +57,16 @@ class SincGrid:
         return self.mesh.h
 
 
-def build_grid(kind: TransformKind, iv: Interval, method: Method, alpha: float,
-               d: float, N: int, parametric_baseline: bool = False) -> SincGrid:
+def build_grid(iv: Interval, method: Method, alpha: float, d: float, N: int,
+               parametric_baseline: bool = False) -> SincGrid:
     """Grid for `method` on `iv`: h from the method's selection rule, node
-    images and weights from the requested transform."""
+    images and weights from the method's transform."""
+    kind = method.transform
     h = transforms.select_h(method, alpha, d, N, parametric_baseline)
-    mesh = MeshParams.for_kind(kind, N=N, h=h, alpha=alpha, d=d)
     xs = np.arange(-N, N + 1) * h
-    points = transforms.forward(kind, iv, xs)
-    weights = transforms.derivative(kind, iv, xs)
-    return SincGrid(kind=kind, iv=iv, mesh=mesh, points=points, weights=weights)
+    return SincGrid(kind=kind, iv=iv, mesh=MeshParams(N=N, h=h),
+                    points=transforms.forward(kind, iv, xs),
+                    weights=transforms.derivative(kind, iv, xs))
 
 
 @dataclass(frozen=True, eq=False)

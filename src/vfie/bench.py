@@ -11,7 +11,7 @@ import numpy as np
 from .approx import build_grid, indefinite, quadrature
 from .solver import DiscreteSolution, Problem, evaluate_solution_many, solve
 from .special import beta
-from .transforms import Interval, Method, TransformKind
+from .transforms import Interval, Method
 
 __all__ = [
     "BuiltinExample",
@@ -222,8 +222,7 @@ def self_check(example: BuiltinExample, n_probe: int = 33, N: int = 48) -> float
     problem = example.problem
     iv = problem.iv
     u = example.exact
-    grid = build_grid(TransformKind.DE, iv, Method.NEW_DE, problem.alpha,
-                      problem.d_de, N)
+    grid = build_grid(iv, Method.NEW_DE, problem.alpha, problem.d_de, N)
     worst = 0.0
     for t in np.linspace(iv.a, iv.b, n_probe):
         running = indefinite(grid, lambda s: problem.k1(t, s) * u(s), t)

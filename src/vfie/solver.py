@@ -110,9 +110,8 @@ def grid_for(problem: Problem, method: Method, N: int,
              parametric_baseline: bool = False) -> SincGrid:
     """The grid `solve` uses for this method: the method's transform with
     the matching strip half-width from the problem."""
-    kind = method.transform
-    d = problem.d_se if kind is TransformKind.SE else problem.d_de
-    return build_grid(kind, problem.iv, method, problem.alpha, d, N, parametric_baseline)
+    d = problem.d_se if method.transform is TransformKind.SE else problem.d_de
+    return build_grid(problem.iv, method, problem.alpha, d, N, parametric_baseline)
 
 
 def assemble_new(problem: Problem, method: Method, N: int):
@@ -157,12 +156,15 @@ def _assemble(problem, method, N, parametric_baseline=False):
     them within 1 ulp of the loops; a matrix product does not.
     de-johnogbonna collocates its end rows at a and b, where J is 0 and h.
     An N whose dense system cannot fit in physical memory is refused before
-    any kernel call.
+    any kernel call; where the memory size cannot be read, nothing is refused.
     """
     n = 2 * N + 1
     need = _PEAK_ARRAYS * 8 * n * n
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
+    try:
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
+        have = 0
+    if 0 < have < need:
         raise ValueError(f"N={N} gives a dense order-{n} system: assembly and LU need about "
                          f"{need:.3g} bytes, above the {have:.3g} bytes of physical memory")
     grid = grid_for(problem, method, N, parametric_baseline)

@@ -24,7 +24,6 @@ __all__ = [
     "inverse",
     "derivative",
     "select_h",
-    "sinc_points",
 ]
 
 
@@ -101,26 +100,16 @@ def strip_limit(kind: TransformKind) -> float:
 
 @dataclass(frozen=True)
 class MeshParams:
-    """Mesh data: truncation index N, mesh size h, endpoint regularity
-    exponent alpha, and strip half-width d."""
+    """Mesh data: truncation index N and mesh size h."""
 
     N: int
     h: float
-    alpha: float
-    d: float
 
     def __post_init__(self):
         if self.N < 1:
             raise ValueError(f"N must be >= 1, got {self.N}")
         if not self.h > 0.0:
             raise ValueError(f"h must be positive, got {self.h}")
-        _check_mesh_args(None, self.alpha, self.d)
-
-    @classmethod
-    def for_kind(cls, kind: TransformKind, N: int, h: float, alpha: float, d: float) -> "MeshParams":
-        """Construct with d validated against the strip limit of `kind`."""
-        _check_mesh_args(kind, alpha, d)
-        return cls(N=N, h=h, alpha=alpha, d=d)
 
     @property
     def n(self) -> int:
@@ -199,19 +188,19 @@ def select_h(method: Method, alpha: float, d: float, N: int,
     The baselines default to their fixed published rules, pi/sqrt(N) and
     log(pi N)/N; `parametric_baseline=True` switches the de-johnogbonna
     baseline to its (alpha, d)-dependent rule log(4 d N / alpha)/N.
+    Every rule checks alpha and d against the method's transform, the
+    fixed ones included.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
+    _check_mesh_args(method.transform, alpha, d)
     if method is Method.NEW_SE:
-        _check_mesh_args(TransformKind.SE, alpha, d)
         return math.sqrt(math.pi * d / (alpha * N))
     if method is Method.NEW_DE:
-        _check_mesh_args(TransformKind.DE, alpha, d)
         return _log_rule(2.0 * d * N / alpha, N)
     if method is Method.SHAMLOO_SE:
         return math.pi / math.sqrt(N)
     if parametric_baseline:
-        _check_mesh_args(TransformKind.JO_DE, alpha, d)
         return _log_rule(4.0 * d * N / alpha, N)
     return math.log(math.pi * N) / N
 
@@ -223,21 +212,9 @@ def _log_rule(arg, N):
 
 
 def _check_mesh_args(kind, alpha, d):
-    """The one alpha/d check: alpha in (0, 1] and d in (0, strip_limit(kind)),
-    with d unbounded above when kind is None."""
+    """The one alpha/d check: alpha in (0, 1] and d in (0, strip_limit(kind))."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    limit = math.inf if kind is None else strip_limit(kind)
+    limit = strip_limit(kind)
     if not 0.0 < d < limit:
-        where = "" if kind is None else f" for the {kind.value} transform"
-        raise ValueError(f"d must lie in (0, {limit:g}){where}, got {d}")
-
-
-def sinc_points(kind: TransformKind, iv: Interval, N: int, h: float) -> np.ndarray:
-    """The 2N+1 node images t_j = forward(j h), j = -N..N, in increasing
-    order (ties possible once tanh saturates)."""
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    if not h > 0.0:
-        raise ValueError(f"h must be positive, got {h}")
-    return forward(kind, iv, np.arange(-N, N + 1) * h)
+        raise ValueError(f"d must lie in (0, {limit:g}) for the {kind.value} transform, got {d}")

@@ -53,10 +53,9 @@ def test_criterion_01_interpolation_identity():
         c = rng.uniform(-2.0, 2.0, size=5)
         f = lambda t: (c[0] + c[1] * t + c[2] * t * t
                        + c[3] * math.sin(3.0 * t) + c[4] * math.exp(t - 0.5))
-        for kind, method, d in ((TransformKind.SE, Method.NEW_SE, 3.14),
-                                (TransformKind.DE, Method.NEW_DE, 1.57)):
+        for method, d in ((Method.NEW_SE, 3.14), (Method.NEW_DE, 1.57)):
             for N in (4, 16, 64):
-                grid = build_grid(kind, UNIT, method, 1.0, d, N)
+                grid = build_grid(UNIT, method, 1.0, d, N)
                 samples = np.array([f(t) for t in grid.points])
                 vals = evaluate_many(approximate(grid, samples), grid.points)
                 scale = np.maximum(np.abs(samples), 1e-300)

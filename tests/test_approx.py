@@ -20,11 +20,11 @@ UNIT = Interval(0.0, 1.0)
 
 
 def se_grid(N, alpha=1.0, d=3.14, iv=UNIT):
-    return build_grid(TransformKind.SE, iv, Method.NEW_SE, alpha, d, N)
+    return build_grid(iv, Method.NEW_SE, alpha, d, N)
 
 
 def de_grid(N, alpha=1.0, d=1.57, iv=UNIT):
-    return build_grid(TransformKind.DE, iv, Method.NEW_DE, alpha, d, N)
+    return build_grid(iv, Method.NEW_DE, alpha, d, N)
 
 
 def random_smooth(rng):
@@ -53,7 +53,8 @@ def test_grid_weights_symmetric():
 def test_grid_matches_selected_h():
     for method, kind, d in [(Method.NEW_SE, TransformKind.SE, 3.14),
                             (Method.NEW_DE, TransformKind.DE, 1.57)]:
-        grid = build_grid(kind, UNIT, method, 1.0, d, 12)
+        grid = build_grid(UNIT, method, 1.0, d, 12)
+        assert grid.kind is kind
         assert grid.h == select_h(method, 1.0, d, 12)
 
 
@@ -88,7 +89,7 @@ def test_endpoint_values_are_boundary_samples(rng):
 def test_constant_reproduction():
     # boundary hats sum to one and the cardinal coefficients vanish
     for iv, tol in ((UNIT, 1e-14), (Interval(-2.0, 5.0), 1e-13)):
-        grid = build_grid(TransformKind.SE, iv, Method.NEW_SE, 1.0, 3.14, 16)
+        grid = build_grid(iv, Method.NEW_SE, 1.0, 3.14, 16)
         interp = approximate(grid, np.ones(grid.n))
         ts = np.linspace(iv.a, iv.b, 1001)
         assert np.max(np.abs(evaluate_many(interp, ts) - 1.0)) <= tol
@@ -246,6 +247,7 @@ def test_grid_arrays_are_read_only():
 
 
 def test_build_grid_rejects_mismatched_strip_width():
-    # an SE-sized strip half-width is out of range for the DE transform
-    with pytest.raises(ValueError):
-        build_grid(TransformKind.DE, UNIT, Method.NEW_SE, 1.0, 3.14, 8)
+    # an SE-sized strip half-width is out of range for the DE transforms
+    for method in (Method.NEW_DE, Method.JOHN_OGBONNA_DE):
+        with pytest.raises(ValueError):
+            build_grid(UNIT, method, 1.0, 3.14, 8)

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -498,3 +499,77 @@ def test_solve_refuses_n_whose_dense_system_cannot_fit():
     for method in Method:
         with pytest.raises(ValueError, match=r"N=1000000 .*order-2000001.* bytes"):
             solve(problem, method, 10**6)
+
+
+@pytest.mark.parametrize("broken", ["no sysconf", "unknown name"])
+def test_solve_skips_the_size_refusal_where_memory_cannot_be_read(monkeypatch, broken):
+    problem = builtin(1).problem
+    want = {method: solve(problem, method, 8).coeffs for method in Method}
+    if broken == "no sysconf":
+        monkeypatch.delattr(os, "sysconf")
+    else:
+        def unknown(name):
+            raise ValueError("unrecognized configuration name")
+        monkeypatch.setattr(os, "sysconf", unknown)
+    for method in Method:
+        assert np.array_equal(solve(problem, method, 8).coeffs, want[method])
+
+
+# ---------------------------------------------------------------------------
+# mirrored endpoint singularities: k1 = k2 = t s on [0, 1], alpha = 1/2, with
+# solution sqrt(t) (singular at a) or sqrt(1 - t) (singular at b)
+# ---------------------------------------------------------------------------
+
+def _kernel_ts(t, s):
+    return t * s
+
+
+def _g_sqrt_at_a(t):
+    return math.sqrt(t) - 0.4 * t ** 3.5 - 0.4 * t
+
+
+def _g_sqrt_at_b(t):
+    w = 1.0 - t
+    return (math.sqrt(w) - t * (4.0 / 15.0 - (2.0 / 3.0) * w ** 1.5 + 0.4 * w ** 2.5)
+            - 4.0 * t / 15.0)
+
+
+SQRT_AT = {
+    "a": (_g_sqrt_at_a, lambda t: math.sqrt(t)),
+    "b": (_g_sqrt_at_b, lambda t: math.sqrt(1.0 - t)),
+}
+
+
+def sqrt_problem(side):
+    g, exact = SQRT_AT[side]
+    return Problem(iv=UNIT, k1=_kernel_ts, k2=_kernel_ts, g=g, alpha=0.5,
+                   d_se=3.14, d_de=1.57), exact
+
+
+@pytest.mark.parametrize("side, bound", [("a", 1.2e-16), ("b", 9.3e-17)])
+def test_sqrt_right_hand_sides_match_mpmath_quadrature(side, bound):
+    # g = u - t int_0^t s u(s) ds - t int_0^1 s u(s) ds at 30 digits;
+    # measured worst: 1.14e-16 (a side), 9.28e-17 (b side)
+    mpmath = pytest.importorskip("mpmath")
+    g, _ = SQRT_AT[side]
+    u = mpmath.sqrt if side == "a" else (lambda s: mpmath.sqrt(1 - s))
+    with mpmath.workdps(30):
+        for t in (0.1, 0.5, 0.9):
+            T = mpmath.mpf(t)
+            want = (u(T) - T * mpmath.quad(lambda s: s * u(s), [0, T])
+                    - T * mpmath.quad(lambda s: s * u(s), [0, 1]))
+            assert abs(g(t) - want) <= bound
+
+
+def test_sqrt_at_a_solution_reaches_roundoff():
+    problem, exact = sqrt_problem("a")
+    assert max_error(solve(problem, Method.NEW_DE, 64), exact, 4096) <= 1e-14
+
+
+@pytest.mark.xfail(strict=True, reason="DE nodes within half an ulp of b round onto b")
+def test_sqrt_at_b_solution_reaches_roundoff():
+    # mirror of the test above: kernels and g receive t = b at the 31 nodes
+    # rounded onto b, which leaves a floor of 8.1e-11 at N = 64 (5.2e-11 at
+    # N = 128), against 7.8e-16 for the a-side solution
+    problem, exact = sqrt_problem("b")
+    assert max_error(solve(problem, Method.NEW_DE, 64), exact, 4096) <= 1e-14

@@ -12,7 +12,6 @@ from vfie import (
     forward,
     inverse,
     select_h,
-    sinc_points,
     strip_limit,
 )
 
@@ -37,20 +36,22 @@ def test_interval_validation():
 
 
 def test_mesh_params_validation():
-    MeshParams.for_kind(TransformKind.SE, N=4, h=0.5, alpha=1.0, d=3.14)
+    assert MeshParams(N=4, h=0.5).n == 9
     with pytest.raises(ValueError):
-        MeshParams(N=0, h=0.5, alpha=1.0, d=1.0)
+        MeshParams(N=0, h=0.5)
     with pytest.raises(ValueError):
-        MeshParams(N=4, h=-0.5, alpha=1.0, d=1.0)
+        MeshParams(N=4, h=-0.5)
+    # alpha and d are checked by select_h, against the method's transform
     with pytest.raises(ValueError):
-        MeshParams(N=4, h=0.5, alpha=1.5, d=1.0)
+        select_h(Method.NEW_SE, 1.5, 1.0, 4)
     # d range depends on the transform: < pi for SE, < pi/2 for DE flavours
-    MeshParams.for_kind(TransformKind.SE, N=4, h=0.5, alpha=1.0, d=3.1)
+    select_h(Method.NEW_SE, 1.0, 3.1, 4)
+    select_h(Method.SHAMLOO_SE, 1.0, 3.14, 4)
     with pytest.raises(ValueError):
-        MeshParams.for_kind(TransformKind.DE, N=4, h=0.5, alpha=1.0, d=3.1)
+        select_h(Method.NEW_DE, 1.0, 3.1, 4)
     with pytest.raises(ValueError):
-        MeshParams.for_kind(TransformKind.JO_DE, N=4, h=0.5, alpha=1.0, d=1.6)
-    assert MeshParams.for_kind(TransformKind.DE, N=4, h=0.5, alpha=1.0, d=1.57).n == 9
+        select_h(Method.JOHN_OGBONNA_DE, 1.0, 1.6, 4)
+    select_h(Method.NEW_DE, 1.0, 1.57, 4)
 
 
 def test_strip_limits():
@@ -208,15 +209,22 @@ def test_select_h_domain():
         select_h(Method.NEW_DE, 1.0, 1.57, 0)
     with pytest.raises(ValueError):
         select_h(Method.NEW_DE, 1.0, 0.1, 1)  # log(2dN/alpha) <= 0
+    # the fixed baseline rules ignore alpha and d but still check them
+    with pytest.raises(ValueError):
+        select_h(Method.SHAMLOO_SE, 1.0, 3.2, 16)
+    with pytest.raises(ValueError):
+        select_h(Method.SHAMLOO_SE, 0.0, 3.14, 16)
+    with pytest.raises(ValueError):
+        select_h(Method.JOHN_OGBONNA_DE, 1.0, 3.14, 16)
 
 
 def test_sinc_points_small():
-    pts = sinc_points(TransformKind.SE, UNIT, 1, 1.0)
+    pts = forward(TransformKind.SE, UNIT, np.arange(-1, 2) * 1.0)
     assert pts.shape == (3,)
     assert pts[1] == 0.5
     assert pts[2] == pytest.approx(0.7310585786300049, rel=1e-15)
     assert pts[0] == pytest.approx(1.0 - 0.7310585786300049, rel=1e-12)
-    de_pts = sinc_points(TransformKind.DE, UNIT, 1, 1.0)
+    de_pts = forward(TransformKind.DE, UNIT, np.arange(-1, 2) * 1.0)
     assert de_pts[1] == 0.5
 
 
@@ -224,7 +232,7 @@ def test_sinc_points_symmetry(rng):
     for _ in range(100):
         iv = random_interval(rng)
         h = rng.uniform(0.05, 1.2)
-        pts = sinc_points(TransformKind.SE, iv, 12, h)
+        pts = forward(TransformKind.SE, iv, np.arange(-12, 13) * h)
         scale = np.spacing(2.0 * max(abs(iv.a), abs(iv.b), 1.0))
         for j in range(12 + 1):
             assert abs((pts[12 - j] + pts[12 + j]) - (iv.a + iv.b)) <= scale
@@ -232,7 +240,7 @@ def test_sinc_points_symmetry(rng):
 
 def test_sinc_points_increasing_moderate():
     for kind in ALL_KINDS:
-        pts = sinc_points(kind, UNIT, 16, 0.2)
+        pts = forward(kind, UNIT, np.arange(-16, 17) * 0.2)
         assert np.all(np.diff(pts) > 0.0)
 
 
