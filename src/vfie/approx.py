@@ -108,7 +108,7 @@ def evaluate(interp: GeneralizedInterpolant, t: float) -> float:
 
 
 def evaluate_many(interp: GeneralizedInterpolant, ts) -> np.ndarray:
-    """Interpolant values on an array of points in [a, b].
+    """Interpolant values on a scalar or 1-D array of points in [a, b].
 
     Points that are bitwise equal to an interior grid point short-circuit
     to the stored sample; the endpoints map to x = -inf/+inf, where the
@@ -116,15 +116,17 @@ def evaluate_many(interp: GeneralizedInterpolant, ts) -> np.ndarray:
     """
     grid = interp.grid
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    if ts.ndim > 1:
+        raise ValueError(f"points must be a scalar or a 1-D array, got shape {ts.shape}")
     xs = transforms.inverse(grid.kind, grid.iv, ts)
     wa, wb = _boundary_pair(grid.iv, ts)
-    rows = _cardinal_rows(grid.mesh.N, grid.h, xs)
+    with np.errstate(invalid="ignore"):  # sinc(+-inf) is NaN; those rows are zeroed next
+        rows = np.sinc(xs[:, None] / grid.h - np.arange(-grid.mesh.N, grid.mesh.N + 1))
+    rows[np.isinf(xs)] = 0.0
     out = interp.boundary_left * wa + interp.boundary_right * wb + rows @ interp.coeffs
-    node = _exact_node_indices(grid.points, ts, grid.iv)
-    hit = node >= 0
-    if np.any(hit):
-        out[hit] = interp.samples[node[hit]]
-    return out
+    idx = np.minimum(np.searchsorted(grid.points, ts), grid.n - 1)
+    hit = (grid.points[idx] == ts) & (ts > grid.iv.a) & (ts < grid.iv.b)
+    return np.where(hit, interp.samples[idx], out)
 
 
 def quadrature(grid: SincGrid, f) -> float:
@@ -150,22 +152,3 @@ def indefinite(grid: SincGrid, f, t: float) -> float:
     vals = np.array([f(s) for s in grid.points], dtype=float)
     jrow = sinc_J(np.arange(-N, N + 1), grid.h, x)
     return float((vals * grid.weights) @ jrow)
-
-
-def _cardinal_rows(N, h, xs):
-    """Matrix of S(j,h)(x) over j = -N..N, one row per x; zero rows at +-inf."""
-    rows = np.zeros((len(xs), 2 * N + 1))
-    finite = np.isfinite(xs)
-    if np.any(finite):
-        r = xs[finite, None] / h - np.arange(-N, N + 1)[None, :]
-        rows[finite] = np.sinc(r)
-    return rows
-
-
-def _exact_node_indices(points, ts, iv):
-    """Index of the grid point bitwise equal to each t (interior points
-    only), or -1.  Endpoint hits are left to the +-inf path."""
-    idx = np.searchsorted(points, ts)
-    idx = np.clip(idx, 0, len(points) - 1)
-    hit = (points[idx] == ts) & (ts > iv.a) & (ts < iv.b)
-    return np.where(hit, idx, -1)

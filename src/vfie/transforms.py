@@ -152,10 +152,8 @@ def inverse(kind: TransformKind, iv: Interval, t):
         raise ValueError(f"t = {t[~inside][0]} lies outside [{iv.a}, {iv.b}]")
     with np.errstate(divide="ignore"):
         r = np.log((t - iv.a) / (iv.b - t))
-    if kind is TransformKind.DE:
-        r = np.arcsinh(r / math.pi)
-    elif kind is TransformKind.JO_DE:
-        r = np.arcsinh(2.0 * r / math.pi)
+    if kind is not TransformKind.SE:
+        r = np.arcsinh(0.5 * r / _DE_SCALE[kind])
     return _scalar_or_array(r)
 
 
@@ -187,12 +185,15 @@ def select_h(method: Method, alpha: float, d: float, N: int,
     se-new uses sqrt(pi d / (alpha N)) and de-new uses log(2 d N / alpha)/N.
     The baselines default to their fixed published rules, pi/sqrt(N) and
     log(pi N)/N; `parametric_baseline=True` switches the de-johnogbonna
-    baseline to its (alpha, d)-dependent rule log(4 d N / alpha)/N.
+    baseline to its (alpha, d)-dependent rule log(4 d N / alpha)/N, and is
+    refused for the other three methods, which have no such rule.
     Every rule checks alpha and d against the method's transform, the
     fixed ones included.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
+    if parametric_baseline and method is not Method.JOHN_OGBONNA_DE:
+        raise ValueError(f"parametric_baseline applies to de-johnogbonna only, not {method.value}")
     _check_mesh_args(method.transform, alpha, d)
     if method is Method.NEW_SE:
         return math.sqrt(math.pi * d / (alpha * N))

@@ -1,5 +1,7 @@
 import math
 import os
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -471,6 +473,33 @@ def test_johnogbonna_parametric_mesh_rule():
         math.log(4.0 * 1.57 * 16.0) / 16.0, rel=1e-15)
     assert default.grid.h != parametric.grid.h
     assert max_error(parametric, ex.exact, 513) < 1e-6
+
+
+def test_solve_refuses_parametric_baseline_for_other_methods():
+    with pytest.raises(ValueError, match="de-new"):
+        solve(builtin(1).problem, Method.NEW_DE, 4, parametric_baseline=True)
+
+
+def test_evaluation_rejects_points_with_more_than_one_dimension():
+    sol = solve(builtin(1).problem, Method.NEW_DE, 8)
+    assert sol.grid.n == 17
+    for shape in ((2, 17), (2, 3), (1, 1)):
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            evaluate_solution_many(sol, np.full(shape, 0.5))
+    assert evaluate_solution_many(sol, np.array(0.5)).shape == (1,)
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_edge_batches_empty_and_endpoints_only(method):
+    sol = solve(builtin(1).problem, method, 8)
+    a, b = sol.grid.iv.a, sol.grid.iv.b
+    assert evaluate_solution_many(sol, np.array([])).shape == (0,)
+    # every point maps to x = +-inf, so every sinc row is zeroed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = evaluate_solution_many(sol, np.array([a, b, a]))
+    c = sol.coeffs
+    assert np.array_equal(vals, [c[0], c[-1], c[0]])
 
 
 @pytest.mark.parametrize("alpha, d_se, d_de, culprit", [

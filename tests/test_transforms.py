@@ -218,6 +218,15 @@ def test_select_h_domain():
         select_h(Method.JOHN_OGBONNA_DE, 1.0, 3.14, 16)
 
 
+def test_select_h_refuses_parametric_baseline_without_a_parametric_rule():
+    # only de-johnogbonna has an (alpha, d)-dependent alternative rule; the
+    # others used to return their default h and drop the flag silently
+    for method, d in ((Method.NEW_SE, 3.14), (Method.NEW_DE, 1.57),
+                      (Method.SHAMLOO_SE, 3.14)):
+        with pytest.raises(ValueError, match=method.value):
+            select_h(method, 1.0, d, 10, parametric_baseline=True)
+
+
 def test_sinc_points_small():
     pts = forward(TransformKind.SE, UNIT, np.arange(-1, 2) * 1.0)
     assert pts.shape == (3,)

@@ -1,0 +1,121 @@
+"""Print one sha256 per family of vfie outputs, so that two checkouts can be
+compared bit for bit:
+
+    python3 tools/output_digest.py > change.txt
+    python3 tools/output_digest.py /path/to/other/checkout > parent.txt
+    diff parent.txt change.txt
+
+The optional argument is the root of the source checkout whose ./src is
+imported (default: the checkout holding this script).  BLAS is pinned to
+one thread before numpy is imported, because the coefficients of a solve
+differ in their last bits between BLAS thread counts.
+
+Families: A and rhs of each assembler; the coefficients of `solve`; the
+grid's points, weights and h; `evaluate_solution_many` on 4096 equispaced,
+1000 seeded random, the nodal and the endpoint points; `evaluate_solution`
+on some of those points; `max_error`; `self_check` of both examples; and
+`inverse` on random points, the endpoints and offsets L*10^k from each end,
+for every transform on two intervals.  Both examples, all four methods,
+N = 4, 16, 64, 128, 256, and the parametric de-johnogbonna rule at N = 16.
+`condition_hint` is left out: it is an estimate whose last digits depend
+on the BLAS thread count.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import hashlib  # noqa: E402
+import sys  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+N_LIST = (4, 16, 64, 128, 256)
+
+
+class Digests:
+    """One running sha256 per family, fed in a fixed order."""
+
+    def __init__(self):
+        self._hashes = {}
+
+    def add(self, family, values):
+        arr = np.ascontiguousarray(np.asarray(values, dtype=float))
+        h = self._hashes.setdefault(family, hashlib.sha256())
+        h.update(repr(arr.shape).encode())
+        h.update(arr.tobytes())
+
+    def lines(self):
+        return [f"{family} {h.hexdigest()}" for family, h in self._hashes.items()]
+
+
+def configurations(vfie):
+    """(example, method, N, parametric_baseline) in a fixed order."""
+    for example_id in (1, 2):
+        for method in vfie.Method:
+            for N in N_LIST:
+                yield example_id, method, N, False
+    for example_id in (1, 2):
+        yield example_id, vfie.Method.JOHN_OGBONNA_DE, 16, True
+
+
+def assemble(vfie, problem, method, N, parametric):
+    if method is vfie.Method.SHAMLOO_SE:
+        return vfie.assemble_shamloo(problem, N)
+    if method is vfie.Method.JOHN_OGBONNA_DE:
+        return vfie.assemble_johnogbonna(problem, N, parametric)
+    return vfie.assemble_new(problem, method, N)
+
+
+def solver_families(vfie, out):
+    for example_id, method, N, parametric in configurations(vfie):
+        example = vfie.builtin(example_id)
+        A, rhs = assemble(vfie, example.problem, method, N, parametric)
+        out.add("assemble.A", A)
+        out.add("assemble.rhs", rhs)
+        sol = vfie.solve(example.problem, method, N, parametric)
+        out.add("solve.coeffs", sol.coeffs)
+        grid = sol.grid
+        out.add("grid.points", grid.points)
+        out.add("grid.weights", grid.weights)
+        out.add("grid.h", [grid.h])
+        iv = grid.iv
+        rng = np.random.default_rng(1000 * example_id + N)
+        randoms = rng.uniform(iv.a, iv.b, 1000)
+        endpoints = np.array([iv.a, iv.b, iv.a])
+        for ts in (np.linspace(iv.a, iv.b, 4096), randoms, grid.points, endpoints):
+            out.add("evaluate_solution_many", vfie.evaluate_solution_many(sol, ts))
+        singles = np.concatenate([randoms[:24], grid.points[::max(1, grid.n // 24)], endpoints])
+        out.add("evaluate_solution", [vfie.evaluate_solution(sol, float(t)) for t in singles])
+        out.add("max_error", [vfie.max_error(sol, example.exact, 4096)])
+    for example_id in (1, 2):
+        out.add("self_check", [vfie.self_check(vfie.builtin(example_id))])
+
+
+def inverse_family(vfie, out):
+    rng = np.random.default_rng(7)
+    for kind in vfie.TransformKind:
+        for a, b in ((0.0, 1.0), (-3.0, 7.5)):
+            iv = vfie.Interval(a, b)
+            offsets = (b - a) * 10.0 ** np.arange(-20.0, 0.0, 0.25)
+            ts = np.concatenate([rng.uniform(a, b, 3500), [a, b], a + offsets, b - offsets])
+            out.add("inverse", vfie.inverse(kind, iv, ts))
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    root = argv[0] if argv else os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    sys.path.insert(0, os.path.join(os.path.abspath(root), "src"))
+    import vfie
+
+    print(f"vfie from {os.path.dirname(vfie.__file__)}", file=sys.stderr)
+    out = Digests()
+    solver_families(vfie, out)
+    inverse_family(vfie, out)
+    print("\n".join(out.lines()))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
