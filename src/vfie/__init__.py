@@ -8,7 +8,6 @@ transformations, two original fixed-mesh variants for comparison, and a
 benchmark harness reproducing their convergence behaviour.
 """
 
-from .special import beta, log_gamma, sine_integral
 from .transforms import (
     Interval,
     MeshParams,
@@ -20,13 +19,12 @@ from .transforms import (
     select_h,
     strip_limit,
 )
-from .basis import omega_a, omega_b, sinc_J, sinc_S
+from .basis import sinc_J
 from .approx import (
     GeneralizedInterpolant,
     SincGrid,
     approximate,
     build_grid,
-    evaluate,
     evaluate_many,
     indefinite,
     quadrature,
@@ -81,12 +79,10 @@ __all__ = [
     "assemble_johnogbonna",
     "assemble_new",
     "assemble_shamloo",
-    "beta",
     "build_grid",
     "builtin",
     "derivative",
     "emit_csv",
-    "evaluate",
     "evaluate_many",
     "evaluate_solution",
     "evaluate_solution_many",
@@ -95,17 +91,12 @@ __all__ = [
     "grid_for",
     "indefinite",
     "inverse",
-    "log_gamma",
     "max_error",
-    "omega_a",
-    "omega_b",
     "quadrature",
     "run_sweep",
     "select_h",
     "self_check",
     "sinc_J",
-    "sinc_S",
-    "sine_integral",
     "solve",
     "solve_linear",
     "strip_limit",

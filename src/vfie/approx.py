@@ -6,6 +6,8 @@ three operations.  The interpolant augments plain cardinal interpolation
 with the two boundary hats so functions with nonzero endpoint values are
 handled; its cardinal coefficients are the samples minus the boundary
 part, which is what makes it reproduce the samples at the nodes.
+`approximate` builds it from the samples at the nodes, and
+`evaluate_many` evaluates it on a scalar or a 1-D array of points.
 """
 
 from dataclasses import dataclass
@@ -21,7 +23,6 @@ __all__ = [
     "GeneralizedInterpolant",
     "build_grid",
     "approximate",
-    "evaluate",
     "evaluate_many",
     "quadrature",
     "indefinite",
@@ -100,11 +101,6 @@ def approximate(grid: SincGrid, samples) -> GeneralizedInterpolant:
     coeffs = samples - bl * wa - br * wb
     return GeneralizedInterpolant(grid=grid, samples=samples,
                                   boundary_left=bl, boundary_right=br, coeffs=coeffs)
-
-
-def evaluate(interp: GeneralizedInterpolant, t: float) -> float:
-    """Interpolant value at one point of [a, b]."""
-    return float(evaluate_many(interp, np.array([float(t)]))[0])
 
 
 def evaluate_many(interp: GeneralizedInterpolant, ts) -> np.ndarray:

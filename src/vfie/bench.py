@@ -7,10 +7,10 @@ from enum import Enum, unique
 from typing import Callable
 
 import numpy as np
+from scipy.special import beta
 
 from .approx import build_grid, indefinite, quadrature
 from .solver import DiscreteSolution, Problem, evaluate_solution_many, solve
-from .special import beta
 from .transforms import Interval, Method
 
 __all__ = [

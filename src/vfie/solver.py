@@ -16,7 +16,7 @@ import itertools
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -30,7 +30,7 @@ from .approx import (
     evaluate_many,
 )
 from .basis import _boundary_pair, _running_integral
-from .transforms import Interval, Method, TransformKind, _check_mesh_args
+from .transforms import Interval, Method, TransformKind, _check_N, _check_mesh_args
 
 __all__ = [
     "Problem",
@@ -101,15 +101,51 @@ class DiscreteSolution:
     grid: SincGrid
     coeffs: np.ndarray
     condition_hint: float
+    _interp: GeneralizedInterpolant = field(init=False, repr=False)
 
     def __post_init__(self):
         self.coeffs.setflags(write=False)
+        object.__setattr__(self, "_interp", _interpolant(self.method, self.grid, self.coeffs))
+
+
+def _interpolant(method, grid, c):
+    """The interpolant a solution evaluates, built once per solution.
+
+    se-new/de-new interpolate the coefficients themselves, so nodal values
+    reproduce c_i exactly.  The original variants use their
+    hat-plus-interior-cardinal expansion, whose nodal values are a genuine
+    sum, not c_i: an interpolant with boundary values c_-N, c_N, the
+    interior c_j as cardinal coefficients, and those three-term sums as its
+    nodal samples.
+    """
+    if not method.is_original:
+        return approximate(grid, c)
+    cardinal = c.copy()
+    cardinal[[0, -1]] = 0.0
+    wa, wb = _boundary_pair(grid.iv, grid.points)
+    return GeneralizedInterpolant(grid=grid, samples=c[0] * wa + c[-1] * wb + cardinal,
+                                  boundary_left=float(c[0]), boundary_right=float(c[-1]),
+                                  coeffs=cardinal)
 
 
 def grid_for(problem: Problem, method: Method, N: int,
              parametric_baseline: bool = False) -> SincGrid:
     """The grid `solve` uses for this method: the method's transform with
-    the matching strip half-width from the problem."""
+    the matching strip half-width from the problem.
+
+    An N whose dense system cannot fit in physical memory is refused here,
+    so `solve` refuses it before any kernel call; where the memory size
+    cannot be read, nothing is refused.
+    """
+    n = 2 * _check_N(N) + 1
+    need = _PEAK_ARRAYS * 8 * n * n
+    try:
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
+        have = 0
+    if 0 < have < need:
+        raise ValueError(f"N={N} gives a dense order-{n} system: assembly and LU need about "
+                         f"{need:.3g} bytes, above the {have:.3g} bytes of physical memory")
     d = problem.d_se if method.transform is TransformKind.SE else problem.d_de
     return build_grid(problem.iv, method, problem.alpha, d, N, parametric_baseline)
 
@@ -155,20 +191,10 @@ def _assemble(problem, method, N, parametric_baseline=False):
     nodes.  Those row sums keep the naive loops' product order, which holds
     them within 1 ulp of the loops; a matrix product does not.
     de-johnogbonna collocates its end rows at a and b, where J is 0 and h.
-    An N whose dense system cannot fit in physical memory is refused before
-    any kernel call; where the memory size cannot be read, nothing is refused.
+    `grid_for` makes the size refusal before any kernel call.
     """
-    n = 2 * N + 1
-    need = _PEAK_ARRAYS * 8 * n * n
-    try:
-        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
-        have = 0
-    if 0 < have < need:
-        raise ValueError(f"N={N} gives a dense order-{n} system: assembly and LU need about "
-                         f"{need:.3g} bytes, above the {have:.3g} bytes of physical memory")
     grid = grid_for(problem, method, N, parametric_baseline)
-    pts, w, h = grid.points, grid.weights, grid.h
+    pts, w, h, n = grid.points, grid.weights, grid.h, grid.n
     coll = pts
     jmat = _offset_matrix(grid.mesh.N, h)
     if method is Method.JOHN_OGBONNA_DE:
@@ -244,7 +270,11 @@ def solve(problem: Problem, method: Method, N: int,
     A numerically singular system (rcond below 100 eps) is reported
     through ConditioningWarning rather than raised: invertibility is only
     guaranteed for N large enough, and sweeps should report, not crash.
+    The grid is built first, so an N that cannot fit and a
+    `parametric_baseline` the method has no rule for are refused before
+    any kernel call.
     """
+    grid = grid_for(problem, method, N, parametric_baseline)
     if method is Method.SHAMLOO_SE:
         A, rhs = assemble_shamloo(problem, N)
     elif method is Method.JOHN_OGBONNA_DE:
@@ -259,7 +289,6 @@ def solve(problem: Problem, method: Method, N: int,
             ConditioningWarning,
             stacklevel=2,
         )
-    grid = grid_for(problem, method, N, parametric_baseline)
     return DiscreteSolution(method=method, grid=grid, coeffs=coeffs, condition_hint=rcond)
 
 
@@ -269,22 +298,6 @@ def evaluate_solution(sol: DiscreteSolution, t: float) -> float:
 
 
 def evaluate_solution_many(sol: DiscreteSolution, ts) -> np.ndarray:
-    """Approximate solution values on an array of points in [a, b].
-
-    se-new/de-new evaluate the boundary-corrected interpolant through the
-    coefficients (so nodal values reproduce c_i exactly); the original
-    variants use their hat-plus-interior-cardinal expansion, for which the
-    nodal values are a genuine sum, not c_i: an interpolant with boundary
-    values c_-N, c_N, the interior c_j as cardinal coefficients, and those
-    three-term sums as its nodal samples.
-    """
-    grid, c = sol.grid, sol.coeffs
-    if not sol.method.is_original:
-        return evaluate_many(approximate(grid, c), ts)
-    cardinal = c.copy()
-    cardinal[[0, -1]] = 0.0
-    wa, wb = _boundary_pair(grid.iv, grid.points)
-    interp = GeneralizedInterpolant(grid=grid, samples=c[0] * wa + c[-1] * wb + cardinal,
-                                    boundary_left=float(c[0]), boundary_right=float(c[-1]),
-                                    coeffs=cardinal)
-    return evaluate_many(interp, ts)
+    """Approximate solution values on a scalar or 1-D array of points in
+    [a, b], from the interpolant the solution built once."""
+    return evaluate_many(sol._interp, ts)

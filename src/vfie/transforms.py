@@ -9,6 +9,7 @@ pair.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum, unique
 
@@ -89,9 +90,6 @@ class Interval:
     def length(self) -> float:
         return self.b - self.a
 
-    def contains(self, t: float) -> bool:
-        return self.a <= t <= self.b
-
 
 def strip_limit(kind: TransformKind) -> float:
     """Exclusive upper bound for the strip half-width d of a transform."""
@@ -106,8 +104,7 @@ class MeshParams:
     h: float
 
     def __post_init__(self):
-        if self.N < 1:
-            raise ValueError(f"N must be >= 1, got {self.N}")
+        _check_N(self.N)
         if not self.h > 0.0:
             raise ValueError(f"h must be positive, got {self.h}")
 
@@ -190,8 +187,7 @@ def select_h(method: Method, alpha: float, d: float, N: int,
     Every rule checks alpha and d against the method's transform, the
     fixed ones included.
     """
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
+    N = _check_N(N)
     if parametric_baseline and method is not Method.JOHN_OGBONNA_DE:
         raise ValueError(f"parametric_baseline applies to de-johnogbonna only, not {method.value}")
     _check_mesh_args(method.transform, alpha, d)
@@ -210,6 +206,16 @@ def _log_rule(arg, N):
     if arg <= 1.0:
         raise ValueError(f"mesh rule log({arg:g})/N is nonpositive; increase N or d")
     return math.log(arg) / N
+
+
+def _check_N(N):
+    """N as a Python int.  N must be an integer >= 1: numpy integers pass,
+    floats are refused even when integral (8.0)."""
+    if not isinstance(N, numbers.Integral):
+        raise ValueError(f"N must be an integer, got {N!r}")
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
+    return int(N)
 
 
 def _check_mesh_args(kind, alpha, d):

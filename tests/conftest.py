@@ -1,5 +1,21 @@
+"""Shared fixtures and oracle helpers.
+
+The scalar oracles below are independent transcriptions of formulas the
+program computes in array form: the cardinal sinc S(j,h), the boundary
+hats and interval membership.  Tests compare the program against them, so
+they do not call the code they check.  `evaluate` is the single-point
+form of `evaluate_many`.
+"""
+
+import math
+
 import numpy as np
 import pytest
+
+from vfie import evaluate_many
+
+_NODE_TOL = 1e-15
+_TAYLOR_CUTOFF = 1e-4
 
 
 @pytest.fixture
@@ -18,3 +34,52 @@ def assert_ulp_close(got, want, ulps=1):
         f"max deviation {diff.max():.3e} exceeds {ulps} ulp "
         f"(worst entry index {np.unravel_index(diff.argmax(), diff.shape)})"
     )
+
+
+def sinc_S(j: int, h: float, x: float) -> float:
+    """S(j,h)(x) = sin(pi(x - jh)/h) / (pi(x - jh)/h), with value 1 at x = jh.
+
+    Grid alignment is decided by comparing the offset r = (x - jh)/h
+    against the nearest integer (tolerance scaled by |x/h|), so the
+    Kronecker property S(j,h)(ih) = delta_ij holds exactly instead of
+    relying on sin() landing on a zero.  Accepts +-inf (limit 0).
+    """
+    if not h > 0.0:
+        raise ValueError(f"h must be positive, got {h}")
+    if math.isnan(x):
+        return math.nan
+    if math.isinf(x):
+        return 0.0
+    r = (x - j * h) / h
+    nearest = round(r)
+    # rounding of x and of j*h both feed r, so the snap window scales with
+    # the larger of the two offsets
+    if abs(r - nearest) < _NODE_TOL * max(1.0, abs(x / h), abs(j)):
+        return 1.0 if nearest == 0 else 0.0
+    y = math.pi * r
+    if abs(y) < _TAYLOR_CUTOFF:
+        yy = y * y
+        return 1.0 - yy / 6.0 + yy * yy / 120.0
+    return math.sin(y) / y
+
+
+def contains(iv, t) -> bool:
+    """t lies in the closed interval [a, b]."""
+    return iv.a <= t <= iv.b
+
+
+def omega_a(iv, t: float) -> float:
+    """Left boundary hat (b - t)/(b - a): 1 at a, 0 at b."""
+    assert contains(iv, t), t
+    return (iv.b - t) / (iv.b - iv.a)
+
+
+def omega_b(iv, t: float) -> float:
+    """Right boundary hat (t - a)/(b - a): 0 at a, 1 at b."""
+    assert contains(iv, t), t
+    return (t - iv.a) / (iv.b - iv.a)
+
+
+def evaluate(interp, t: float) -> float:
+    """Interpolant value at one point of [a, b]."""
+    return float(evaluate_many(interp, np.array([float(t)]))[0])

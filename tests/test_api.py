@@ -22,12 +22,10 @@ PUBLIC = [
     "assemble_johnogbonna",
     "assemble_new",
     "assemble_shamloo",
-    "beta",
     "build_grid",
     "builtin",
     "derivative",
     "emit_csv",
-    "evaluate",
     "evaluate_many",
     "evaluate_solution",
     "evaluate_solution_many",
@@ -36,17 +34,12 @@ PUBLIC = [
     "grid_for",
     "indefinite",
     "inverse",
-    "log_gamma",
     "max_error",
-    "omega_a",
-    "omega_b",
     "quadrature",
     "run_sweep",
     "select_h",
     "self_check",
     "sinc_J",
-    "sinc_S",
-    "sine_integral",
     "solve",
     "solve_linear",
     "strip_limit",

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from conftest import evaluate
 from vfie import (
     Interval,
     Method,
     TransformKind,
     approximate,
     build_grid,
-    evaluate,
     evaluate_many,
     indefinite,
     quadrature,

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from vfie import Interval, omega_a, omega_b, sinc_J, sinc_S
+from conftest import sinc_S
+from vfie import Interval, sinc_J
+from vfie.basis import _boundary_pair
 
 UNIT = Interval(0.0, 1.0)
 SI_PI = 1.8519370519824661703610533701579913633076  # Si(pi), 40-digit reference
@@ -85,23 +87,15 @@ def test_J_reflection_identity(rng):
 
 
 def test_omega_values():
-    assert omega_a(UNIT, 0.0) == 1.0
-    assert omega_a(UNIT, 1.0) == 0.0
-    assert omega_b(UNIT, 0.0) == 0.0
-    assert omega_b(UNIT, 0.25) == 0.25
-    assert omega_a(Interval(2.0, 6.0), 5.0) == 0.25
-
-
-def test_omega_domain():
-    with pytest.raises(ValueError):
-        omega_a(UNIT, -0.01)
-    with pytest.raises(ValueError):
-        omega_b(UNIT, 1.01)
+    assert _boundary_pair(UNIT, 0.0) == (1.0, 0.0)
+    assert _boundary_pair(UNIT, 1.0) == (0.0, 1.0)
+    assert _boundary_pair(UNIT, 0.25)[1] == 0.25
+    assert _boundary_pair(Interval(2.0, 6.0), 5.0)[0] == 0.25
 
 
 def test_omega_partition_unit_exact(rng):
-    for t in rng.uniform(0.0, 1.0, size=2000):
-        assert omega_a(UNIT, t) + omega_b(UNIT, t) == 1.0
+    wa, wb = _boundary_pair(UNIT, rng.uniform(0.0, 1.0, size=2000))
+    assert np.all(wa + wb == 1.0)
 
 
 def test_omega_partition_general(rng):
@@ -109,6 +103,5 @@ def test_omega_partition_general(rng):
     for _ in range(2000):
         a = rng.uniform(-10.0, 5.0)
         b = a + rng.uniform(0.5, 8.0)
-        iv = Interval(a, b)
-        t = rng.uniform(a, b)
-        assert abs(omega_a(iv, t) + omega_b(iv, t) - 1.0) <= np.spacing(1.0)
+        wa, wb = _boundary_pair(Interval(a, b), rng.uniform(a, b))
+        assert abs(wa + wb - 1.0) <= np.spacing(1.0)

@@ -5,11 +5,14 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import sici
 
-from conftest import assert_ulp_close
+import vfie.solver
+from conftest import assert_ulp_close, omega_a, omega_b, sinc_S
 from vfie import (
     AssemblyError,
     ConditioningWarning,
+    DiscreteSolution,
     Interval,
     Method,
     Problem,
@@ -26,12 +29,8 @@ from vfie import (
     grid_for,
     inverse,
     max_error,
-    omega_a,
-    omega_b,
     select_h,
     sinc_J,
-    sinc_S,
-    sine_integral,
     solve,
     solve_linear,
 )
@@ -54,7 +53,7 @@ def naive_j_at_node(h, offset):
     # J(j,h)(ih): the argument pi (ih - jh)/h is the exact integer multiple
     # pi (i - j), so transcribe it that way (J has a 0.5 - 0.59 cancellation
     # that would otherwise amplify a 1-ulp argument wobble)
-    return h * (0.5 + sine_integral(math.pi * offset) / math.pi)
+    return h * (0.5 + sici(math.pi * offset)[0] / math.pi)
 
 
 def naive_assemble_new(problem, method, N):
@@ -475,9 +474,21 @@ def test_johnogbonna_parametric_mesh_rule():
     assert max_error(parametric, ex.exact, 513) < 1e-6
 
 
+def never(*args):
+    raise AssertionError("kernel called for a solve that must be refused")
+
+
+NEVER_CALLED = Problem(iv=UNIT, k1=never, k2=never, g=never, alpha=1.0,
+                       d_se=3.14, d_de=1.57)
+
+
 def test_solve_refuses_parametric_baseline_for_other_methods():
     with pytest.raises(ValueError, match="de-new"):
         solve(builtin(1).problem, Method.NEW_DE, 4, parametric_baseline=True)
+    # refused before any kernel call
+    for method in (Method.NEW_SE, Method.NEW_DE, Method.SHAMLOO_SE):
+        with pytest.raises(ValueError, match=method.value):
+            solve(NEVER_CALLED, method, 16, parametric_baseline=True)
 
 
 def test_evaluation_rejects_points_with_more_than_one_dimension():
@@ -502,6 +513,24 @@ def test_edge_batches_empty_and_endpoints_only(method):
     assert np.array_equal(vals, [c[0], c[-1], c[0]])
 
 
+@pytest.mark.parametrize("method", list(Method))
+def test_evaluation_reuses_the_interpolant_built_with_the_solution(method, monkeypatch):
+    sol = solve(builtin(2).problem, method, 16)
+    ts = np.concatenate([np.linspace(0.0, 1.0, 257), sol.grid.points])
+    many = evaluate_solution_many(sol, ts)
+    single = [evaluate_solution(sol, t) for t in (0.0, 0.3, 1.0)]
+    by_hand = DiscreteSolution(sol.method, sol.grid, sol.coeffs, sol.condition_hint)
+    assert np.array_equal(evaluate_solution_many(by_hand, ts), many)
+
+    def rebuilt(*args):
+        raise AssertionError("interpolant rebuilt at evaluation")
+
+    monkeypatch.setattr(vfie.solver, "approximate", rebuilt)
+    monkeypatch.setattr(vfie.solver, "_boundary_pair", rebuilt)
+    assert np.array_equal(evaluate_solution_many(sol, ts), many)
+    assert [evaluate_solution(sol, t) for t in (0.0, 0.3, 1.0)] == single
+
+
 @pytest.mark.parametrize("alpha, d_se, d_de, culprit", [
     (0.0, 3.14, 1.57, "alpha"), (1.5, 3.14, 1.57, "alpha"),
     (1.0, 0.0, 1.57, "se transform"), (1.0, math.pi, 1.57, "se transform"),
@@ -520,14 +549,35 @@ def test_problem_accepts_strip_widths_just_inside_the_limits():
 
 
 def test_solve_refuses_n_whose_dense_system_cannot_fit():
-    def never(*args):
-        raise AssertionError("kernel called for a system that cannot fit")
+    # the estimate is exact: in int64 it would overflow at N = 10^9 and skip
+    # the refusal (warnings are errors here, so such an overflow raises
+    # instead of going on to build the grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for method in Method:
+            with pytest.raises(ValueError, match=r"N=1000000 .*order-2000001.* bytes"):
+                solve(NEVER_CALLED, method, 10**6)
+            with pytest.raises(ValueError, match=r"N=1000000000 .*order-2000000001.* bytes"):
+                solve(NEVER_CALLED, method, np.int64(10**9))
 
-    problem = Problem(iv=UNIT, k1=never, k2=never, g=never, alpha=1.0,
-                      d_se=3.14, d_de=1.57)
+
+@pytest.mark.parametrize("N", [8.0, 8.5, np.float64(8.0)], ids=["8.0", "8.5", "float64"])
+def test_solve_refuses_non_integral_n(N):
     for method in Method:
-        with pytest.raises(ValueError, match=r"N=1000000 .*order-2000001.* bytes"):
-            solve(problem, method, 10**6)
+        with pytest.raises(ValueError, match=re.escape(f"N must be an integer, got {N!r}")):
+            solve(NEVER_CALLED, method, N)
+
+
+@pytest.mark.parametrize("N", [np.int64(8), np.int32(8)], ids=["int64", "int32"])
+def test_numpy_integer_n_gives_the_same_solution(N):
+    problem = builtin(2).problem
+    for method in Method:
+        want = solve(problem, method, 8)
+        got = solve(problem, method, N)
+        assert got.grid.h == want.grid.h
+        assert np.array_equal(got.grid.points, want.grid.points)
+        assert np.array_equal(got.grid.weights, want.grid.weights)
+        assert np.array_equal(got.coeffs, want.coeffs)
 
 
 @pytest.mark.parametrize("broken", ["no sysconf", "unknown name"])

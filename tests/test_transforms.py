@@ -1,13 +1,16 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from conftest import contains
 from vfie import (
     Interval,
     MeshParams,
     Method,
     TransformKind,
+    build_grid,
     derivative,
     forward,
     inverse,
@@ -35,8 +38,20 @@ def test_interval_validation():
     assert Interval(-1.0, 2.0).length == 3.0
 
 
+@pytest.mark.parametrize("N", [8.0, 8.5, np.float64(8.0)], ids=["8.0", "8.5", "float64"])
+def test_non_integral_n_is_refused(N):
+    message = f"N must be an integer, got {N!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        select_h(Method.NEW_DE, 1.0, 1.57, N)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        MeshParams(N=N, h=0.5)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_grid(UNIT, Method.NEW_SE, 1.0, 3.14, N)
+
+
 def test_mesh_params_validation():
     assert MeshParams(N=4, h=0.5).n == 9
+    assert MeshParams(N=np.int64(4), h=0.5).n == 9
     with pytest.raises(ValueError):
         MeshParams(N=0, h=0.5)
     with pytest.raises(ValueError):
@@ -83,7 +98,7 @@ def test_forward_saturation_and_limits():
     # clamped, never outside
     for kind in ALL_KINDS:
         for x in (-50.0, -5.0, 0.3, 5.0, 50.0):
-            assert UNIT.contains(forward(kind, UNIT, x))
+            assert contains(UNIT, forward(kind, UNIT, x))
 
 
 def test_inverse_trivial():
