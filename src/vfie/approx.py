@@ -8,6 +8,19 @@ handled; its cardinal coefficients are the samples minus the boundary
 part, which is what makes it reproduce the samples at the nodes.
 `approximate` builds it from the samples at the nodes, and
 `evaluate_many` evaluates it on a scalar or a 1-D array of points.
+
+The cardinal sum is evaluated in barycentric form (Richardson and
+Trefethen, "A sinc function analogue of Chebfun", SISC 33, 2011), which
+needs one sine per point instead of one per (point, node).  With
+u = x/h, k = rint(u) and r = u - k, which is exact in floating point,
+
+    sum_j c_j sinc(u - j) = (-1)^k sinc(r) sum_j (-1)^j c_j r/(u - j),
+
+because sin(pi (u - j)) = (-1)^(j+k) sin(pi r).  Reducing the argument
+to r before the sine keeps sin(pi u) accurate for large |u|, and every
+entry r/(u - j) lies in [-1, 1], so nothing overflows near u = 0.  The
+points are processed in blocks of `_BLOCK` = 256, so no call builds more
+than a 256 x n matrix of entries.
 """
 
 from dataclasses import dataclass
@@ -27,6 +40,9 @@ __all__ = [
     "quadrature",
     "indefinite",
 ]
+
+# points per block of evaluate_many: a 256 x 513 block at N = 256 is 1 MB
+_BLOCK = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,18 +124,36 @@ def evaluate_many(interp: GeneralizedInterpolant, ts) -> np.ndarray:
 
     Points that are bitwise equal to an interior grid point short-circuit
     to the stored sample; the endpoints map to x = -inf/+inf, where the
-    cardinal terms vanish and only the boundary hats survive.
+    cardinal terms vanish and only the boundary hats survive.  Elsewhere
+    the cardinal part is the barycentric sum of the module docstring,
+    formed `_BLOCK` points at a time; where u = x/h is an integer k it is
+    c_k for |k| <= N and 0 beyond.
     """
     grid = interp.grid
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     if ts.ndim > 1:
         raise ValueError(f"points must be a scalar or a 1-D array, got shape {ts.shape}")
-    xs = transforms.inverse(grid.kind, grid.iv, ts)
+    N = grid.mesh.N
+    j = np.arange(-N, N + 1)
+    u = transforms.inverse(grid.kind, grid.iv, ts) / grid.h
+    k = np.rint(u)
+    signed = interp.coeffs.copy()
+    signed[(N + 1) % 2::2] *= -1.0  # (-1)^j c_j; j = -N + i is odd for these i
+    sums = np.empty_like(u)
+    # r is NaN on the +-inf rows, and r/(u - j) and sin(pi r)/(pi r) are
+    # 0/0 where r = 0; both kinds of row are replaced below
+    with np.errstate(invalid="ignore"):
+        r = u - k
+        for s in range(0, u.size, _BLOCK):
+            blk = slice(s, s + _BLOCK)
+            sums[blk] = (r[blk, None] / (u[blk, None] - j)) @ signed
+        y = np.pi * r
+        cardinal = np.where(k % 2, -sums, sums) * (np.sin(y) / y)
+    # at an integral u only S(k, h) is nonzero; at u = +-inf none is
+    on_k = np.interp(k, j, interp.coeffs, left=0.0, right=0.0)
+    cardinal = np.where((r == 0) | np.isinf(u), on_k, cardinal)
     wa, wb = _boundary_pair(grid.iv, ts)
-    with np.errstate(invalid="ignore"):  # sinc(+-inf) is NaN; those rows are zeroed next
-        rows = np.sinc(xs[:, None] / grid.h - np.arange(-grid.mesh.N, grid.mesh.N + 1))
-    rows[np.isinf(xs)] = 0.0
-    out = interp.boundary_left * wa + interp.boundary_right * wb + rows @ interp.coeffs
+    out = interp.boundary_left * wa + interp.boundary_right * wb + cardinal
     idx = np.minimum(np.searchsorted(grid.points, ts), grid.n - 1)
     hit = (grid.points[idx] == ts) & (ts > grid.iv.a) & (ts < grid.iv.b)
     return np.where(hit, interp.samples[idx], out)

@@ -104,6 +104,8 @@ class DiscreteSolution:
     _interp: GeneralizedInterpolant = field(init=False, repr=False)
 
     def __post_init__(self):
+        if self.coeffs.shape != (self.grid.n,):
+            raise ValueError(f"expected {self.grid.n} coefficients, got shape {self.coeffs.shape}")
         self.coeffs.setflags(write=False)
         object.__setattr__(self, "_interp", _interpolant(self.method, self.grid, self.coeffs))
 

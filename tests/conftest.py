@@ -4,7 +4,9 @@ The scalar oracles below are independent transcriptions of formulas the
 program computes in array form: the cardinal sinc S(j,h), the boundary
 hats and interval membership.  Tests compare the program against them, so
 they do not call the code they check.  `evaluate` is the single-point
-form of `evaluate_many`.
+form of `evaluate_many`.  `dense_sinc_evaluate` is the interpolant by the
+direct formula, one np.sinc per (point, node), which `evaluate_many`
+replaced with a barycentric sum.
 """
 
 import math
@@ -12,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from vfie import evaluate_many
+from vfie import evaluate_many, inverse
 
 _NODE_TOL = 1e-15
 _TAYLOR_CUTOFF = 1e-4
@@ -83,3 +85,21 @@ def omega_b(iv, t: float) -> float:
 def evaluate(interp, t: float) -> float:
     """Interpolant value at one point of [a, b]."""
     return float(evaluate_many(interp, np.array([float(t)]))[0])
+
+
+def dense_sinc_evaluate(interp, ts):
+    """Interpolant values on a 1-D array of points by the direct formula:
+    the hats plus sum_j c_j sinc(x/h - j), with the cardinal terms zeroed
+    at the endpoints and the stored sample returned at interior nodes."""
+    grid = interp.grid
+    a, b = grid.iv.a, grid.iv.b
+    ts = np.asarray(ts, dtype=float)
+    xs = inverse(grid.kind, grid.iv, ts)
+    with np.errstate(invalid="ignore"):  # sinc(+-inf) is NaN; those rows are zeroed next
+        rows = np.sinc(xs[:, None] / grid.h - np.arange(-grid.mesh.N, grid.mesh.N + 1))
+    rows[np.isinf(xs)] = 0.0
+    out = (interp.boundary_left * ((b - ts) / (b - a))
+           + interp.boundary_right * ((ts - a) / (b - a)) + rows @ interp.coeffs)
+    idx = np.minimum(np.searchsorted(grid.points, ts), grid.n - 1)
+    hit = (grid.points[idx] == ts) & (ts > a) & (ts < b)
+    return np.where(hit, interp.samples[idx], out)

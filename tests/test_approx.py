@@ -2,19 +2,25 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp
 
-from conftest import evaluate
+from conftest import dense_sinc_evaluate, evaluate, omega_a, omega_b
 from vfie import (
     Interval,
     Method,
     TransformKind,
     approximate,
     build_grid,
+    builtin,
     evaluate_many,
+    forward,
     indefinite,
+    inverse,
     quadrature,
     select_h,
+    solve,
 )
+from vfie.approx import _BLOCK
 
 UNIT = Interval(0.0, 1.0)
 
@@ -251,3 +257,155 @@ def test_build_grid_rejects_mismatched_strip_width():
     for method in (Method.NEW_DE, Method.JOHN_OGBONNA_DE):
         with pytest.raises(ValueError):
             build_grid(UNIT, method, 1.0, 3.14, 8)
+
+
+# --- barycentric evaluation against the direct formula and mpmath ---------
+
+ORACLE_CASES = [(example_id, method, N) for example_id in (1, 2) for method in Method
+                for N in (16, 128, 256)]
+
+
+def case_id(case):
+    example_id, method, N = case
+    return f"ex{example_id}-{method.value}-N{N}"
+
+
+@pytest.fixture(scope="module")
+def interpolants():
+    """The interpolant of each solution in ORACLE_CASES, solved once."""
+    return {case: solve(builtin(case[0]).problem, case[1], case[2])._interp
+            for case in ORACLE_CASES}
+
+
+def near_nodes(grid):
+    """The float neighbours and the +-1e-13 neighbours of every node that
+    lie in [a, b]."""
+    p = grid.points
+    ts = np.concatenate([np.nextafter(p, -np.inf), np.nextafter(p, np.inf),
+                         p - 1e-13, p + 1e-13])
+    return ts[(ts >= grid.iv.a) & (ts <= grid.iv.b)]
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES, ids=case_id)
+def test_off_node_values_match_the_dense_sinc_formula(case, interpolants):
+    interp = interpolants[case]
+    grid = interp.grid
+    a, b = grid.iv.a, grid.iv.b
+    rng = np.random.default_rng(1000 * case[0] + case[2])
+    for ts in (np.linspace(a, b, 4096), rng.uniform(a, b, 16384), near_nodes(grid)):
+        diff = np.abs(evaluate_many(interp, ts) - dense_sinc_evaluate(interp, ts))
+        assert diff.max() <= 1e-15, (diff.max(), ts[diff.argmax()])
+    ts = np.concatenate([grid.points, [a, b]])
+    assert np.array_equal(evaluate_many(interp, ts), dense_sinc_evaluate(interp, ts))
+
+
+_MP_DE_SCALE = {TransformKind.DE: math.pi / 2, TransformKind.JO_DE: math.pi / 4}
+
+
+def mp_interpolant(interp, t, direct=False):
+    """The interpolant at t in 30-digit arithmetic: the preimage from
+    t = a + L/(1 + exp(-2v)) with v = x/2 (SE) or c sinh(x) (DE), the hats,
+    and the cardinal sum, by sin(pi (u - j)) = (-1)^j sin(pi u) unless
+    `direct` asks for one sinc per term."""
+    grid = interp.grid
+    N = grid.mesh.N
+    with mp.workdps(30):
+        a, b, t = mp.mpf(grid.iv.a), mp.mpf(grid.iv.b), mp.mpf(t)
+        x = mp.log((t - a) / (b - t))
+        if grid.kind is not TransformKind.SE:
+            x = mp.asinh(x / (2 * mp.mpf(_MP_DE_SCALE[grid.kind])))
+        u = x / mp.mpf(grid.h)
+        js = range(-N, N + 1)
+        if direct:
+            cardinal = mp.fsum(mp.mpf(c) * mp.sincpi(u - j) for j, c in zip(js, interp.coeffs))
+        else:
+            signed = [mp.mpf(c) * (-1) ** j for j, c in zip(js, interp.coeffs)]
+            cardinal = mp.sinpi(u) / mp.pi * mp.fdot(signed, [1 / (u - j) for j in js])
+        boundary = (interp.boundary_left * (b - t) + interp.boundary_right * (t - a)) / (b - a)
+        return float(boundary + cardinal)
+
+
+def test_mp_oracle_sum_equals_its_direct_form(interpolants):
+    interp = interpolants[(2, Method.JOHN_OGBONNA_DE, 16)]
+    for t in (1e-9, 0.123, 0.5 + 1e-7, 0.77, 1.0 - 1e-6):
+        assert mp_interpolant(interp, t) == mp_interpolant(interp, t, direct=True)
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES, ids=case_id)
+def test_off_node_values_match_a_30_digit_sum(case, interpolants):
+    interp = interpolants[case]
+    grid = interp.grid
+    ts = np.random.default_rng(7 * case[2] + case[0]).uniform(grid.iv.a, grid.iv.b, 100)
+    assert not np.isin(ts, grid.points).any()
+    want = np.array([mp_interpolant(interp, t) for t in ts])
+    assert np.max(np.abs(evaluate_many(interp, ts) - want)) <= 1e-15
+
+
+def hats(interp, t):
+    """The boundary part at t, in the order evaluate_many adds it."""
+    iv = interp.grid.iv
+    return interp.boundary_left * omega_a(iv, t) + interp.boundary_right * omega_b(iv, t)
+
+
+def integral_u_near(grid, t, steps=64):
+    """The first of t and its float neighbours, up to `steps` each way,
+    that is not a node, lies inside (a, b), and has an integral u = x/h."""
+    for toward in (grid.iv.b, grid.iv.a):
+        s = t
+        for _ in range(steps):
+            u = inverse(grid.kind, grid.iv, s) / grid.h
+            if u == round(u) and grid.iv.a < s < grid.iv.b and s not in grid.points:
+                return s, int(u)
+            s = np.nextafter(s, toward)
+    raise AssertionError(f"no point with an integral u within {steps} ulp of {t}")
+
+
+def test_integral_u_off_the_nodes_gives_the_cardinal_coefficient(rng):
+    for make in (se_grid, de_grid):
+        grid = make(16)
+        f = random_smooth(rng)
+        interp = approximate(grid, np.array([f(t) for t in grid.points]))
+        # below the midpoint, where the float spacing of t resolves u to
+        # its last bit (near b one ulp of t moves u by many ulp of u)
+        for i in (3, 8, 12):
+            t, k = integral_u_near(grid, grid.points[i])
+            want = hats(interp, t) + interp.coeffs[k + grid.mesh.N]
+            assert evaluate_many(interp, t)[0] == want
+            assert abs(want - dense_sinc_evaluate(interp, [t])[0]) <= 1e-15
+
+
+def test_points_beyond_the_outermost_nodes_near_both_endpoints(rng):
+    for make in (se_grid, de_grid):
+        grid = make(4)
+        a, b, h = grid.iv.a, grid.iv.b, grid.h
+        f = random_smooth(rng)
+        interp = approximate(grid, np.array([f(t) for t in grid.points]))
+        ts = np.concatenate([a + np.logspace(-300, -1, 300), b - np.logspace(-15, -1, 60),
+                             [np.nextafter(b, a)]])
+        u = inverse(grid.kind, grid.iv, ts) / h
+        ts = ts[np.abs(u) > 4]
+        assert (ts < 0.5).any() and (ts > 0.5).any()
+        diff = np.abs(evaluate_many(interp, ts) - dense_sinc_evaluate(interp, ts))
+        assert diff.max() <= 1e-15
+        # an integral u beyond N, here -(N + 1), carries no cardinal term
+        t, k = integral_u_near(grid, forward(grid.kind, grid.iv, -5 * h))
+        assert k == -5
+        assert evaluate_many(interp, t)[0] == hats(interp, t)
+
+
+def test_scalar_point_gives_a_one_element_array(rng):
+    grid = de_grid(16)
+    f = random_smooth(rng)
+    interp = approximate(grid, np.array([f(t) for t in grid.points]))
+    for t in (0.0, 0.3, grid.points[7], 1.0):
+        got = evaluate_many(interp, t)
+        assert got.shape == (1,)
+        assert np.array_equal(got, evaluate_many(interp, np.array([t])))
+        assert abs(got[0] - dense_sinc_evaluate(interp, [t])[0]) <= 1e-15
+
+
+def test_call_on_several_blocks_is_the_concatenation_of_block_calls(interpolants):
+    interp = interpolants[(2, Method.NEW_DE, 128)]
+    ts = np.random.default_rng(3).uniform(0.0, 1.0, 2 * _BLOCK + 37)
+    parts = [evaluate_many(interp, ts[s:s + _BLOCK]) for s in range(0, ts.size, _BLOCK)]
+    assert np.array_equal(evaluate_many(interp, ts), np.concatenate(parts))

@@ -505,7 +505,7 @@ def test_edge_batches_empty_and_endpoints_only(method):
     sol = solve(builtin(1).problem, method, 8)
     a, b = sol.grid.iv.a, sol.grid.iv.b
     assert evaluate_solution_many(sol, np.array([])).shape == (0,)
-    # every point maps to x = +-inf, so every sinc row is zeroed
+    # every point maps to x = +-inf, where every cardinal term vanishes
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         vals = evaluate_solution_many(sol, np.array([a, b, a]))
@@ -529,6 +529,16 @@ def test_evaluation_reuses_the_interpolant_built_with_the_solution(method, monke
     monkeypatch.setattr(vfie.solver, "_boundary_pair", rebuilt)
     assert np.array_equal(evaluate_solution_many(sol, ts), many)
     assert [evaluate_solution(sol, t) for t in (0.0, 0.3, 1.0)] == single
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_solution_refuses_coefficients_of_the_wrong_length(method):
+    grid = solve(builtin(1).problem, method, 4).grid
+    assert grid.n == 9
+    for coeffs in (np.zeros(5), np.zeros(10), np.zeros((9, 1))):
+        message = f"expected 9 coefficients, got shape {coeffs.shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DiscreteSolution(method, grid, coeffs, 1.0)
 
 
 @pytest.mark.parametrize("alpha, d_se, d_de, culprit", [

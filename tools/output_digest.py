@@ -12,10 +12,11 @@ differ in their last bits between BLAS thread counts.
 
 Families: A and rhs of each assembler; the coefficients of `solve`; the
 grid's points, weights and h; `evaluate_solution_many` on 4096 equispaced,
-1000 seeded random, the nodal and the endpoint points; `evaluate_solution`
-on some of those points; `max_error`; `self_check` of both examples; and
-`inverse` on random points, the endpoints and offsets L*10^k from each end,
-for every transform on two intervals.  Both examples, all four methods,
+1000 seeded random, the nodal and the endpoint points, and, as a family of
+its own, on the float neighbours and the +-1e-13 neighbours of every node;
+`evaluate_solution` on some of those points; `max_error`; `self_check` of
+both examples; and `inverse` on random points, the endpoints and offsets
+L*10^k from each end, for every transform on two intervals.  Both examples, all four methods,
 N = 4, 16, 64, 128, 256, and the parametric de-johnogbonna rule at N = 16.
 `condition_hint` is left out: it is an estimate whose last digits depend
 on the BLAS thread count.
@@ -86,6 +87,11 @@ def solver_families(vfie, out):
         endpoints = np.array([iv.a, iv.b, iv.a])
         for ts in (np.linspace(iv.a, iv.b, 4096), randoms, grid.points, endpoints):
             out.add("evaluate_solution_many", vfie.evaluate_solution_many(sol, ts))
+        p = grid.points
+        near = np.concatenate([np.nextafter(p, -np.inf), np.nextafter(p, np.inf),
+                               p - 1e-13, p + 1e-13])
+        near = near[(near >= iv.a) & (near <= iv.b)]
+        out.add("evaluate_solution_many.near_nodes", vfie.evaluate_solution_many(sol, near))
         singles = np.concatenate([randoms[:24], grid.points[::max(1, grid.n // 24)], endpoints])
         out.add("evaluate_solution", [vfie.evaluate_solution(sol, float(t)) for t in singles])
         out.add("max_error", [vfie.max_error(sol, example.exact, 4096)])
