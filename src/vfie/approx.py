@@ -163,11 +163,12 @@ def quadrature(grid: SincGrid, f) -> float:
     """h * sum_j f(t_j) psi'(jh): the transformed trapezoid rule for the
     integral of f over (a, b).
 
-    f is only ever sampled at the grid points, which lie inside the open
-    interval (up to floating-point saturation at extreme nodes), so
-    endpoint-singular integrands are admissible at moderate N.
+    f is called with one Python float at a time, and only ever sampled at
+    the grid points, which lie inside the open interval (up to
+    floating-point saturation at extreme nodes), so endpoint-singular
+    integrands are admissible at moderate N.
     """
-    vals = np.array([f(t) for t in grid.points], dtype=float)
+    vals = np.array([f(t) for t in grid.points.tolist()], dtype=float)
     return grid.h * float(vals @ grid.weights)
 
 
@@ -179,6 +180,6 @@ def indefinite(grid: SincGrid, f, t: float) -> float:
     """
     x = transforms.inverse(grid.kind, grid.iv, t)
     N = grid.mesh.N
-    vals = np.array([f(s) for s in grid.points], dtype=float)
+    vals = np.array([f(s) for s in grid.points.tolist()], dtype=float)
     jrow = sinc_J(np.arange(-N, N + 1), grid.h, x)
     return float((vals * grid.weights) @ jrow)

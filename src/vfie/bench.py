@@ -118,13 +118,13 @@ def builtin(example_id: int) -> BuiltinExample:
 
 def max_error(sol: DiscreteSolution, exact, M: int) -> float:
     """Largest pointwise deviation from `exact` over M equispaced points,
-    endpoints included."""
+    endpoints included; `exact` is called with one Python float at a time."""
     if M < 2:
         raise ValueError(f"need at least 2 evaluation points, got {M}")
     iv = sol.grid.iv
     ts = np.linspace(iv.a, iv.b, M)
     approx_vals = evaluate_solution_many(sol, ts)
-    exact_vals = np.array([exact(t) for t in ts])
+    exact_vals = np.array([exact(t) for t in ts.tolist()])
     return float(np.max(np.abs(exact_vals - approx_vals)))
 
 
@@ -224,7 +224,7 @@ def self_check(example: BuiltinExample, n_probe: int = 33, N: int = 48) -> float
     u = example.exact
     grid = build_grid(iv, Method.NEW_DE, problem.alpha, problem.d_de, N)
     worst = 0.0
-    for t in np.linspace(iv.a, iv.b, n_probe):
+    for t in np.linspace(iv.a, iv.b, n_probe).tolist():
         running = indefinite(grid, lambda s: problem.k1(t, s) * u(s), t)
         full = quadrature(grid, lambda s: problem.k2(t, s) * u(s))
         residual = u(t) - running - full - problem.g(t)

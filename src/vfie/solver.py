@@ -57,7 +57,8 @@ _PEAK_ARRAYS = 8
 
 
 class AssemblyError(ValueError):
-    """A kernel or right-hand side returned a non-finite value during assembly."""
+    """A kernel or right-hand side returned a non-finite value, or raised an
+    ArithmeticError, during assembly."""
 
 
 class SingularMatrixError(RuntimeError):
@@ -72,7 +73,12 @@ class ConditioningWarning(RuntimeWarning):
 class Problem:
     """Equation data: running kernel k1, full-interval kernel k2, right-hand
     side g, endpoint regularity exponent alpha, and the strip half-widths
-    used by the mesh rules of the tanh (d_se) and tanh-sinh (d_de) maps."""
+    used by the mesh rules of the tanh (d_se) and tanh-sinh (d_de) maps.
+
+    k1, k2 and g are called with Python floats, one point per call.  A
+    non-finite return value or an ArithmeticError (such as
+    ZeroDivisionError or OverflowError) raises AssemblyError.
+    """
 
     iv: Interval
     k1: Callable[[float, float], float]
@@ -226,15 +232,33 @@ def _offset_matrix(N, h):
 
 def _sample(func, name, *axes):
     """func at every point of the grid spanned by the axes, called once per
-    point in row-major order with the axes' elements as arguments."""
+    point in row-major order with the axes' elements as Python floats.
+
+    A non-finite value, or an ArithmeticError raised by func, becomes an
+    AssemblyError naming the first such point; the raising point is found
+    by walking the grid again, so only a failing assembly pays for it.
+    """
     shape = tuple(len(axis) for axis in axes)
-    calls = itertools.starmap(func, itertools.product(*axes))
-    vals = np.fromiter(calls, dtype=float, count=math.prod(shape)).reshape(shape)
+    lists = [axis.tolist() for axis in axes]
+    calls = itertools.starmap(func, itertools.product(*lists))
+    try:
+        vals = np.fromiter(calls, dtype=float, count=math.prod(shape)).reshape(shape)
+    except ArithmeticError as exc:
+        for args in itertools.product(*lists):
+            try:
+                func(*args)
+            except ArithmeticError:
+                raise AssemblyError(f"{_call(name, args)} raised {exc!r} during assembly") from exc
+        raise AssemblyError(f"{name} raised {exc!r} during assembly") from exc
     if not np.all(np.isfinite(vals)):
         idx = tuple(np.argwhere(~np.isfinite(vals))[0])
-        args = ", ".join(repr(axis[i]) for axis, i in zip(axes, idx))
-        raise AssemblyError(f"{name}({args}) returned {vals[idx]} during assembly")
+        args = [values[i] for values, i in zip(lists, idx)]
+        raise AssemblyError(f"{_call(name, args)} returned {vals[idx]} during assembly")
     return vals
+
+
+def _call(name, args):
+    return f"{name}({', '.join(map(repr, args))})"
 
 
 def solve_linear(A, rhs):

@@ -86,23 +86,24 @@ def test_criterion_02_special_function_oracles():
 
 
 def test_criterion_03_assembly_oracle_equivalence():
-    problem = builtin(1).problem
     N = 2
-    pairs = [
-        (assemble_new(problem, Method.NEW_SE, N),
-         naive_assemble_new(problem, Method.NEW_SE, N)),
-        (assemble_new(problem, Method.NEW_DE, N),
-         naive_assemble_new(problem, Method.NEW_DE, N)),
-        (assemble_shamloo(problem, N),
-         naive_assemble_original(problem, Method.SHAMLOO_SE, N)),
-        (assemble_johnogbonna(problem, N),
-         naive_assemble_original(problem, Method.JOHN_OGBONNA_DE, N)),
-    ]
-    for (A, rhs), (A_ref, rhs_ref) in pairs:
-        assert_ulp_close(A, A_ref, ulps=1)
-        assert_ulp_close(rhs, rhs_ref, ulps=1)
+    for example_id in (1, 2):
+        problem = builtin(example_id).problem
+        pairs = [
+            (assemble_new(problem, Method.NEW_SE, N),
+             naive_assemble_new(problem, Method.NEW_SE, N)),
+            (assemble_new(problem, Method.NEW_DE, N),
+             naive_assemble_new(problem, Method.NEW_DE, N)),
+            (assemble_shamloo(problem, N),
+             naive_assemble_original(problem, Method.SHAMLOO_SE, N)),
+            (assemble_johnogbonna(problem, N),
+             naive_assemble_original(problem, Method.JOHN_OGBONNA_DE, N)),
+        ]
+        for (A, rhs), (A_ref, rhs_ref) in pairs:
+            assert_ulp_close(A, A_ref, ulps=1)
+            assert_ulp_close(rhs, rhs_ref, ulps=1)
     report("3 assembly oracle equivalence", True,
-           "all four methods match the naive loops to <= 1 ulp at N=2")
+           "all four methods match the naive loops to <= 1 ulp at N=2, examples 1 and 2")
 
 
 def test_criterion_04_exact_solution_recovery():

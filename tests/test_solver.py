@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import re
@@ -27,9 +28,12 @@ from vfie import (
     evaluate_solution_many,
     forward,
     grid_for,
+    indefinite,
     inverse,
     max_error,
+    quadrature,
     select_h,
+    self_check,
     sinc_J,
     solve,
     solve_linear,
@@ -248,7 +252,73 @@ def test_assembly_error_names_the_point():
     # the first non-finite entry in row-major order: row 0, first node past 0.9
     message = str(exc.value)
     assert message.startswith("k2(")
-    assert f"k2({pts[0]!r}, {pts[pts > 0.9][0]!r})" in message
+    assert f"k2({float(pts[0])!r}, {float(pts[pts > 0.9][0])!r})" in message
+
+
+def test_arithmetic_error_in_a_callable_becomes_assembly_error():
+    # Python floats raise where numpy scalars returned inf with a warning
+    problem = Problem(iv=UNIT, k1=lambda t, s: 0.0, k2=lambda t, s: 0.0,
+                      g=lambda t: 1.0 / t, alpha=1.0, d_se=3.14, d_de=1.57)
+    with pytest.raises(AssemblyError) as exc:
+        solve(problem, Method.JOHN_OGBONNA_DE, 4)
+    assert str(exc.value).startswith("g(0.0) raised ZeroDivisionError(")
+    assert isinstance(exc.value.__cause__, ZeroDivisionError)
+
+    problem = Problem(iv=UNIT, k1=lambda t, s: 10.0 ** (400.0 * s), k2=lambda t, s: 0.0,
+                      g=lambda t: t, alpha=1.0, d_se=3.14, d_de=1.57)
+    pts = grid_for(problem, Method.NEW_SE, 8).points
+    with pytest.raises(AssemblyError) as exc:
+        solve(problem, Method.NEW_SE, 8)
+    # the first overflowing call in row-major order: row 0, first node with 400 s > 308.25
+    first = float(pts[400.0 * pts > math.log10(np.finfo(float).max)][0])
+    assert str(exc.value).startswith(f"k1({float(pts[0])!r}, {first!r}) raised OverflowError(")
+    assert isinstance(exc.value.__cause__, OverflowError)
+
+
+def _recording(log, name, func):
+    def record(*args):
+        log.append((name, args))
+        return func(*args)
+    return record
+
+
+def _recorded(log, problem):
+    """problem with k1, k2 and g logging (name, args) of every call."""
+    return dataclasses.replace(problem, k1=_recording(log, "k1", problem.k1),
+                               k2=_recording(log, "k2", problem.k2),
+                               g=_recording(log, "g", problem.g))
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_callables_get_python_floats_in_row_major_order(method):
+    log = []
+    problem = _recorded(log, builtin(2).problem)
+    N = 8
+    n = 2 * N + 1
+    solve(problem, method, N)
+    pts = grid_for(problem, method, N).points.tolist()
+    coll = list(pts)
+    if method is Method.JOHN_OGBONNA_DE:
+        coll[0], coll[-1] = UNIT.a, UNIT.b
+    row_major = [(t, s) for t in coll for s in pts]
+    assert [args for name, args in log if name == "k1"] == row_major
+    assert [args for name, args in log if name == "k2"] == row_major
+    assert [args for name, args in log if name == "g"] == [(t,) for t in coll]
+    assert len(log) == 2 * n * n + n
+    assert all(type(x) is float for _, args in log for x in args)
+
+
+def test_quadrature_indefinite_and_bench_callables_get_python_floats():
+    ex = builtin(2)
+    grid = grid_for(ex.problem, Method.NEW_DE, 8)
+    log = []
+    quadrature(grid, _recording(log, "f", math.sqrt))
+    indefinite(grid, _recording(log, "f", math.sqrt), 0.5)
+    max_error(solve(ex.problem, Method.NEW_DE, 8), _recording(log, "u", ex.exact), 16)
+    self_check(dataclasses.replace(ex, problem=_recorded(log, ex.problem),
+                                   exact=_recording(log, "u", ex.exact)), n_probe=5, N=8)
+    assert {name for name, _ in log} == {"f", "u", "k1", "k2", "g"}
+    assert all(type(x) is float for _, args in log for x in args)
 
 
 def test_fredholm_rows_sum_to_kernel_integral():
