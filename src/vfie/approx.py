@@ -19,8 +19,9 @@ u = x/h, k = rint(u) and r = u - k, which is exact in floating point,
 because sin(pi (u - j)) = (-1)^(j+k) sin(pi r).  Reducing the argument
 to r before the sine keeps sin(pi u) accurate for large |u|, and every
 entry r/(u - j) lies in [-1, 1], so nothing overflows near u = 0.  The
-points are processed in blocks of `_BLOCK` = 256, so no call builds more
-than a 256 x n matrix of entries.
+points are processed in blocks of `_BLOCK` = 256 in one 256 x n buffer
+per call, reused across blocks, so no call holds more than one such
+matrix of entries.
 """
 
 from dataclasses import dataclass
@@ -41,7 +42,8 @@ __all__ = [
     "indefinite",
 ]
 
-# points per block of evaluate_many: a 256 x 513 block at N = 256 is 1 MB
+# points per block of evaluate_many, whose one block buffer per call
+# (256 x 513 at N = 256, 1 MB) is reused across blocks
 _BLOCK = 256
 
 
@@ -140,13 +142,17 @@ def evaluate_many(interp: GeneralizedInterpolant, ts) -> np.ndarray:
     signed = interp.coeffs.copy()
     signed[(N + 1) % 2::2] *= -1.0  # (-1)^j c_j; j = -N + i is odd for these i
     sums = np.empty_like(u)
+    block = np.empty((min(u.size, _BLOCK), j.size))
     # r is NaN on the +-inf rows, and r/(u - j) and sin(pi r)/(pi r) are
     # 0/0 where r = 0; both kinds of row are replaced below
     with np.errstate(invalid="ignore"):
         r = u - k
         for s in range(0, u.size, _BLOCK):
             blk = slice(s, s + _BLOCK)
-            sums[blk] = (r[blk, None] / (u[blk, None] - j)) @ signed
+            m = block[:min(_BLOCK, u.size - s)]
+            np.subtract(u[blk, None], j, out=m)
+            np.divide(r[blk, None], m, out=m)
+            np.matmul(m, signed, out=sums[blk])
         y = np.pi * r
         cardinal = np.where(k % 2, -sums, sums) * (np.sin(y) / y)
     # at an integral u only S(k, h) is nonzero; at u = +-inf none is

@@ -51,9 +51,12 @@ __all__ = [
 # rcond below this is treated as numerically singular (warning channel).
 RCOND_FLOOR = 100.0 * np.finfo(float).eps
 
-# n x n float64 arrays alive at once during assembly plus LU: J, k1, k2,
-# E, V, K, two product temporaries, then A and its LU copy.
-_PEAK_ARRAYS = 8
+# n x n float64 arrays alive at once in a solve.  Assembly holds J, the k1
+# and k2 samples (scaled in place into V and K), A and, for the original
+# variants, one scratch buffer for the hat columns, plus sampling and ufunc
+# temporaries below n^2/4: tracemalloc measures a peak of 5.17 n^2 doubles
+# at N = 128.  LU holds fewer: A and one n x n copy at a time.
+_PEAK_ARRAYS = 6
 
 
 class AssemblyError(ValueError):
@@ -189,7 +192,7 @@ def assemble_johnogbonna(problem: Problem, N: int, parametric_baseline: bool = F
 
 
 def _assemble(problem, method, N, parametric_baseline=False):
-    """A = E - V - K and rhs for any method.
+    """A = E - V - K and rhs for any method, built in place in A.
 
     V_ij = k1(t_i,s_j) w_j J_{i-j} and K_ij = k2(t_i,s_j) w_j h over the
     collocation points t_i and nodes s_j, with E the identity.  The
@@ -197,7 +200,9 @@ def _assemble(problem, method, N, parametric_baseline=False):
     functions: those columns of E hold the hats at the collocation points,
     and those of V and K the operators applied to the hats sampled at the
     nodes.  Those row sums keep the naive loops' product order, which holds
-    them within 1 ulp of the loops; a matrix product does not.
+    them within 1 ulp of the loops; a matrix product does not.  They are
+    formed first, in one scratch buffer, because V and K then overwrite
+    the k1 and k2 samples.
     de-johnogbonna collocates its end rows at a and b, where J is 0 and h.
     `grid_for` makes the size refusal before any kernel call.
     """
@@ -212,15 +217,29 @@ def _assemble(problem, method, N, parametric_baseline=False):
         jmat[-1, :] = h
     k1 = _sample(problem.k1, "k1", coll, pts)
     k2 = _sample(problem.k2, "k2", coll, pts)
-    E = np.eye(n)
-    V = k1 * w[None, :] * jmat
-    K = k2 * w[None, :] * h
+    A = np.eye(n)
+    hat_columns = []
     if method.is_original:
-        E[:, 0], E[:, -1] = _boundary_pair(grid.iv, coll)
-        for col, hat in zip((0, -1), _boundary_pair(grid.iv, pts)):
-            V[:, col] = (k1 * hat[None, :] * w[None, :] * jmat).sum(axis=1)
-            K[:, col] = (k2 * hat[None, :] * w[None, :]).sum(axis=1) * h
-    return E - V - K, _sample(problem.g, "g", coll)
+        A[:, 0], A[:, -1] = _boundary_pair(grid.iv, coll)
+        scratch = np.empty((n, n))
+        for hat in _boundary_pair(grid.iv, pts):
+            np.multiply(k1, hat, out=scratch)
+            scratch *= w
+            scratch *= jmat
+            v = scratch.sum(axis=1)
+            np.multiply(k2, hat, out=scratch)
+            scratch *= w
+            hat_columns.append((v, scratch.sum(axis=1) * h))
+    V, K = k1, k2  # scaled in place: the samples are not needed again
+    V *= w
+    V *= jmat
+    K *= w
+    K *= h
+    for col, (v, k) in zip((0, -1), hat_columns):
+        V[:, col], K[:, col] = v, k
+    A -= V
+    A -= K
+    return A, _sample(problem.g, "g", coll)
 
 
 def _offset_matrix(N, h):

@@ -6,7 +6,9 @@ hats and interval membership.  Tests compare the program against them, so
 they do not call the code they check.  `evaluate` is the single-point
 form of `evaluate_many`.  `dense_sinc_evaluate` is the interpolant by the
 direct formula, one np.sinc per (point, node), which `evaluate_many`
-replaced with a barycentric sum.
+replaced with a barycentric sum.  `expression_assemble` is the collocation
+system written as whole-array products, the form that assembly in place
+replaced.
 """
 
 import math
@@ -14,7 +16,8 @@ import math
 import numpy as np
 import pytest
 
-from vfie import evaluate_many, inverse
+from vfie import Method, evaluate_many, grid_for, inverse
+from vfie.solver import _offset_matrix
 
 _NODE_TOL = 1e-15
 _TAYLOR_CUTOFF = 1e-4
@@ -103,3 +106,32 @@ def dense_sinc_evaluate(interp, ts):
     idx = np.minimum(np.searchsorted(grid.points, ts), grid.n - 1)
     hit = (grid.points[idx] == ts) & (ts > a) & (ts < b)
     return np.where(hit, interp.samples[idx], out)
+
+
+def expression_assemble(problem, method, N):
+    """(A, rhs) of any method as E - V - K from whole-array products, with
+    the original variants' hat columns as (k1 * hat * w * J).sum(axis=1)
+    and (k2 * hat * w).sum(axis=1) * h.  Grid and J come from the program
+    and the kernels are sampled point by point, so this checks how
+    assembly combines them, bit for bit."""
+    grid = grid_for(problem, method, N)
+    pts, w, h, n, iv = grid.points, grid.weights, grid.h, grid.n, grid.iv
+    coll = pts.copy()
+    jmat = _offset_matrix(N, h)
+    if method is Method.JOHN_OGBONNA_DE:
+        coll[0], coll[-1] = iv.a, iv.b
+        jmat[0, :] = 0.0
+        jmat[-1, :] = h
+    k1 = np.array([[problem.k1(t, s) for s in pts.tolist()] for t in coll.tolist()])
+    k2 = np.array([[problem.k2(t, s) for s in pts.tolist()] for t in coll.tolist()])
+    E = np.eye(n)
+    V = k1 * w[None, :] * jmat
+    K = k2 * w[None, :] * h
+    if method.is_original:
+        E[:, 0] = [omega_a(iv, t) for t in coll.tolist()]
+        E[:, -1] = [omega_b(iv, t) for t in coll.tolist()]
+        for col, hat_at in ((0, omega_a), (-1, omega_b)):
+            hat = np.array([hat_at(iv, s) for s in pts.tolist()])
+            V[:, col] = (k1 * hat[None, :] * w[None, :] * jmat).sum(axis=1)
+            K[:, col] = (k2 * hat[None, :] * w[None, :]).sum(axis=1) * h
+    return E - V - K, np.array([problem.g(t) for t in coll.tolist()])

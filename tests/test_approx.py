@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -409,3 +410,15 @@ def test_call_on_several_blocks_is_the_concatenation_of_block_calls(interpolants
     ts = np.random.default_rng(3).uniform(0.0, 1.0, 2 * _BLOCK + 37)
     parts = [evaluate_many(interp, ts[s:s + _BLOCK]) for s in range(0, ts.size, _BLOCK)]
     assert np.array_equal(evaluate_many(interp, ts), np.concatenate(parts))
+
+
+def test_evaluation_holds_one_block_of_entries(interpolants):
+    interp = interpolants[(2, Method.NEW_DE, 256)]
+    ts = np.linspace(0.0, 1.0, 4096)
+    tracemalloc.start()
+    try:
+        evaluate_many(interp, ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * _BLOCK * interp.grid.n * 8, f"peak {peak} B"

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import os
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from scipy.special import sici
 
 import vfie.solver
-from conftest import assert_ulp_close, omega_a, omega_b, sinc_S
+from conftest import assert_ulp_close, expression_assemble, omega_a, omega_b, sinc_S
 from vfie import (
     AssemblyError,
     ConditioningWarning,
@@ -165,6 +166,24 @@ def test_assembly_matches_naive_oracle_example2(method):
         want = naive_assemble_new(problem, method, N)
     assert_ulp_close(got[0], want[0], ulps=1)
     assert_ulp_close(got[1], want[1], ulps=1)
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_assembly_equals_the_expression_form_bitwise(method):
+    # N = 64 is the first N of the sweep whose n x n arrays are above glibc's
+    # 128 KB mmap threshold
+    for example_id in (1, 2):
+        problem = builtin(example_id).problem
+        for N in (8, 64):
+            if method is Method.SHAMLOO_SE:
+                A, rhs = assemble_shamloo(problem, N)
+            elif method is Method.JOHN_OGBONNA_DE:
+                A, rhs = assemble_johnogbonna(problem, N)
+            else:
+                A, rhs = assemble_new(problem, method, N)
+            A_ref, rhs_ref = expression_assemble(problem, method, N)
+            assert np.array_equal(A, A_ref), (example_id, N)
+            assert np.array_equal(rhs, rhs_ref), (example_id, N)
 
 
 # ---------------------------------------------------------------------------
@@ -639,6 +658,22 @@ def test_solve_refuses_n_whose_dense_system_cannot_fit():
                 solve(NEVER_CALLED, method, 10**6)
             with pytest.raises(ValueError, match=r"N=1000000000 .*order-2000000001.* bytes"):
                 solve(NEVER_CALLED, method, np.int64(10**9))
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_solve_peak_memory_is_within_the_size_refusal_estimate(method):
+    # numpy reports its buffers to tracemalloc, so the traced peak is what a
+    # solve really holds at once
+    problem = builtin(2).problem
+    N = 128
+    n = 2 * N + 1
+    tracemalloc.start()
+    try:
+        solve(problem, method, N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= vfie.solver._PEAK_ARRAYS * 8 * n * n, f"{peak / (8 * n * n):.2f} n^2 doubles"
 
 
 @pytest.mark.parametrize("N", [8.0, 8.5, np.float64(8.0)], ids=["8.0", "8.5", "float64"])
