@@ -76,12 +76,11 @@ class SincGrid:
         return self.mesh.h
 
 
-def build_grid(iv: Interval, method: Method, alpha: float, d: float, N: int,
-               parametric_baseline: bool = False) -> SincGrid:
+def build_grid(iv: Interval, method: Method, alpha: float, d: float, N: int) -> SincGrid:
     """Grid for `method` on `iv`: h from the method's selection rule, node
     images and weights from the method's transform."""
     kind = method.transform
-    h = transforms.select_h(method, alpha, d, N, parametric_baseline)
+    h = transforms.select_h(method, alpha, d, N)
     xs = np.arange(-N, N + 1) * h
     return SincGrid(kind=kind, iv=iv, mesh=MeshParams(N=N, h=h),
                     points=transforms.forward(kind, iv, xs),

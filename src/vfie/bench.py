@@ -128,8 +128,7 @@ def max_error(sol: DiscreteSolution, exact, M: int) -> float:
     return float(np.max(np.abs(exact_vals - approx_vals)))
 
 
-def run_sweep(example_id: int, method: Method, n_list, eval_points: int = 4096,
-              parametric_baseline: bool = False):
+def run_sweep(example_id: int, method: Method, n_list, eval_points: int = 4096):
     """Solve the example at each N of the (strictly increasing) list and
     measure the sup error on the evaluation grid; one record per N."""
     n_list = list(n_list)
@@ -141,7 +140,7 @@ def run_sweep(example_id: int, method: Method, n_list, eval_points: int = 4096,
     records = []
     for N in n_list:
         start = time.perf_counter()
-        sol = solve(example.problem, method, N, parametric_baseline)
+        sol = solve(example.problem, method, N)
         err = max_error(sol, example.exact, eval_points)
         elapsed = time.perf_counter() - start
         records.append(SweepRecord(method=method, example=example_id, N=N,
@@ -150,13 +149,13 @@ def run_sweep(example_id: int, method: Method, n_list, eval_points: int = 4096,
     return records
 
 
-def emit_csv(records, destination) -> None:
+def emit_csv(records, path) -> None:
     """Write sweep records as CSV.
 
     Format contract: header `method,example,N,h,max_error,elapsed_seconds`,
     LF line endings, max_error in scientific notation with 15 significant
     digits, h and elapsed_seconds in shortest round-trip form.
-    `destination` is a path or an open text file.
+    `path` names the file to write.
     """
     lines = [CSV_HEADER]
     for r in records:
@@ -165,11 +164,8 @@ def emit_csv(records, destination) -> None:
             f"{r.max_error:.14e},{r.elapsed_seconds!r}"
         )
     text = "\n".join(lines) + "\n"
-    if hasattr(destination, "write"):
-        destination.write(text)
-    else:
-        with open(destination, "w", newline="") as fh:
-            fh.write(text)
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
 
 
 @unique
@@ -213,18 +209,18 @@ def fit_rate(records, model: RateModel):
     return float(coef[0]), r_squared
 
 
-def self_check(example: BuiltinExample, n_probe: int = 33, N: int = 48) -> float:
+def self_check(example: BuiltinExample) -> float:
     """Largest residual of the exact solution substituted into the
-    discretized equation (tanh-sinh rules at index N) over equispaced
+    discretized equation (tanh-sinh rules at index 48) over 33 equispaced
     probe points.  Validates the transcription of k1, k2 and g; anything
     above ~1e-8 indicates a broken example definition.
     """
     problem = example.problem
     iv = problem.iv
     u = example.exact
-    grid = build_grid(iv, Method.NEW_DE, problem.alpha, problem.d_de, N)
+    grid = build_grid(iv, Method.NEW_DE, problem.alpha, problem.d_de, 48)
     worst = 0.0
-    for t in np.linspace(iv.a, iv.b, n_probe).tolist():
+    for t in np.linspace(iv.a, iv.b, 33).tolist():
         running = indefinite(grid, lambda s: problem.k1(t, s) * u(s), t)
         full = quadrature(grid, lambda s: problem.k2(t, s) * u(s))
         residual = u(t) - running - full - problem.g(t)

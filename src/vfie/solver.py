@@ -60,8 +60,8 @@ _PEAK_ARRAYS = 6
 
 
 class AssemblyError(ValueError):
-    """A kernel or right-hand side returned a non-finite value, or raised an
-    ArithmeticError, during assembly."""
+    """A kernel or right-hand side returned a non-finite or non-real value,
+    or raised an ArithmeticError or ValueError, during assembly."""
 
 
 class SingularMatrixError(RuntimeError):
@@ -79,8 +79,9 @@ class Problem:
     used by the mesh rules of the tanh (d_se) and tanh-sinh (d_de) maps.
 
     k1, k2 and g are called with Python floats, one point per call.  A
-    non-finite return value or an ArithmeticError (such as
-    ZeroDivisionError or OverflowError) raises AssemblyError.
+    non-finite or non-real return value, or an ArithmeticError (such as
+    ZeroDivisionError or OverflowError) or ValueError (such as a math
+    domain error), raises AssemblyError.
     """
 
     iv: Interval
@@ -139,8 +140,7 @@ def _interpolant(method, grid, c):
                                   coeffs=cardinal)
 
 
-def grid_for(problem: Problem, method: Method, N: int,
-             parametric_baseline: bool = False) -> SincGrid:
+def grid_for(problem: Problem, method: Method, N: int) -> SincGrid:
     """The grid `solve` uses for this method: the method's transform with
     the matching strip half-width from the problem.
 
@@ -158,7 +158,7 @@ def grid_for(problem: Problem, method: Method, N: int,
         raise ValueError(f"N={N} gives a dense order-{n} system: assembly and LU need about "
                          f"{need:.3g} bytes, above the {have:.3g} bytes of physical memory")
     d = problem.d_se if method.transform is TransformKind.SE else problem.d_de
-    return build_grid(problem.iv, method, problem.alpha, d, N, parametric_baseline)
+    return build_grid(problem.iv, method, problem.alpha, d, N)
 
 
 def assemble_new(problem: Problem, method: Method, N: int):
@@ -180,7 +180,7 @@ def assemble_shamloo(problem: Problem, N: int):
     return _assemble(problem, Method.SHAMLOO_SE, N)
 
 
-def assemble_johnogbonna(problem: Problem, N: int, parametric_baseline: bool = False):
+def assemble_johnogbonna(problem: Problem, N: int):
     """Collocation system of the original half-argument tanh-sinh variant.
 
     Its extreme collocation points sit on t = a and t = b themselves (the
@@ -188,10 +188,10 @@ def assemble_johnogbonna(problem: Problem, N: int, parametric_baseline: bool = F
     evaluable at the endpoints; the running-integral factors degenerate
     there to 0 (first row) and h (last row).
     """
-    return _assemble(problem, Method.JOHN_OGBONNA_DE, N, parametric_baseline)
+    return _assemble(problem, Method.JOHN_OGBONNA_DE, N)
 
 
-def _assemble(problem, method, N, parametric_baseline=False):
+def _assemble(problem, method, N):
     """A = E - V - K and rhs for any method, built in place in A.
 
     V_ij = k1(t_i,s_j) w_j J_{i-j} and K_ij = k2(t_i,s_j) w_j h over the
@@ -206,7 +206,7 @@ def _assemble(problem, method, N, parametric_baseline=False):
     de-johnogbonna collocates its end rows at a and b, where J is 0 and h.
     `grid_for` makes the size refusal before any kernel call.
     """
-    grid = grid_for(problem, method, N, parametric_baseline)
+    grid = grid_for(problem, method, N)
     pts, w, h, n = grid.points, grid.weights, grid.h, grid.n
     coll = pts
     jmat = _offset_matrix(grid.mesh.N, h)
@@ -253,23 +253,25 @@ def _sample(func, name, *axes):
     """func at every point of the grid spanned by the axes, called once per
     point in row-major order with the axes' elements as Python floats.
 
-    A non-finite value, or an ArithmeticError raised by func, becomes an
-    AssemblyError naming the first such point; the raising point is found
-    by walking the grid again, so only a failing assembly pays for it.
+    A non-finite value, a value float() refuses (such as a complex), or an
+    ArithmeticError or ValueError raised by func becomes an AssemblyError
+    naming the first such point; the point is found by walking the grid
+    again, so only a failing assembly pays for it.  min and max carry a NaN
+    and show an infinity without an n x n mask on the success path.
     """
     shape = tuple(len(axis) for axis in axes)
     lists = [axis.tolist() for axis in axes]
     calls = itertools.starmap(func, itertools.product(*lists))
     try:
         vals = np.fromiter(calls, dtype=float, count=math.prod(shape)).reshape(shape)
-    except ArithmeticError as exc:
+    except (ArithmeticError, TypeError, ValueError) as exc:
         for args in itertools.product(*lists):
             try:
-                func(*args)
-            except ArithmeticError:
+                float(func(*args))
+            except (ArithmeticError, TypeError, ValueError):
                 raise AssemblyError(f"{_call(name, args)} raised {exc!r} during assembly") from exc
         raise AssemblyError(f"{name} raised {exc!r} during assembly") from exc
-    if not np.all(np.isfinite(vals)):
+    if not (math.isfinite(vals.min()) and math.isfinite(vals.max())):
         idx = tuple(np.argwhere(~np.isfinite(vals))[0])
         args = [values[i] for values, i in zip(lists, idx)]
         raise AssemblyError(f"{_call(name, args)} returned {vals[idx]} during assembly")
@@ -308,22 +310,20 @@ def solve_linear(A, rhs):
     return c, float(rcond)
 
 
-def solve(problem: Problem, method: Method, N: int,
-          parametric_baseline: bool = False) -> DiscreteSolution:
+def solve(problem: Problem, method: Method, N: int) -> DiscreteSolution:
     """Assemble and solve the collocation system of `method` at index N.
 
     A numerically singular system (rcond below 100 eps) is reported
     through ConditioningWarning rather than raised: invertibility is only
     guaranteed for N large enough, and sweeps should report, not crash.
-    The grid is built first, so an N that cannot fit and a
-    `parametric_baseline` the method has no rule for are refused before
+    The grid is built first, so an N that cannot fit is refused before
     any kernel call.
     """
-    grid = grid_for(problem, method, N, parametric_baseline)
+    grid = grid_for(problem, method, N)
     if method is Method.SHAMLOO_SE:
         A, rhs = assemble_shamloo(problem, N)
     elif method is Method.JOHN_OGBONNA_DE:
-        A, rhs = assemble_johnogbonna(problem, N, parametric_baseline)
+        A, rhs = assemble_johnogbonna(problem, N)
     else:
         A, rhs = assemble_new(problem, method, N)
     coeffs, rcond = solve_linear(A, rhs)

@@ -175,37 +175,26 @@ def _scalar_or_array(values):
     return float(values) if np.ndim(values) == 0 else values
 
 
-def select_h(method: Method, alpha: float, d: float, N: int,
-             parametric_baseline: bool = False) -> float:
+def select_h(method: Method, alpha: float, d: float, N: int) -> float:
     """Mesh size for one solver flavour at truncation index N.
 
     se-new uses sqrt(pi d / (alpha N)) and de-new uses log(2 d N / alpha)/N.
-    The baselines default to their fixed published rules, pi/sqrt(N) and
-    log(pi N)/N; `parametric_baseline=True` switches the de-johnogbonna
-    baseline to its (alpha, d)-dependent rule log(4 d N / alpha)/N, and is
-    refused for the other three methods, which have no such rule.
-    Every rule checks alpha and d against the method's transform, the
-    fixed ones included.
+    The baselines use their fixed published rules, pi/sqrt(N) and
+    log(pi N)/N.  Every rule checks alpha and d against the method's
+    transform, the fixed ones included.
     """
     N = _check_N(N)
-    if parametric_baseline and method is not Method.JOHN_OGBONNA_DE:
-        raise ValueError(f"parametric_baseline applies to de-johnogbonna only, not {method.value}")
     _check_mesh_args(method.transform, alpha, d)
     if method is Method.NEW_SE:
         return math.sqrt(math.pi * d / (alpha * N))
     if method is Method.NEW_DE:
-        return _log_rule(2.0 * d * N / alpha, N)
+        arg = 2.0 * d * N / alpha
+        if arg <= 1.0:
+            raise ValueError(f"mesh rule log({arg:g})/N is nonpositive; increase N or d")
+        return math.log(arg) / N
     if method is Method.SHAMLOO_SE:
         return math.pi / math.sqrt(N)
-    if parametric_baseline:
-        return _log_rule(4.0 * d * N / alpha, N)
     return math.log(math.pi * N) / N
-
-
-def _log_rule(arg, N):
-    if arg <= 1.0:
-        raise ValueError(f"mesh rule log({arg:g})/N is nonpositive; increase N or d")
-    return math.log(arg) / N
 
 
 def _check_N(N):

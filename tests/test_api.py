@@ -1,3 +1,5 @@
+import inspect
+
 import vfie
 
 # The public surface.  A name added or removed here is a deliberate change
@@ -50,3 +52,24 @@ def test_public_names_are_pinned():
     assert sorted(vfie.__all__) == PUBLIC
     for name in PUBLIC:
         assert hasattr(vfie, name), name
+
+
+# Parameter names of the solve path and the sweep.  A parameter added or
+# removed here is a deliberate change to the API as well.
+SIGNATURES = {
+    "solve": ["problem", "method", "N"],
+    "grid_for": ["problem", "method", "N"],
+    "build_grid": ["iv", "method", "alpha", "d", "N"],
+    "select_h": ["method", "alpha", "d", "N"],
+    "assemble_new": ["problem", "method", "N"],
+    "assemble_shamloo": ["problem", "N"],
+    "assemble_johnogbonna": ["problem", "N"],
+    "run_sweep": ["example_id", "method", "n_list", "eval_points"],
+    "self_check": ["example"],
+    "emit_csv": ["records", "path"],
+}
+
+
+def test_signatures_are_pinned():
+    for name, params in SIGNATURES.items():
+        assert list(inspect.signature(getattr(vfie, name)).parameters) == params, name

@@ -128,16 +128,16 @@ def test_emit_csv_round_trip(tmp_path):
         assert len(mantissa) == 15
 
 
-def test_emit_csv_deterministic_except_elapsed():
+def test_emit_csv_deterministic_except_elapsed(tmp_path):
     first = run_sweep(2, Method.SHAMLOO_SE, (4, 8), eval_points=256)
     second = run_sweep(2, Method.SHAMLOO_SE, (4, 8), eval_points=256)
     strip = lambda recs: [(r.method, r.example, r.N, r.h, r.max_error) for r in recs]
     assert strip(first) == strip(second)
-    buf1, buf2 = io.StringIO(), io.StringIO()
-    emit_csv(first, buf1)
-    emit_csv(second, buf2)
-    cols1 = [line.split(",")[:5] for line in buf1.getvalue().splitlines()]
-    cols2 = [line.split(",")[:5] for line in buf2.getvalue().splitlines()]
+    path1, path2 = tmp_path / "first.csv", tmp_path / "second.csv"
+    emit_csv(first, path1)
+    emit_csv(second, path2)
+    cols1 = [line.split(",")[:5] for line in path1.read_text().splitlines()]
+    cols2 = [line.split(",")[:5] for line in path2.read_text().splitlines()]
     assert cols1 == cols2
 
 

@@ -208,9 +208,6 @@ def test_select_h_values():
         0.3446807892914208, rel=1e-15)
     assert select_h(Method.JOHN_OGBONNA_DE, 1.0, 1.57, 10) == pytest.approx(
         math.log(math.pi * 10.0) / 10.0, rel=1e-15)
-    assert select_h(Method.JOHN_OGBONNA_DE, 1.0, 1.57, 10,
-                    parametric_baseline=True) == pytest.approx(
-        0.4139955073474153, rel=1e-15)
 
 
 def test_select_h_domain():
@@ -231,15 +228,6 @@ def test_select_h_domain():
         select_h(Method.SHAMLOO_SE, 0.0, 3.14, 16)
     with pytest.raises(ValueError):
         select_h(Method.JOHN_OGBONNA_DE, 1.0, 3.14, 16)
-
-
-def test_select_h_refuses_parametric_baseline_without_a_parametric_rule():
-    # only de-johnogbonna has an (alpha, d)-dependent alternative rule; the
-    # others used to return their default h and drop the flag silently
-    for method, d in ((Method.NEW_SE, 3.14), (Method.NEW_DE, 1.57),
-                      (Method.SHAMLOO_SE, 3.14)):
-        with pytest.raises(ValueError, match=method.value):
-            select_h(method, 1.0, d, 10, parametric_baseline=True)
 
 
 def test_sinc_points_small():

@@ -16,8 +16,8 @@ grid's points, weights and h; `evaluate_solution_many` on 4096 equispaced,
 its own, on the float neighbours and the +-1e-13 neighbours of every node;
 `evaluate_solution` on some of those points; `max_error`; `self_check` of
 both examples; and `inverse` on random points, the endpoints and offsets
-L*10^k from each end, for every transform on two intervals.  Both examples, all four methods,
-N = 4, 16, 64, 128, 256, and the parametric de-johnogbonna rule at N = 16.
+L*10^k from each end, for every transform on two intervals.  Both
+examples, all four methods, N = 4, 16, 64, 128, 256.
 `condition_hint` is left out: it is an estimate whose last digits depend
 on the BLAS thread count.
 """
@@ -52,30 +52,28 @@ class Digests:
 
 
 def configurations(vfie):
-    """(example, method, N, parametric_baseline) in a fixed order."""
+    """(example, method, N) in a fixed order."""
     for example_id in (1, 2):
         for method in vfie.Method:
             for N in N_LIST:
-                yield example_id, method, N, False
-    for example_id in (1, 2):
-        yield example_id, vfie.Method.JOHN_OGBONNA_DE, 16, True
+                yield example_id, method, N
 
 
-def assemble(vfie, problem, method, N, parametric):
+def assemble(vfie, problem, method, N):
     if method is vfie.Method.SHAMLOO_SE:
         return vfie.assemble_shamloo(problem, N)
     if method is vfie.Method.JOHN_OGBONNA_DE:
-        return vfie.assemble_johnogbonna(problem, N, parametric)
+        return vfie.assemble_johnogbonna(problem, N)
     return vfie.assemble_new(problem, method, N)
 
 
 def solver_families(vfie, out):
-    for example_id, method, N, parametric in configurations(vfie):
+    for example_id, method, N in configurations(vfie):
         example = vfie.builtin(example_id)
-        A, rhs = assemble(vfie, example.problem, method, N, parametric)
+        A, rhs = assemble(vfie, example.problem, method, N)
         out.add("assemble.A", A)
         out.add("assemble.rhs", rhs)
-        sol = vfie.solve(example.problem, method, N, parametric)
+        sol = vfie.solve(example.problem, method, N)
         out.add("solve.coeffs", sol.coeffs)
         grid = sol.grid
         out.add("grid.points", grid.points)
