@@ -19,15 +19,12 @@ from .transforms import (
     select_h,
     strip_limit,
 )
-from .basis import sinc_J
 from .approx import (
     GeneralizedInterpolant,
     SincGrid,
     approximate,
     build_grid,
     evaluate_many,
-    indefinite,
-    quadrature,
 )
 from .solver import (
     AssemblyError,
@@ -89,14 +86,11 @@ __all__ = [
     "fit_rate",
     "forward",
     "grid_for",
-    "indefinite",
     "inverse",
     "max_error",
-    "quadrature",
     "run_sweep",
     "select_h",
     "self_check",
-    "sinc_J",
     "solve",
     "solve_linear",
     "strip_limit",

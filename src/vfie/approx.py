@@ -1,11 +1,11 @@
-"""Interval-based sinc machinery: grids, boundary-corrected interpolation,
-quadrature, and indefinite integration.
+"""Interval-based sinc machinery: grids and boundary-corrected interpolation.
 
-A `SincGrid` caches the node images and Jacobian weights shared by the
-three operations.  The interpolant augments plain cardinal interpolation
-with the two boundary hats so functions with nonzero endpoint values are
-handled; its cardinal coefficients are the samples minus the boundary
-part, which is what makes it reproduce the samples at the nodes.
+A `SincGrid` caches the node images and Jacobian weights that assembly
+and interpolation share.  The interpolant augments plain cardinal
+interpolation with the two boundary hats so functions with nonzero
+endpoint values are handled; its cardinal coefficients are the samples
+minus the boundary part, which is what makes it reproduce the samples at
+the nodes.
 `approximate` builds it from the samples at the nodes, and
 `evaluate_many` evaluates it on a scalar or a 1-D array of points.
 
@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import transforms
-from .basis import _boundary_pair, sinc_J
 from .transforms import Interval, MeshParams, Method, TransformKind
 
 __all__ = [
@@ -38,8 +37,6 @@ __all__ = [
     "build_grid",
     "approximate",
     "evaluate_many",
-    "quadrature",
-    "indefinite",
 ]
 
 # points per block of evaluate_many, whose one block buffer per call
@@ -85,6 +82,13 @@ def build_grid(iv: Interval, method: Method, alpha: float, d: float, N: int) -> 
     return SincGrid(kind=kind, iv=iv, mesh=MeshParams(N=N, h=h),
                     points=transforms.forward(kind, iv, xs),
                     weights=transforms.derivative(kind, iv, xs))
+
+
+def _boundary_pair(iv, ts):
+    """Both boundary hats at ts (a scalar or an array), unchecked: the left
+    hat (b - t)/(b - a), 1 at a and 0 at b, and the right hat (t - a)/(b - a)."""
+    w = iv.b - iv.a
+    return (iv.b - ts) / w, (ts - iv.a) / w
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,29 +166,3 @@ def evaluate_many(interp: GeneralizedInterpolant, ts) -> np.ndarray:
     idx = np.minimum(np.searchsorted(grid.points, ts), grid.n - 1)
     hit = (grid.points[idx] == ts) & (ts > grid.iv.a) & (ts < grid.iv.b)
     return np.where(hit, interp.samples[idx], out)
-
-
-def quadrature(grid: SincGrid, f) -> float:
-    """h * sum_j f(t_j) psi'(jh): the transformed trapezoid rule for the
-    integral of f over (a, b).
-
-    f is called with one Python float at a time, and only ever sampled at
-    the grid points, which lie inside the open interval (up to
-    floating-point saturation at extreme nodes), so endpoint-singular
-    integrands are admissible at moderate N.
-    """
-    vals = np.array([f(t) for t in grid.points.tolist()], dtype=float)
-    return grid.h * float(vals @ grid.weights)
-
-
-def indefinite(grid: SincGrid, f, t: float) -> float:
-    """Approximation of the running integral of f from a to t.
-
-    At t = a every J factor vanishes, giving 0; at t = b every J factor
-    equals h and the rule collapses to `quadrature`.
-    """
-    x = transforms.inverse(grid.kind, grid.iv, t)
-    N = grid.mesh.N
-    vals = np.array([f(s) for s in grid.points.tolist()], dtype=float)
-    jrow = sinc_J(np.arange(-N, N + 1), grid.h, x)
-    return float((vals * grid.weights) @ jrow)

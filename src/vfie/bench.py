@@ -9,8 +9,8 @@ from typing import Callable
 import numpy as np
 from scipy.special import beta
 
-from .approx import build_grid, indefinite, quadrature
-from .solver import DiscreteSolution, Problem, evaluate_solution_many, solve
+from .approx import build_grid
+from .solver import DiscreteSolution, Problem, _residual, evaluate_solution_many, solve
 from .transforms import Interval, Method
 
 __all__ = [
@@ -213,16 +213,11 @@ def self_check(example: BuiltinExample) -> float:
     """Largest residual of the exact solution substituted into the
     discretized equation (tanh-sinh rules at index 48) over 33 equispaced
     probe points.  Validates the transcription of k1, k2 and g; anything
-    above ~1e-8 indicates a broken example definition.
+    above ~1e-8 indicates a broken example definition.  A non-finite value
+    of k1, k2, g or the exact solution raises AssemblyError.
     """
     problem = example.problem
     iv = problem.iv
-    u = example.exact
     grid = build_grid(iv, Method.NEW_DE, problem.alpha, problem.d_de, 48)
-    worst = 0.0
-    for t in np.linspace(iv.a, iv.b, 33).tolist():
-        running = indefinite(grid, lambda s: problem.k1(t, s) * u(s), t)
-        full = quadrature(grid, lambda s: problem.k2(t, s) * u(s))
-        residual = u(t) - running - full - problem.g(t)
-        worst = max(worst, abs(residual))
-    return worst
+    residual = _residual(problem, grid, example.exact, np.linspace(iv.a, iv.b, 33))
+    return float(np.max(np.abs(residual)))

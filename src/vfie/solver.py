@@ -21,16 +21,17 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg
+from scipy.special import sici
 
 from .approx import (
     GeneralizedInterpolant,
     SincGrid,
+    _boundary_pair,
     approximate,
     build_grid,
     evaluate_many,
 )
-from .basis import _boundary_pair, _running_integral
-from .transforms import Interval, Method, TransformKind, _check_N, _check_mesh_args
+from .transforms import Interval, Method, TransformKind, _check_N, _check_mesh_args, inverse
 
 __all__ = [
     "Problem",
@@ -60,8 +61,9 @@ _PEAK_ARRAYS = 6
 
 
 class AssemblyError(ValueError):
-    """A kernel or right-hand side returned a non-finite or non-real value,
-    or raised an ArithmeticError or ValueError, during assembly."""
+    """A kernel, the right-hand side or, in `self_check`, the exact solution
+    returned a non-finite or non-real value, or raised an ArithmeticError
+    or ValueError, when sampled."""
 
 
 class SingularMatrixError(RuntimeError):
@@ -247,6 +249,33 @@ def _offset_matrix(N, h):
     m = -2N..2N, taken at the exact integer offset."""
     table = _running_integral(h, np.arange(-2 * N, 2 * N + 1))
     return scipy.linalg.toeplitz(table[2 * N:], table[2 * N::-1])
+
+
+def _running_integral(h, r):
+    """J(j,h)(x) = h (1/2 + Si(pi r)/pi) at the offset r = x/h - j, the
+    running integral of S(j,h) from -inf; r may be an array.  Si(+-inf) =
+    +-pi/2 gives the limits h and 0 exactly, and the value stays inside
+    [-0.1 h, 1.1 h] (the overshoot of Si is Si(pi) ~ 1.852)."""
+    return h * (0.5 + sici(math.pi * r)[0] / math.pi)
+
+
+def _residual(problem, grid, u, ts):
+    """r(t) = u(t) - sum_j k1(t,s_j) u(s_j) w_j J(x(t)/h - j)
+    - h sum_j k2(t,s_j) u(s_j) w_j - g(t) at the points ts, with x(t) the
+    preimage of t: the equation with u substituted and its two integrals
+    replaced by the rules assembly uses.  Every callable is sampled once
+    per point by `_sample`, so a bad value raises AssemblyError."""
+    j = np.arange(-grid.mesh.N, grid.mesh.N + 1)[:, None]
+    x = inverse(grid.kind, grid.iv, ts)[:, None, None]
+    u_nodes = _sample(u, "u", grid.points)
+    # each probe's sums are 1 x n by n x 1 products, that is vector dot
+    # products; a matrix-vector product sums in another order and moves
+    # self_check's maximum by an ulp
+    k1u = _sample(problem.k1, "k1", ts, grid.points)[:, None, :] * u_nodes
+    k2u = _sample(problem.k2, "k2", ts, grid.points)[:, None, :] * u_nodes
+    running = (k1u * grid.weights @ _running_integral(grid.h, x / grid.h - j)).ravel()
+    full = grid.h * (k2u @ grid.weights).ravel()
+    return _sample(u, "u", ts) - running - full - _sample(problem.g, "g", ts)
 
 
 def _sample(func, name, *axes):

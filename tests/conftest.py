@@ -8,7 +8,10 @@ form of `evaluate_many`.  `dense_sinc_evaluate` is the interpolant by the
 direct formula, one np.sinc per (point, node), which `evaluate_many`
 replaced with a barycentric sum.  `expression_assemble` is the collocation
 system written as whole-array products, the form that assembly in place
-replaced.
+replaced.  `quadrature` and `indefinite` are the Sinc quadrature and
+indefinite integration of one function, one scalar call per node; with
+two closures per probe they give the residual that `solver._residual`
+computes in array form.
 """
 
 import math
@@ -17,7 +20,7 @@ import numpy as np
 import pytest
 
 from vfie import Method, evaluate_many, grid_for, inverse
-from vfie.solver import _offset_matrix
+from vfie.solver import _offset_matrix, _running_integral
 
 _NODE_TOL = 1e-15
 _TAYLOR_CUTOFF = 1e-4
@@ -135,3 +138,20 @@ def expression_assemble(problem, method, N):
             V[:, col] = (k1 * hat[None, :] * w[None, :] * jmat).sum(axis=1)
             K[:, col] = (k2 * hat[None, :] * w[None, :]).sum(axis=1) * h
     return E - V - K, np.array([problem.g(t) for t in coll.tolist()])
+
+
+def quadrature(grid, f) -> float:
+    """h * sum_j f(t_j) psi'(jh): the transformed trapezoid rule for the
+    integral of f over (a, b), f called with one Python float at a time."""
+    vals = np.array([f(t) for t in grid.points.tolist()], dtype=float)
+    return grid.h * float(vals @ grid.weights)
+
+
+def indefinite(grid, f, t: float) -> float:
+    """sum_j f(t_j) psi'(jh) J(j,h)(x), x the preimage of t: the running
+    integral of f from a to t.  0 at t = a, and `quadrature` at t = b."""
+    x = inverse(grid.kind, grid.iv, t)
+    N = grid.mesh.N
+    vals = np.array([f(s) for s in grid.points.tolist()], dtype=float)
+    jrow = _running_integral(grid.h, (x - np.arange(-N, N + 1) * grid.h) / grid.h)
+    return float((vals * grid.weights) @ jrow)

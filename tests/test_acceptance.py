@@ -29,10 +29,10 @@ from vfie import (
     max_error,
     run_sweep,
     self_check,
-    sinc_J,
     solve,
     solve_linear,
 )
+from vfie.solver import _running_integral
 from vfie.transforms import Interval, select_h
 
 UNIT = Interval(0.0, 1.0)
@@ -66,7 +66,7 @@ def test_criterion_01_interpolation_identity():
 
 
 def test_criterion_02_special_function_oracles():
-    # Si as basis._running_integral computes it, and the beta function of
+    # Si as solver._running_integral computes it, and the beta function of
     # example 2's right-hand side
     def oracle(x):
         with warnings.catch_warnings():
@@ -181,7 +181,7 @@ def test_criterion_09_running_integral_bound():
         j = int(rng.integers(-20, 21))
         h = float(rng.uniform(0.01, 2.5))
         xs = rng.uniform(j * h - 20.0 * h, j * h + 20.0 * h, size=10_000)
-        top = max(abs(sinc_J(j, h, x)) for x in xs)
+        top = max(abs(_running_integral(h, (x - j * h) / h)) for x in xs)
         worst_ratio = max(worst_ratio, top / h)
     report("9 running-integral bound", worst_ratio <= 1.1,
            f"sup |J|/h = {worst_ratio:.6f}")

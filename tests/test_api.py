@@ -34,14 +34,11 @@ PUBLIC = [
     "fit_rate",
     "forward",
     "grid_for",
-    "indefinite",
     "inverse",
     "max_error",
-    "quadrature",
     "run_sweep",
     "select_h",
     "self_check",
-    "sinc_J",
     "solve",
     "solve_linear",
     "strip_limit",

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from conftest import dense_sinc_evaluate, evaluate, omega_a, omega_b
+from conftest import dense_sinc_evaluate, evaluate, indefinite, omega_a, omega_b, quadrature
 from vfie import (
     Interval,
     Method,
@@ -15,9 +15,7 @@ from vfie import (
     builtin,
     evaluate_many,
     forward,
-    indefinite,
     inverse,
-    quadrature,
     select_h,
     solve,
 )

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import sinc_S
-from vfie import Interval, sinc_J
-from vfie.basis import _boundary_pair
+from vfie import Interval
+from vfie.approx import _boundary_pair
+from vfie.solver import _running_integral
 
 UNIT = Interval(0.0, 1.0)
 SI_PI = 1.8519370519824661703610533701579913633076  # Si(pi), 40-digit reference
@@ -44,23 +45,28 @@ def test_S_near_node_taylor_branch():
     assert sinc_S(0, 1.0, x) == pytest.approx(direct, rel=1e-14)
 
 
+def J(j, h, x):
+    """J(j,h)(x), the running integral at the offset (x - jh)/h."""
+    return _running_integral(h, (x - j * h) / h)
+
+
 def test_J_values():
-    assert sinc_J(0, 1.0, 0.0) == 0.5
-    assert sinc_J(0, 1.0, math.inf) == 1.0
-    assert sinc_J(0, 1.0, -math.inf) == 0.0
+    assert J(0, 1.0, 0.0) == 0.5
+    assert J(0, 1.0, math.inf) == 1.0
+    assert J(0, 1.0, -math.inf) == 0.0
     # offset of one mesh step: h (1/2 + Si(pi)/pi)
     expected = 0.25 * (0.5 + SI_PI / math.pi)
-    assert sinc_J(0, 0.25, 0.25) == pytest.approx(expected, rel=1e-14)
+    assert J(0, 0.25, 0.25) == pytest.approx(expected, rel=1e-14)
     assert expected == pytest.approx(0.2723724680590209, rel=1e-13)
-    assert math.isnan(sinc_J(0, 1.0, math.nan))
+    assert math.isnan(J(0, 1.0, math.nan))
 
 
 def test_J_array_calls_equal_scalar_calls():
     h = 0.3
     js = np.arange(-20, 21)
     xs = np.concatenate([np.linspace(-20.0, 20.0, 1001), [math.inf, -math.inf]])
-    got = sinc_J(js[:, None], h, xs[None, :])
-    scalar = [[sinc_J(int(j), h, float(x)) for x in xs] for j in js]
+    got = J(js[:, None], h, xs[None, :])
+    scalar = [[J(int(j), h, float(x)) for x in xs] for j in js]
     assert np.array_equal(got, np.array(scalar))
     assert np.array_equal(got[:, -2:], np.tile([h, 0.0], (len(js), 1)))
 
@@ -70,7 +76,7 @@ def test_J_bound_and_range(rng):
         j = int(rng.integers(-20, 21))
         h = float(rng.uniform(0.01, 2.5))
         xs = rng.uniform(j * h - 20.0 * h, j * h + 20.0 * h, size=100)
-        vals = np.array([sinc_J(j, h, x) for x in xs])
+        vals = np.array([J(j, h, x) for x in xs])
         assert np.all(np.abs(vals) <= 1.1 * h)
         assert np.all(vals >= -0.1 * h)
         assert np.all(vals <= 1.1 * h)
@@ -82,7 +88,7 @@ def test_J_reflection_identity(rng):
         j = int(rng.integers(-10, 11))
         h = float(rng.uniform(0.05, 2.0))
         x = float(rng.uniform(j * h - 15.0 * h, j * h + 15.0 * h))
-        total = sinc_J(j, h, 2 * j * h - x) + sinc_J(j, h, x)
+        total = J(j, h, 2 * j * h - x) + J(j, h, x)
         assert total == pytest.approx(h, rel=5e-16)
 
 

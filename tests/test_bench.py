@@ -1,10 +1,13 @@
 import csv
+import dataclasses
 import io
 import math
+import re
 
 import pytest
 
 from vfie import (
+    AssemblyError,
     FitError,
     Method,
     RateModel,
@@ -19,6 +22,7 @@ from vfie import (
     solve,
 )
 from vfie.bench import DEFAULT_N_LIST
+from vfie.solver import grid_for
 
 
 def test_builtin_example1_values():
@@ -224,4 +228,23 @@ def test_de_family_beats_se_family():
 
 def test_self_check_both_examples():
     for example_id in (1, 2):
-        assert self_check(builtin(example_id)) <= 1e-8
+        residual = self_check(builtin(example_id))
+        assert type(residual) is float
+        assert residual <= 1e-8
+
+
+def test_self_check_refuses_nan_right_hand_side():
+    ex = builtin(1)
+    broken = dataclasses.replace(ex, problem=dataclasses.replace(ex.problem, g=lambda t: math.nan))
+    with pytest.raises(AssemblyError, match=re.escape("g(0.0) returned nan")):
+        self_check(broken)
+
+
+def test_self_check_refuses_nan_exact_solution():
+    ex = builtin(2)
+    broken = dataclasses.replace(ex, exact=lambda t: math.sqrt(t) if t <= 0.5 else math.nan)
+    # the first bad point is the first node of the self-check grid past 0.5
+    nodes = grid_for(ex.problem, Method.NEW_DE, 48).points.tolist()
+    first = next(s for s in nodes if s > 0.5)
+    with pytest.raises(AssemblyError, match=re.escape(f"u({first!r}) returned nan")):
+        self_check(broken)

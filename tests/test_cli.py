@@ -1,8 +1,10 @@
+import math
 import subprocess
 import sys
 
 import pytest
 
+import vfie.bench
 import vfie.cli as cli
 from vfie.solver import SingularMatrixError
 
@@ -86,6 +88,26 @@ def test_bench_self_check_and_fit(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "self-check example 1" in printed
     assert "se-new: se-model slope" in printed
+
+
+def test_bench_self_check_failure_exit_code(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(vfie.bench, "_u1", lambda t: t + 0.25)
+    out = tmp_path / "bad.csv"
+    code = run_cli(["bench", "--example", "1", "--method", "de-new",
+                    "--n-list", "4", "--out", str(out), "--self-check"])
+    assert code == 3
+    assert "vfie: self-check failed (residual above 1e-08)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bench_self_check_refuses_nan(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(vfie.bench, "_g1", lambda t: math.nan)
+    out = tmp_path / "nan.csv"
+    code = run_cli(["bench", "--example", "1", "--method", "de-new",
+                    "--n-list", "4", "--out", str(out), "--self-check"])
+    assert code == 2
+    assert "g(0.0) returned nan" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bench_io_error(capsys):

@@ -10,7 +10,15 @@ import pytest
 from scipy.special import sici
 
 import vfie.solver
-from conftest import assert_ulp_close, expression_assemble, omega_a, omega_b, sinc_S
+from conftest import (
+    assert_ulp_close,
+    expression_assemble,
+    indefinite,
+    omega_a,
+    omega_b,
+    quadrature,
+    sinc_S,
+)
 from vfie import (
     AssemblyError,
     ConditioningWarning,
@@ -29,13 +37,10 @@ from vfie import (
     evaluate_solution_many,
     forward,
     grid_for,
-    indefinite,
     inverse,
     max_error,
-    quadrature,
     select_h,
     self_check,
-    sinc_J,
     solve,
     solve_linear,
 )
@@ -371,6 +376,29 @@ def test_quadrature_indefinite_and_bench_callables_get_python_floats():
     assert all(type(x) is float for _, args in log for x in args)
 
 
+def _closure_residuals(example, grid, ts):
+    """The self-check residual probe by probe, from the scalar quadrature
+    and indefinite-integration oracles with two closures per probe."""
+    problem, u = example.problem, example.exact
+    out = []
+    for t in ts.tolist():
+        running = indefinite(grid, lambda s: problem.k1(t, s) * u(s), t)
+        full = quadrature(grid, lambda s: problem.k2(t, s) * u(s))
+        out.append(u(t) - running - full - problem.g(t))
+    return np.array(out, dtype=float)
+
+
+@pytest.mark.parametrize("example_id", [1, 2])
+def test_residual_matches_closure_oracle(example_id):
+    ex = builtin(example_id)
+    grid = grid_for(ex.problem, Method.NEW_DE, 48)
+    ts = np.linspace(0.0, 1.0, 33)
+    got = vfie.solver._residual(ex.problem, grid, ex.exact, ts)
+    want = _closure_residuals(ex, grid, ts)
+    assert np.max(np.abs(got - want)) <= 4.4e-16
+    assert self_check(ex) == float(np.max(np.abs(want)))
+
+
 def test_fredholm_rows_sum_to_kernel_integral():
     # with k1 = 0, A = I - K, so row sums of I - A approximate
     # int_0^1 k2(t_i, s) ds = t_i / 2 for k2 = t s
@@ -390,8 +418,8 @@ def test_offset_identity(rng):
         i = int(rng.integers(-60, 61))
         j = int(rng.integers(-60, 61))
         h = float(rng.uniform(0.02, 2.0))
-        a = sinc_J(j, h, i * h)
-        b = sinc_J(0, h, (i - j) * h)
+        a = vfie.solver._running_integral(h, (i * h - j * h) / h)
+        b = vfie.solver._running_integral(h, (i - j) * h / h)
         assert a == pytest.approx(b, rel=5e-16)
 
 

@@ -1,5 +1,5 @@
 """Oracles for the two special functions the program takes from scipy:
-the sine integral Si in `basis._running_integral` (`scipy.special.sici`)
+the sine integral Si in `solver._running_integral` (`scipy.special.sici`)
 and the beta function in example 2's right-hand side (`scipy.special.beta`).
 """
 
