@@ -9,8 +9,8 @@ from typing import Callable
 import numpy as np
 from scipy.special import beta
 
-from .approx import build_grid
-from .solver import DiscreteSolution, Problem, _residual, evaluate_solution_many, solve
+from .solver import (DiscreteSolution, Problem, _residual, _sample, evaluate_solution_many,
+                     grid_for, solve)
 from .transforms import Interval, Method
 
 __all__ = [
@@ -24,8 +24,6 @@ __all__ = [
     "emit_csv",
     "fit_rate",
     "self_check",
-    "DEFAULT_N_LIST",
-    "CSV_HEADER",
 ]
 
 DEFAULT_N_LIST = (4, 8, 16, 24, 32, 48, 64, 96, 128)
@@ -118,14 +116,14 @@ def builtin(example_id: int) -> BuiltinExample:
 
 def max_error(sol: DiscreteSolution, exact, M: int) -> float:
     """Largest pointwise deviation from `exact` over M equispaced points,
-    endpoints included; `exact` is called with one Python float at a time."""
+    endpoints included.  `exact` is sampled like the kernels, one Python
+    float at a time, so a bad value of it raises AssemblyError."""
     if M < 2:
         raise ValueError(f"need at least 2 evaluation points, got {M}")
     iv = sol.grid.iv
     ts = np.linspace(iv.a, iv.b, M)
     approx_vals = evaluate_solution_many(sol, ts)
-    exact_vals = np.array([exact(t) for t in ts.tolist()])
-    return float(np.max(np.abs(exact_vals - approx_vals)))
+    return float(np.max(np.abs(_sample(exact, "u", ts) - approx_vals)))
 
 
 def run_sweep(example_id: int, method: Method, n_list, eval_points: int = 4096):
@@ -218,6 +216,6 @@ def self_check(example: BuiltinExample) -> float:
     """
     problem = example.problem
     iv = problem.iv
-    grid = build_grid(iv, Method.NEW_DE, problem.alpha, problem.d_de, 48)
+    grid = grid_for(problem, Method.NEW_DE, 48)
     residual = _residual(problem, grid, example.exact, np.linspace(iv.a, iv.b, 33))
     return float(np.max(np.abs(residual)))

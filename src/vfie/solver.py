@@ -61,9 +61,9 @@ _PEAK_ARRAYS = 6
 
 
 class AssemblyError(ValueError):
-    """A kernel, the right-hand side or, in `self_check`, the exact solution
-    returned a non-finite or non-real value, or raised an ArithmeticError
-    or ValueError, when sampled."""
+    """A kernel, the right-hand side or, in `self_check` and `max_error`, the
+    exact solution returned a non-finite or non-real value, or raised an
+    ArithmeticError or ValueError, when sampled."""
 
 
 class SingularMatrixError(RuntimeError):
@@ -285,7 +285,7 @@ def _sample(func, name, *axes):
     A non-finite value, a value float() refuses (such as a complex), or an
     ArithmeticError or ValueError raised by func becomes an AssemblyError
     naming the first such point; the point is found by walking the grid
-    again, so only a failing assembly pays for it.  min and max carry a NaN
+    again, so only a failing call pays for it.  min and max carry a NaN
     and show an infinity without an n x n mask on the success path.
     """
     shape = tuple(len(axis) for axis in axes)
@@ -298,12 +298,12 @@ def _sample(func, name, *axes):
             try:
                 float(func(*args))
             except (ArithmeticError, TypeError, ValueError):
-                raise AssemblyError(f"{_call(name, args)} raised {exc!r} during assembly") from exc
-        raise AssemblyError(f"{name} raised {exc!r} during assembly") from exc
+                raise AssemblyError(f"{_call(name, args)} raised {exc!r}") from exc
+        raise AssemblyError(f"{name} raised {exc!r}") from exc
     if not (math.isfinite(vals.min()) and math.isfinite(vals.max())):
         idx = tuple(np.argwhere(~np.isfinite(vals))[0])
         args = [values[i] for values, i in zip(lists, idx)]
-        raise AssemblyError(f"{_call(name, args)} returned {vals[idx]} during assembly")
+        raise AssemblyError(f"{_call(name, args)} returned {vals[idx]}")
     return vals
 
 

@@ -75,6 +75,24 @@ def test_max_error_requires_two_points():
         max_error(sol, ex.exact, 1)
 
 
+def _raises_past_half(t):
+    if t > 0.5:
+        raise ZeroDivisionError("pole past 0.5")
+    return t
+
+
+@pytest.mark.parametrize("exact, outcome, cause", [
+    (lambda t: math.nan if t > 0.5 else t, "returned nan", type(None)),
+    (_raises_past_half, "raised ZeroDivisionError('pole past 0.5')", ZeroDivisionError),
+])
+def test_max_error_refuses_a_bad_exact_solution(exact, outcome, cause):
+    sol = solve(builtin(1).problem, Method.NEW_DE, 4)
+    with pytest.raises(AssemblyError) as exc:
+        max_error(sol, exact, 64)
+    assert str(exc.value) == f"u(0.5079365079365079) {outcome}"
+    assert type(exc.value.__cause__) is cause
+
+
 def test_example1_new_de_reference_accuracy():
     ex = builtin(1)
     sol = solve(ex.problem, Method.NEW_DE, 32)

@@ -106,7 +106,27 @@ def test_bench_self_check_refuses_nan(tmp_path, monkeypatch, capsys):
     code = run_cli(["bench", "--example", "1", "--method", "de-new",
                     "--n-list", "4", "--out", str(out), "--self-check"])
     assert code == 2
-    assert "g(0.0) returned nan" in capsys.readouterr().err
+    assert capsys.readouterr().err == "vfie: g(0.0) returned nan\n"
+    assert not out.exists()
+
+
+def _raises_past_half(t):
+    if t > 0.5:
+        raise ZeroDivisionError("pole past 0.5")
+    return t
+
+
+@pytest.mark.parametrize("exact, outcome", [
+    (lambda t: math.nan if t > 0.5 else t, "returned nan"),
+    (_raises_past_half, "raised ZeroDivisionError('pole past 0.5')"),
+])
+def test_bench_refuses_a_bad_exact_solution(tmp_path, monkeypatch, capsys, exact, outcome):
+    monkeypatch.setattr(vfie.bench, "_u1", exact)
+    out = tmp_path / "bad.csv"
+    code = run_cli(["bench", "--example", "1", "--method", "de-new",
+                    "--n-list", "4", "--eval-points", "64", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"vfie: u(0.5079365079365079) {outcome}\n"
     assert not out.exists()
 
 

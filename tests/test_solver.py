@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.special import sici
 
+import vfie.bench
 import vfie.solver
 from conftest import (
     assert_ulp_close,
@@ -363,17 +364,50 @@ def test_callables_get_python_floats_in_row_major_order(method):
     assert all(type(x) is float for _, args in log for x in args)
 
 
-def test_quadrature_indefinite_and_bench_callables_get_python_floats():
-    ex = builtin(2)
-    grid = grid_for(ex.problem, Method.NEW_DE, 8)
+def test_quadrature_and_indefinite_oracles_call_with_python_floats():
+    # the scalar oracles are valid references only if they call a callable
+    # the way the solver does
+    grid = grid_for(builtin(2).problem, Method.NEW_DE, 8)
     log = []
     quadrature(grid, _recording(log, "f", math.sqrt))
     indefinite(grid, _recording(log, "f", math.sqrt), 0.5)
-    max_error(solve(ex.problem, Method.NEW_DE, 8), _recording(log, "u", ex.exact), 16)
-    self_check(dataclasses.replace(ex, problem=_recorded(log, ex.problem),
-                                   exact=_recording(log, "u", ex.exact)))
-    assert {name for name, _ in log} == {"f", "u", "k1", "k2", "g"}
+    assert log
     assert all(type(x) is float for _, args in log for x in args)
+
+
+def test_every_user_callable_is_called_inside_sample(monkeypatch):
+    # solve, self_check and max_error reach user code only through _sample
+    depth = [0]
+    sample = vfie.solver._sample
+
+    def marked(*args):
+        depth[0] += 1
+        try:
+            return sample(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(vfie.solver, "_sample", marked)
+    monkeypatch.setattr(vfie.bench, "_sample", marked)
+    log = []
+
+    def inside(name, func):
+        def record(*args):
+            log.append((name, args, depth[0] > 0))
+            return func(*args)
+        return record
+
+    ex = builtin(2)
+    problem = dataclasses.replace(ex.problem, k1=inside("k1", ex.problem.k1),
+                                  k2=inside("k2", ex.problem.k2), g=inside("g", ex.problem.g))
+    exact = inside("u", ex.exact)
+    for method in Method:
+        solve(problem, method, 4)
+    self_check(dataclasses.replace(ex, problem=problem, exact=exact))
+    max_error(solve(ex.problem, Method.NEW_DE, 4), exact, 16)
+    assert {name for name, _, _ in log} == {"k1", "k2", "g", "u"}
+    assert all(within for _, _, within in log)
+    assert all(type(x) is float for _, args, _ in log for x in args)
 
 
 def _closure_residuals(example, grid, ts):
