@@ -59,6 +59,11 @@ RCOND_FLOOR = 100.0 * np.finfo(float).eps
 # at N = 128.  LU holds fewer: A and one n x n copy at a time.
 _PEAK_ARRAYS = 6
 
+# doubles of |A| that solve_linear holds at a time while it takes the
+# infinity norm row block by row block: 128 KB, glibc's default mmap
+# threshold, so the blocks come from the heap rather than fresh pages
+_NORM_BLOCK = 16384
+
 
 class AssemblyError(ValueError):
     """A kernel, the right-hand side or, in `self_check` and `max_error`, the
@@ -324,7 +329,14 @@ def solve_linear(A, rhs):
         raise ValueError(f"matrix must be square, got shape {A.shape}")
     if rhs.shape != (A.shape[0],):
         raise ValueError(f"rhs shape {rhs.shape} does not match order {A.shape[0]}")
-    anorm = np.linalg.norm(A, np.inf)
+    # max_i sum_j |a_ij| as np.linalg.norm(A, inf) sums it (0 for n = 0),
+    # without |A|
+    n = A.shape[0]
+    rows = max(1, _NORM_BLOCK // max(n, 1))
+    rowsums = np.empty(n)
+    for s in range(0, n, rows):
+        np.abs(A[s:s + rows]).sum(axis=1, out=rowsums[s:s + rows])
+    anorm = rowsums.max(initial=0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         lu, piv = scipy.linalg.lu_factor(A)

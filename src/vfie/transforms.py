@@ -145,7 +145,7 @@ def inverse(kind: TransformKind, iv: Interval, t):
     """
     t = np.asarray(t, dtype=float)
     inside = (t >= iv.a) & (t <= iv.b)
-    if not np.all(inside):
+    if not inside.all():
         raise ValueError(f"t = {t[~inside][0]} lies outside [{iv.a}, {iv.b}]")
     with np.errstate(divide="ignore"):
         r = np.log((t - iv.a) / (iv.b - t))

@@ -6,7 +6,10 @@ hats and interval membership.  Tests compare the program against them, so
 they do not call the code they check.  `evaluate` is the single-point
 form of `evaluate_many`.  `dense_sinc_evaluate` is the interpolant by the
 direct formula, one np.sinc per (point, node), which `evaluate_many`
-replaced with a barycentric sum.  `expression_assemble` is the collocation
+replaced with a barycentric sum.  `subtract_evaluate` is that barycentric
+sum with every block's u - j formed by a broadcast subtraction and the
+signed coefficients built per call, the form that the rank-2 product and
+the per-solution constants replaced.  `expression_assemble` is the collocation
 system written as whole-array products, the form that assembly in place
 replaced.  `quadrature` and `indefinite` are the Sinc quadrature and
 indefinite integration of one function, one scalar call per node; with
@@ -20,6 +23,7 @@ import numpy as np
 import pytest
 
 from vfie import Method, evaluate_many, grid_for, inverse
+from vfie.approx import _BLOCK
 from vfie.solver import _offset_matrix, _running_integral
 
 _NODE_TOL = 1e-15
@@ -106,6 +110,39 @@ def dense_sinc_evaluate(interp, ts):
     rows[np.isinf(xs)] = 0.0
     out = (interp.boundary_left * ((b - ts) / (b - a))
            + interp.boundary_right * ((ts - a) / (b - a)) + rows @ interp.coeffs)
+    idx = np.minimum(np.searchsorted(grid.points, ts), grid.n - 1)
+    hit = (grid.points[idx] == ts) & (ts > a) & (ts < b)
+    return np.where(hit, interp.samples[idx], out)
+
+
+def subtract_evaluate(interp, ts):
+    """Interpolant values on a 1-D array of points, by the barycentric sum
+    of `evaluate_many` with u - j from np.subtract on int offsets."""
+    grid = interp.grid
+    ts = np.asarray(ts, dtype=float)
+    N = grid.mesh.N
+    j = np.arange(-N, N + 1)
+    u = inverse(grid.kind, grid.iv, ts) / grid.h
+    k = np.rint(u)
+    signed = interp.coeffs.copy()
+    signed[(N + 1) % 2::2] *= -1.0
+    sums = np.empty_like(u)
+    block = np.empty((min(u.size, _BLOCK), j.size))
+    with np.errstate(invalid="ignore"):
+        r = u - k
+        for s in range(0, u.size, _BLOCK):
+            blk = slice(s, s + _BLOCK)
+            m = block[:min(_BLOCK, u.size - s)]
+            np.subtract(u[blk, None], j, out=m)
+            np.divide(r[blk, None], m, out=m)
+            np.matmul(m, signed, out=sums[blk])
+        y = np.pi * r
+        cardinal = np.where(k % 2, -sums, sums) * (np.sin(y) / y)
+    on_k = np.interp(k, j, interp.coeffs, left=0.0, right=0.0)
+    cardinal = np.where((r == 0) | np.isinf(u), on_k, cardinal)
+    a, b = grid.iv.a, grid.iv.b
+    out = (interp.boundary_left * ((b - ts) / (b - a))
+           + interp.boundary_right * ((ts - a) / (b - a)) + cardinal)
     idx = np.minimum(np.searchsorted(grid.points, ts), grid.n - 1)
     hit = (grid.points[idx] == ts) & (ts > a) & (ts < b)
     return np.where(hit, interp.samples[idx], out)

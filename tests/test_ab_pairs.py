@@ -1,0 +1,43 @@
+"""The pair judgement of tools/ab_pairs.py: wins, ties and the gain rule."""
+
+import importlib.util
+import os
+
+import pytest
+
+_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "ab_pairs.py")
+
+
+@pytest.fixture(scope="module")
+def ab_pairs():
+    spec = importlib.util.spec_from_file_location("ab_pairs", _PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_nine_wins_and_a_tie_beyond_the_parents_spread_is_a_gain(ab_pairs):
+    parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.00, 1.03, 0.97, 1.00, 1.00]
+    change = [0.80] * 9 + [1.00]
+    wins, losses, gain, worse = ab_pairs.judge(parent, change, "lower")
+    assert (wins, losses, gain) == (9, 0, True)
+    assert worse == pytest.approx(-0.2)
+
+
+def test_eight_wins_of_ten_is_no_gain(ab_pairs):
+    parent = [1.0] * 10
+    change = [0.5] * 8 + [1.5] * 2
+    assert ab_pairs.judge(parent, change, "lower")[:3] == (8, 2, False)
+
+
+def test_every_win_inside_the_parents_spread_is_no_gain(ab_pairs):
+    parent = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0]
+    change = [p - 0.5 for p in parent]
+    assert ab_pairs.judge(parent, change, "lower")[:3] == (10, 0, False)
+
+
+def test_higher_is_better_turns_the_comparison(ab_pairs):
+    parent = [1.0] * 10
+    change = [2.0] * 10
+    assert ab_pairs.judge(parent, change, "higher") == (10, 0, True, -1.0)
+    assert ab_pairs.judge(parent, change, "lower") == (0, 10, False, 1.0)

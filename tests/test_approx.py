@@ -1,12 +1,22 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 from mpmath import mp
 
-from conftest import dense_sinc_evaluate, evaluate, indefinite, omega_a, omega_b, quadrature
+from conftest import (
+    dense_sinc_evaluate,
+    evaluate,
+    indefinite,
+    omega_a,
+    omega_b,
+    quadrature,
+    subtract_evaluate,
+)
 from vfie import (
+    GeneralizedInterpolant,
     Interval,
     Method,
     TransformKind,
@@ -67,6 +77,18 @@ def test_approximate_length_mismatch():
     grid = se_grid(4)
     with pytest.raises(ValueError):
         approximate(grid, np.zeros(7))
+
+
+def test_interpolant_refuses_samples_or_coeffs_of_another_length():
+    grid = se_grid(4)
+    good = np.zeros(grid.n)
+    wrong = ((np.zeros(3), good), (good, np.zeros(3)), (good, np.zeros((grid.n, 1))))
+    for samples, coeffs in wrong:
+        shapes = f"{samples.shape} and {coeffs.shape}"
+        want = rf"\({grid.n},\).*{re.escape(shapes)}"
+        with pytest.raises(ValueError, match=want):
+            GeneralizedInterpolant(grid=grid, samples=samples, boundary_left=0.0,
+                                   boundary_right=0.0, coeffs=coeffs)
 
 
 def test_interpolation_reproduces_samples(rng):
@@ -247,8 +269,9 @@ def test_grid_arrays_are_read_only():
     with pytest.raises(ValueError):
         grid.weights[0] = 0.0
     interp = approximate(grid, np.zeros(grid.n))
-    with pytest.raises(ValueError):
-        interp.coeffs[0] = 1.0
+    for name in ("samples", "coeffs", "_offsets", "_signed", "_right"):
+        with pytest.raises(ValueError):
+            getattr(interp, name)[0] = 1.0
 
 
 def test_build_grid_rejects_mismatched_strip_width():
@@ -296,6 +319,19 @@ def test_off_node_values_match_the_dense_sinc_formula(case, interpolants):
         assert diff.max() <= 1e-15, (diff.max(), ts[diff.argmax()])
     ts = np.concatenate([grid.points, [a, b]])
     assert np.array_equal(evaluate_many(interp, ts), dense_sinc_evaluate(interp, ts))
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES, ids=case_id)
+def test_values_are_bitwise_those_of_the_subtract_form(case, interpolants):
+    interp = interpolants[case]
+    grid = interp.grid
+    a, b = grid.iv.a, grid.iv.b
+    rng = np.random.default_rng(1000 * case[0] + case[2])
+    point_sets = (np.linspace(a, b, 4096), rng.uniform(a, b, 16384),
+                  np.concatenate([grid.points, near_nodes(grid)]), np.array([a, b]),
+                  np.array([]), np.array([0.5 * (a + b)]), rng.uniform(a, b, 2 * _BLOCK + 37))
+    for ts in point_sets:
+        assert np.array_equal(evaluate_many(interp, ts), subtract_evaluate(interp, ts)), ts.size
 
 
 _MP_DE_SCALE = {TransformKind.DE: math.pi / 2, TransformKind.JO_DE: math.pi / 4}

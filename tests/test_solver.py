@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.special import sici
 
 import vfie.bench
@@ -496,6 +497,30 @@ def test_solve_linear_residual_bound(rng):
                                + np.max(np.abs(rhs)))
     assert residual <= bound
     assert 0.0 < rcond <= 1.0
+
+
+def test_solve_linear_passes_numpys_infinity_norm_to_dgecon(monkeypatch):
+    # the norm is summed a row block at a time, here 63 rows and then 3 at
+    # n = 257; it must be bitwise the whole-matrix np.linalg.norm
+    got, want = [], []
+    lu_factor, dgecon = scipy.linalg.lu_factor, scipy.linalg.lapack.dgecon
+
+    def spy_lu_factor(A):
+        want.append(np.linalg.norm(A, np.inf))
+        return lu_factor(A)
+
+    def spy_dgecon(lu, anorm, norm):
+        got.append(anorm)
+        return dgecon(lu, anorm, norm=norm)
+
+    monkeypatch.setattr(scipy.linalg, "lu_factor", spy_lu_factor)
+    monkeypatch.setattr(scipy.linalg.lapack, "dgecon", spy_dgecon)
+    for block in (vfie.solver._NORM_BLOCK, 1000):
+        monkeypatch.setattr(vfie.solver, "_NORM_BLOCK", block)
+        for example_id in (1, 2):
+            for method in Method:
+                solve(builtin(example_id).problem, method, 128)
+    assert len(got) == 16 and np.array_equal(got, want)
 
 
 def test_conditioning_warning_for_numerically_singular_limit():

@@ -1,0 +1,122 @@
+"""Alternating parent/change runs of the benchmark, judged pair by pair:
+
+    python3 tools/ab_pairs.py PARENT CHANGE --workload eval-dense --pairs 10 \\
+        --seconds 45 --first-seed 1
+
+PARENT and CHANGE are the roots of two source checkouts.  Pair i runs
+
+    python3 perfbench/run.py --workload W --seed S+i --seconds X --trace 0
+
+in each of them, one after the other: the parent first in even pairs and
+the change first in odd ones, so that a slow phase of a shared host falls
+on both sides alike.  For every end-to-end metric of the change's
+BENCHMARK.json it prints each pair, each side's median and quartiles, and
+the pairs the change won, ties counting for neither side.  A gain holds
+when the change wins at least nine tenths of the pairs and the medians
+differ by more than the distance between the parent's quartiles.  The
+change of the median is set against the metric's regression bound.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+RUN_TIMEOUT_S = 900
+
+
+def parse_args(argv):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", help="root of the parent checkout")
+    parser.add_argument("change", help="root of the change checkout")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--first-seed", type=int, required=True)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    for root in (args.parent, args.change):
+        if not os.path.isfile(os.path.join(root, "perfbench", "run.py")):
+            parser.error(f"{root} holds no perfbench/run.py")
+    return args
+
+
+def run(root, workload, seed, seconds):
+    """The last stdout line of one untraced benchmark run in `root`, parsed."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", repr(seconds), "--trace", "0"]
+    done = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    if done.returncode != 0:
+        raise RuntimeError(f"{' '.join(cmd)} in {root} exited {done.returncode}: "
+                           f"{done.stderr.strip()[-500:]}")
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def quartiles(values):
+    """(lower quartile, median, upper quartile) of `values`."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def judge(parent, change, better):
+    """Wins, losses, the gain verdict and the change of the median relative
+    to the parent's, signed so that positive is worse, for one metric over
+    paired runs; `better` is "lower" or "higher"."""
+    sign = 1.0 if better == "lower" else -1.0
+    wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+    losses = sum(sign * (p - c) < 0 for p, c in zip(parent, change))
+    p1, pm, p3 = quartiles(parent)
+    cm = quartiles(change)[1]
+    gain = wins >= 0.9 * len(parent) and sign * (pm - cm) > p3 - p1
+    worse = sign * (cm - pm) / abs(pm) if pm else 0.0
+    return wins, losses, gain, worse
+
+
+def report(metrics, results):
+    """Lines for every metric: each pair, both sides' quartiles, wins."""
+    lines = []
+    fails = [(r["parent"]["failed"], r["change"]["failed"]) for r in results]
+    lines.append(f"failed per pair (parent, change): {fails}")
+    for metric in metrics:
+        name = metric["name"]
+        parent = [r["parent"]["metrics"][name]["value"] for r in results]
+        change = [r["change"]["metrics"][name]["value"] for r in results]
+        wins, losses, gain, worse = judge(parent, change, metric["better"])
+        lines.append(f"{name} ({metric['unit']}, {metric['better']} is better)")
+        for r, p, c in zip(results, parent, change):
+            lines.append(f"  seed {r['seed']} {r['first']:>6} first: parent {p!r}  change {c!r}")
+        for side, values in (("parent", parent), ("change", change)):
+            q1, q2, q3 = quartiles(values)
+            lines.append(f"  {side}: median {q2!r}  quartiles {q1!r} .. {q3!r}")
+        lines.append(f"  change wins {wins} of {len(results)}, loses {losses}; "
+                     f"gain {'holds' if gain else 'not shown'}; median {worse:+.1%} worse "
+                     f"({'within' if worse <= metric['bound'] else 'beyond'} the bound "
+                     f"{metric['bound']})")
+    return lines
+
+
+def main(argv=None):
+    args = parse_args(argv)
+    with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
+        metrics = json.load(fh)["end_to_end"]
+    results = []
+    for i in range(args.pairs):
+        seed = args.first_seed + i
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        pair = {"seed": seed, "first": order[0]}
+        for side in order:
+            pair[side] = run(getattr(args, side), args.workload, seed, args.seconds)
+        results.append(pair)
+        walls = {side: pair[side]["metrics"]["wall_s"]["value"] for side in order}
+        print(f"# pair {i + 1}/{args.pairs} seed {seed}: wall_s {walls}", flush=True)
+    print("\n".join(report(metrics, results)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
