@@ -33,6 +33,7 @@ product writes a block in about 0.4 of the time a broadcast subtraction
 takes.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -192,3 +193,39 @@ def evaluate_many(interp: GeneralizedInterpolant, ts) -> np.ndarray:
     idx = np.minimum(np.searchsorted(grid.points, ts), grid.n - 1)
     hit = (grid.points[idx] == ts) & (ts > grid.iv.a) & (ts < grid.iv.b)
     return np.where(hit, interp.samples[idx], out)
+
+
+def _evaluate_point(interp: GeneralizedInterpolant, t) -> float:
+    """`evaluate_many` at one point, bitwise, on Python floats.
+
+    A one-element array would pay numpy's per-call cost some 45 times.
+    Here every step whose IEEE result numpy shares is done on Python
+    floats: the preimage's quotient (`transforms._inverse_point`), u = x/h,
+    k = round(u), which rounds half to even like np.rint, r = u - k, the
+    sign, pi r and the hats.  What might round differently stays numpy's:
+    the log, arcsinh and sine, and the row r/(u - j) with its sum, the
+    same (1, n) x (n,) product a one-point block makes.
+    """
+    grid = interp.grid
+    t = float(t)
+    u = transforms._inverse_point(grid.kind, grid.iv, t) / grid.h
+    if grid.iv.a < t < grid.iv.b:
+        i = grid.points.searchsorted(t)
+        if i < grid.n and grid.points[i] == t:
+            return float(interp.samples[i])
+    if math.isinf(u):
+        cardinal = 0.0
+    else:
+        k = round(u)
+        r = u - k
+        if r == 0.0:
+            N = grid.mesh.N
+            cardinal = float(interp.coeffs[k + N]) if -N <= k <= N else 0.0
+        else:
+            row = np.subtract(u, interp._offsets)
+            np.divide(r, row, out=row)
+            s = float(np.matmul(row[None, :], interp._signed)[0])
+            y = np.pi * r
+            cardinal = (-s if k % 2 else s) * (float(np.sin(y)) / y)
+    wa, wb = _boundary_pair(grid.iv, t)
+    return float(interp.boundary_left * wa + interp.boundary_right * wb + cardinal)

@@ -27,6 +27,7 @@ from .approx import (
     GeneralizedInterpolant,
     SincGrid,
     _boundary_pair,
+    _evaluate_point,
     approximate,
     build_grid,
     evaluate_many,
@@ -379,8 +380,9 @@ def solve(problem: Problem, method: Method, N: int) -> DiscreteSolution:
 
 
 def evaluate_solution(sol: DiscreteSolution, t: float) -> float:
-    """Approximate solution value at one point of [a, b]."""
-    return float(evaluate_solution_many(sol, np.array([float(t)]))[0])
+    """Approximate solution value at one point of [a, b], bitwise the
+    value `evaluate_solution_many` gives on [t], on Python floats."""
+    return _evaluate_point(sol._interp, t)
 
 
 def evaluate_solution_many(sol: DiscreteSolution, ts) -> np.ndarray:

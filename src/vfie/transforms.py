@@ -143,15 +143,42 @@ def inverse(kind: TransformKind, iv: Interval, t):
     tanh inverse rearranged to avoid the cancellation the naive atanh
     form suffers near the endpoints.
     """
+    if np.ndim(t) == 0:
+        return _inverse_point(kind, iv, float(t))
     t = np.asarray(t, dtype=float)
     inside = (t >= iv.a) & (t <= iv.b)
     if not inside.all():
-        raise ValueError(f"t = {t[~inside][0]} lies outside [{iv.a}, {iv.b}]")
+        raise _outside(iv, t[~inside][0])
     with np.errstate(divide="ignore"):
         r = np.log((t - iv.a) / (iv.b - t))
     if kind is not TransformKind.SE:
         r = np.arcsinh(0.5 * r / _DE_SCALE[kind])
-    return _scalar_or_array(r)
+    return r
+
+
+def _inverse_point(kind, iv, t: float) -> float:
+    """`inverse` at one Python float, bitwise equal to the array path.
+
+    The arithmetic is done on Python floats, which round like numpy's; the
+    log and arcsinh stay numpy's, whose bits Python's math module need not
+    match.  The quotient (t - a)/(b - t) is 0 at t = a and also wherever
+    it underflows, and it is inf at t = b (Python would raise there) and
+    wherever it overflows: the preimage is then -inf or +inf, taken
+    without the log's divide warning.
+    """
+    a, b = iv.a, iv.b
+    if not a <= t <= b:
+        raise _outside(iv, t)
+    q = (t - a) / (b - t) if t != b else math.inf
+    r = float(np.log(q)) if q != 0.0 else -math.inf
+    if kind is not TransformKind.SE:
+        r = float(np.arcsinh(0.5 * r / _DE_SCALE[kind]))
+    return r
+
+
+def _outside(iv, t):
+    """The refusal of a point t outside [a, b], NaN included."""
+    return ValueError(f"t = {t} lies outside [{iv.a}, {iv.b}]")
 
 
 def derivative(kind: TransformKind, iv: Interval, x):

@@ -41,3 +41,37 @@ def test_higher_is_better_turns_the_comparison(ab_pairs):
     change = [2.0] * 10
     assert ab_pairs.judge(parent, change, "higher") == (10, 0, True, -1.0)
     assert ab_pairs.judge(parent, change, "lower") == (0, 10, False, 1.0)
+
+
+_RUN = """\
+# workload=eval-dense seed=1 seconds=45.0 trace=0
+# passes untraced=15 traced=0
+# metric eval_mpts_per_s = 0.06927363050504218 Mpts/s
+# metric point_query_us_p50 = 139.17399883212056 us
+# metric point_query_samples = 30000 count
+# metric wall_s = 2.040440300886985 s
+{"correct": true, "attempted": 30488, "failed": 0, "metrics": {"wall_s": {"value": 2.040440300886985, "unit": "s"}}}
+"""
+
+
+def test_a_run_is_parsed_with_its_metric_lines(ab_pairs):
+    result = ab_pairs.parse(_RUN)
+    assert result["failed"] == 0
+    assert result["metrics"]["wall_s"]["value"] == 2.040440300886985
+    assert result["metric_lines"] == {"eval_mpts_per_s": (0.06927363050504218, "Mpts/s"),
+                               "point_query_us_p50": (139.17399883212056, "us"),
+                               "point_query_samples": (30000.0, "count"),
+                               "wall_s": (2.040440300886985, "s")}
+
+
+def test_the_report_gives_each_sides_median_of_the_workloads_own_metrics(ab_pairs):
+    runs = []
+    for i, (p50_parent, p50_change) in enumerate([(40.0, 6.0), (44.0, 5.0), (39.0, 7.0)]):
+        parent, change = ab_pairs.parse(_RUN), ab_pairs.parse(_RUN)
+        parent["metric_lines"]["point_query_us_p50"] = (p50_parent, "us")
+        change["metric_lines"]["point_query_us_p50"] = (p50_change, "us")
+        runs.append({"seed": i, "first": "parent", "parent": parent, "change": change})
+    metrics = [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}]
+    lines = ab_pairs.report(metrics, runs)
+    assert "point_query_us_p50 (us): median parent 40.0  change 6.0" in lines
+    assert not any(line.startswith("wall_s (s): median") for line in lines)

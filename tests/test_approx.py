@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from vfie import (
     select_h,
     solve,
 )
-from vfie.approx import _BLOCK
+from vfie.approx import _BLOCK, _evaluate_point
 
 UNIT = Interval(0.0, 1.0)
 
@@ -292,11 +293,18 @@ def case_id(case):
     return f"ex{example_id}-{method.value}-N{N}"
 
 
+class _Solved(dict):
+    """Interpolants keyed by (example, method, N), each solved on first use."""
+
+    def __missing__(self, case):
+        interp = self[case] = solve(builtin(case[0]).problem, case[1], case[2])._interp
+        return interp
+
+
 @pytest.fixture(scope="module")
 def interpolants():
-    """The interpolant of each solution in ORACLE_CASES, solved once."""
-    return {case: solve(builtin(case[0]).problem, case[1], case[2])._interp
-            for case in ORACLE_CASES}
+    """The interpolant of each solution a test asks for, solved once."""
+    return _Solved()
 
 
 def near_nodes(grid):
@@ -332,6 +340,45 @@ def test_values_are_bitwise_those_of_the_subtract_form(case, interpolants):
                   np.array([]), np.array([0.5 * (a + b)]), rng.uniform(a, b, 2 * _BLOCK + 37))
     for ts in point_sets:
         assert np.array_equal(evaluate_many(interp, ts), subtract_evaluate(interp, ts)), ts.size
+
+
+POINT_CASES = [(example_id, method, N) for example_id in (1, 2) for method in Method
+               for N in (4, 16, 64, 256)]
+
+
+def assert_point_path_is_bitwise(interp, ts):
+    """_evaluate_point at each t has the bits of evaluate_many on [t]; an
+    int64 view tells -0.0 from +0.0."""
+    for t in ts:
+        got = np.array([_evaluate_point(interp, t)])
+        want = evaluate_many(interp, np.array([t]))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), (t, got[0], want[0])
+
+
+@pytest.mark.parametrize("case", POINT_CASES, ids=case_id)
+def test_one_point_path_is_bitwise_that_of_a_one_element_array(case, interpolants):
+    interp = interpolants[case]
+    grid = interp.grid
+    a, b = grid.iv.a, grid.iv.b
+    rng = np.random.default_rng(500 * case[0] + case[2])
+    ts = np.concatenate([grid.points, near_nodes(grid),
+                         [a, b, 0.5 * (a + b), 5e-324, 1e-300, np.nextafter(b, a)],
+                         rng.uniform(a, b, 500)])
+    assert_point_path_is_bitwise(interp, ts.tolist())
+
+
+@pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
+def test_quotient_underflow_on_a_wide_interval_gives_minus_inf(method):
+    # on [0, 1e300] the quotient (t - a)/(b - t) underflows to 0 at
+    # t = 5e-324 > a, so u = -inf there, as at t = a itself
+    iv = Interval(0.0, 1e300)
+    kind = method.transform
+    grid = build_grid(iv, method, 1.0, 3.14 if kind is TransformKind.SE else 1.57, 16)
+    interp = approximate(grid, np.random.default_rng(5).uniform(-1.0, 1.0, grid.n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert inverse(kind, iv, 5e-324) == -math.inf
+        assert_point_path_is_bitwise(interp, [5e-324, np.nextafter(iv.b, iv.a)])
 
 
 _MP_DE_SCALE = {TransformKind.DE: math.pi / 2, TransformKind.JO_DE: math.pi / 4}

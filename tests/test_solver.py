@@ -598,6 +598,13 @@ def test_evaluate_solution_domain_error():
     sol = solve(builtin(1).problem, Method.NEW_SE, 4)
     with pytest.raises(ValueError):
         evaluate_solution(sol, -0.5)
+    # the one-point path refuses what the array path refuses, in its words
+    for t in (-0.5, -5e-324, 1.5, np.nextafter(1.0, 2.0), math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError) as one:
+            evaluate_solution(sol, t)
+        with pytest.raises(ValueError) as many:
+            evaluate_solution_many(sol, np.array([t]))
+        assert str(one.value) == str(many.value) == f"t = {t} lies outside [0.0, 1.0]"
 
 
 def test_example1_new_de_pointwise():

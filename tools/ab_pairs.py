@@ -14,7 +14,10 @@ BENCHMARK.json it prints each pair, each side's median and quartiles, and
 the pairs the change won, ties counting for neither side.  A gain holds
 when the change wins at least nine tenths of the pairs and the medians
 differ by more than the distance between the parent's quartiles.  The
-change of the median is set against the metric's regression bound.
+change of the median is set against the metric's regression bound.  The
+workload's own metrics, its "# metric NAME = VALUE UNIT" lines such as
+eval-dense's point_query_us_p50, follow with each side's median, to show
+where a gain comes from.
 """
 
 import argparse
@@ -45,14 +48,28 @@ def parse_args(argv):
 
 
 def run(root, workload, seed, seconds):
-    """The last stdout line of one untraced benchmark run in `root`, parsed."""
+    """One untraced benchmark run in `root`, parsed by `parse`."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", repr(seconds), "--trace", "0"]
     done = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
     if done.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {root} exited {done.returncode}: "
                            f"{done.stderr.strip()[-500:]}")
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    return parse(done.stdout)
+
+
+def parse(stdout):
+    """A run's result, its last line, with the run's "# metric NAME = VALUE
+    UNIT" lines added under "metric_lines" as {NAME: (VALUE, UNIT)}."""
+    out = stdout.strip().splitlines()
+    result = json.loads(out[-1])
+    result["metric_lines"] = {}
+    for line in out[:-1]:
+        if line.startswith("# metric "):
+            name, _, rest = line[len("# metric "):].partition(" = ")
+            value, _, unit = rest.partition(" ")
+            result["metric_lines"][name] = (float(value), unit)
+    return result
 
 
 def quartiles(values):
@@ -97,6 +114,12 @@ def report(metrics, results):
                      f"gain {'holds' if gain else 'not shown'}; median {worse:+.1%} worse "
                      f"({'within' if worse <= metric['bound'] else 'beyond'} the bound "
                      f"{metric['bound']})")
+    gated = {metric["name"] for metric in metrics}
+    for name, (_, unit) in results[0]["parent"]["metric_lines"].items():
+        if name not in gated:
+            medians = [statistics.median(r[side]["metric_lines"][name][0] for r in results)
+                       for side in ("parent", "change")]
+            lines.append(f"{name} ({unit}): median parent {medians[0]!r}  change {medians[1]!r}")
     return lines
 
 
