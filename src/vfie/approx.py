@@ -50,7 +50,10 @@ __all__ = [
 ]
 
 # points per block of evaluate_many, whose one block buffer per call
-# (256 x 513 at N = 256, 1 MB) is reused across blocks
+# (256 x 513 at N = 256, 1 MB) is reused across blocks.  Keep it a
+# multiple of 4: OpenBLAS's dgemv sums rows in groups of 4 and may round
+# a leftover row differently, so other sizes change the last bit of some
+# values
 _BLOCK = 256
 
 
@@ -160,8 +163,18 @@ def evaluate_many(interp: GeneralizedInterpolant, ts) -> np.ndarray:
     the cardinal part is the barycentric sum of the module docstring,
     formed `_BLOCK` points at a time; where u = x/h is an integer k it is
     c_k for |k| <= N and 0 beyond.
+
+    The work per point after the sums is O(1): the parity of k is read
+    from k/2, and only the rows with r = 0 or u = +-inf take c_k, by index.
+    The node test brackets t by the candidate c = k + N (clipped to
+    [1, n - 2]): if points[c - 1] < t < points[c + 1], no node other than
+    points[c] can equal t, so t is a node exactly when points[c] == t, and
+    c is then the leftmost such index.  Only the points outside their
+    bracket (the endpoints, duplicated node values, and points whose u is
+    off by a node) are looked up with `searchsorted`.
     """
     grid = interp.grid
+    N = grid.mesh.N
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     if ts.ndim > 1:
         raise ValueError(f"points must be a scalar or a 1-D array, got shape {ts.shape}")
@@ -184,15 +197,30 @@ def evaluate_many(interp: GeneralizedInterpolant, ts) -> np.ndarray:
             np.divide(r[blk, None], m, out=m)
             np.matmul(m, interp._signed, out=sums[blk])
         y = np.pi * r
-        cardinal = np.where(k % 2, -sums, sums) * (np.sin(y) / y)
+        half = 0.5 * k
+        # k is odd where k/2 is not integral, never at k = +-inf; a
+        # negation is exact, so where it is taken does not change the bits
+        cardinal = np.where(half != np.floor(half), -sums, sums) * (np.sin(y) / y)
     # at an integral u only S(k, h) is nonzero; at u = +-inf none is
-    on_k = np.interp(k, interp._offsets, interp.coeffs, left=0.0, right=0.0)
-    cardinal = np.where((r == 0) | np.isinf(u), on_k, cardinal)
+    special = np.flatnonzero((r == 0) | np.isinf(u))
+    if special.size:
+        ks = k[special]
+        on_k = interp.coeffs[np.clip(ks, -N, N).astype(np.intp) + N]
+        cardinal[special] = np.where(np.abs(ks) <= N, on_k, 0.0)
     wa, wb = _boundary_pair(grid.iv, ts)
     out = interp.boundary_left * wa + interp.boundary_right * wb + cardinal
-    idx = np.minimum(np.searchsorted(grid.points, ts), grid.n - 1)
-    hit = (grid.points[idx] == ts) & (ts > grid.iv.a) & (ts < grid.iv.b)
-    return np.where(hit, interp.samples[idx], out)
+    p = grid.points
+    c = np.clip(k + (N - 1), 0, grid.n - 3).astype(np.intp)  # the candidate minus 1
+    bracketed = (p[:-2][c] < ts) & (ts < p[2:][c])
+    hit = np.flatnonzero(bracketed & (p[1:-1][c] == ts))
+    out[hit] = interp.samples[c[hit] + 1]
+    if not bracketed.all():
+        rest = np.flatnonzero(~bracketed)
+        tr = ts[rest]
+        idx = np.minimum(np.searchsorted(p, tr), grid.n - 1)
+        on = np.flatnonzero((p[idx] == tr) & (tr > grid.iv.a) & (tr < grid.iv.b))
+        out[rest[on]] = interp.samples[idx[on]]
+    return out
 
 
 def _evaluate_point(interp: GeneralizedInterpolant, t) -> float:
@@ -202,24 +230,32 @@ def _evaluate_point(interp: GeneralizedInterpolant, t) -> float:
     Here every step whose IEEE result numpy shares is done on Python
     floats: the preimage's quotient (`transforms._inverse_point`), u = x/h,
     k = round(u), which rounds half to even like np.rint, r = u - k, the
-    sign, pi r and the hats.  What might round differently stays numpy's:
-    the log, arcsinh and sine, and the row r/(u - j) with its sum, the
-    same (1, n) x (n,) product a one-point block makes.
+    node bracket, the sign, pi r and the hats.  What might round
+    differently stays numpy's: the log, arcsinh and sine, and the row
+    r/(u - j) with its sum, the same (1, n) x (n,) product a one-point
+    block makes.
     """
     grid = interp.grid
+    N = grid.mesh.N
+    p = grid.points
     t = float(t)
     u = transforms._inverse_point(grid.kind, grid.iv, t) / grid.h
-    if grid.iv.a < t < grid.iv.b:
-        i = grid.points.searchsorted(t)
-        if i < grid.n and grid.points[i] == t:
+    inf = math.isinf(u)
+    k = u if inf else round(u)
+    # the node test of evaluate_many: bracket by the candidate c = k + N
+    c = min(max(k + N, 1), grid.n - 2)
+    if p[c - 1] < t < p[c + 1]:
+        if p[c] == t:
+            return float(interp.samples[c])
+    elif grid.iv.a < t < grid.iv.b:
+        i = p.searchsorted(t)
+        if i < grid.n and p[i] == t:
             return float(interp.samples[i])
-    if math.isinf(u):
+    if inf:
         cardinal = 0.0
     else:
-        k = round(u)
         r = u - k
         if r == 0.0:
-            N = grid.mesh.N
             cardinal = float(interp.coeffs[k + N]) if -N <= k <= N else 0.0
         else:
             row = np.subtract(u, interp._offsets)

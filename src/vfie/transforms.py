@@ -141,7 +141,9 @@ def inverse(kind: TransformKind, iv: Interval, t):
 
     The inner argument is formed as log((t - a)/(b - t)), which is the
     tanh inverse rearranged to avoid the cancellation the naive atanh
-    form suffers near the endpoints.
+    form suffers near the endpoints.  Where that quotient underflows to 0
+    or overflows to inf although a < t < b (t = 5e-324 on [0, 1e300]),
+    the log is split into log(t - a) - log(b - t), which is finite.
     """
     if np.ndim(t) == 0:
         return _inverse_point(kind, iv, float(t))
@@ -149,8 +151,15 @@ def inverse(kind: TransformKind, iv: Interval, t):
     inside = (t >= iv.a) & (t <= iv.b)
     if not inside.all():
         raise _outside(iv, t[~inside][0])
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         r = np.log((t - iv.a) / (iv.b - t))
+    # the log is +-inf exactly where the quotient is inf or 0: at the
+    # endpoints, and where it over- or underflows inside (a, b)
+    edge = np.flatnonzero(np.isinf(r))
+    if edge.size:
+        te = t[edge]
+        wide = (te > iv.a) & (te < iv.b)
+        r[edge[wide]] = np.log(te[wide] - iv.a) - np.log(iv.b - te[wide])
     if kind is not TransformKind.SE:
         r = np.arcsinh(0.5 * r / _DE_SCALE[kind])
     return r
@@ -161,16 +170,22 @@ def _inverse_point(kind, iv, t: float) -> float:
 
     The arithmetic is done on Python floats, which round like numpy's; the
     log and arcsinh stay numpy's, whose bits Python's math module need not
-    match.  The quotient (t - a)/(b - t) is 0 at t = a and also wherever
-    it underflows, and it is inf at t = b (Python would raise there) and
-    wherever it overflows: the preimage is then -inf or +inf, taken
-    without the log's divide warning.
+    match.  The preimage is -inf at t = a and +inf at t = b (where Python's
+    division would raise), taken without the log's divide warning.  Where
+    the quotient (t - a)/(b - t) underflows to 0 or overflows to inf in
+    between, the log is split as in the array path.
     """
     a, b = iv.a, iv.b
     if not a <= t <= b:
         raise _outside(iv, t)
-    q = (t - a) / (b - t) if t != b else math.inf
-    r = float(np.log(q)) if q != 0.0 else -math.inf
+    if t == a or t == b:
+        r = -math.inf if t == a else math.inf
+    else:
+        q = (t - a) / (b - t)
+        if q == 0.0 or q == math.inf:
+            r = float(np.log(t - a)) - float(np.log(b - t))
+        else:
+            r = float(np.log(q))
     if kind is not TransformKind.SE:
         r = float(np.arcsinh(0.5 * r / _DE_SCALE[kind]))
     return r

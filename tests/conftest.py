@@ -9,7 +9,9 @@ direct formula, one np.sinc per (point, node), which `evaluate_many`
 replaced with a barycentric sum.  `subtract_evaluate` is that barycentric
 sum with every block's u - j formed by a broadcast subtraction and the
 signed coefficients built per call, the form that the rank-2 product and
-the per-solution constants replaced.  `expression_assemble` is the collocation
+the per-solution constants replaced, and with the epilogue that the O(1)
+per-point one replaced: `k % 2`, `np.interp` and `searchsorted` on every
+point.  `expression_assemble` is the collocation
 system written as whole-array products, the form that assembly in place
 replaced.  `quadrature` and `indefinite` are the Sinc quadrature and
 indefinite integration of one function, one scalar call per node; with

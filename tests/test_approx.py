@@ -249,18 +249,21 @@ def test_indefinite_de_variant():
     assert got == pytest.approx(math.sin(0.8), abs=1e-8)
 
 
-def test_scalar_and_vector_evaluation_agree(rng):
+def test_scalar_and_vector_evaluation_agree(rng, interpolants):
     grid = se_grid(10)
     f = random_smooth(rng)
-    interp = approximate(grid, np.array([f(t) for t in grid.points]))
-    ts = np.concatenate([rng.uniform(0.0, 1.0, size=20), [0.0, 1.0],
-                         grid.points[::3]])
-    vec = evaluate_many(interp, ts)
-    # BLAS may round batched and single-row products differently in the
-    # last bits, so agreement is to a few ulp, exact at the node fast path
-    for t, v in zip(ts, vec):
-        s = evaluate(interp, float(t))
-        assert abs(s - v) <= 4.0 * np.spacing(max(abs(s), abs(v), 1.0))
+    cases = [approximate(grid, np.array([f(t) for t in grid.points])),
+             interpolants[(2, Method.NEW_SE, 64)], interpolants[(2, Method.NEW_DE, 64)]]
+    for interp in cases:
+        a, b = interp.grid.iv.a, interp.grid.iv.b
+        ts = np.concatenate([rng.uniform(a, b, size=1024), [a, b], interp.grid.points[::3]])
+        vec = evaluate_many(interp, ts)
+        # a value depends on its batch: BLAS may sum a row of a batch and a
+        # lone row in different orders (OpenBLAS's dgemv takes rows in
+        # groups of 4), so agreement is to a few ulp, exact at the nodes
+        for t, v in zip(ts, vec):
+            s = _evaluate_point(interp, float(t))
+            assert abs(s - v) <= 4.0 * np.spacing(max(abs(s), abs(v), 1.0))
 
 
 def test_grid_arrays_are_read_only():
@@ -329,30 +332,57 @@ def test_off_node_values_match_the_dense_sinc_formula(case, interpolants):
     assert np.array_equal(evaluate_many(interp, ts), dense_sinc_evaluate(interp, ts))
 
 
+def integral_u_points(grid, count=8):
+    """Off-node points with an integral u: near `count` interior nodes
+    spread over the lower half of [a, b], where the float spacing of t
+    resolves u to its last bit, and beyond the outermost node near a."""
+    a, b = grid.iv.a, grid.iv.b
+    below = np.flatnonzero((grid.points > a) & (grid.points < 0.5 * (a + b)))
+    starts = grid.points[below[np.linspace(0, below.size - 1, count).astype(int)]].tolist()
+    starts.append(forward(grid.kind, grid.iv, -(grid.mesh.N + 2) * grid.h))
+    found = [find_integral_u(grid, t) for t in starts]
+    ts = np.array([f[0] for f in found if f is not None])
+    assert ts.size >= 3, ts
+    return ts
+
+
 @pytest.mark.parametrize("case", ORACLE_CASES, ids=case_id)
 def test_values_are_bitwise_those_of_the_subtract_form(case, interpolants):
     interp = interpolants[case]
     grid = interp.grid
     a, b = grid.iv.a, grid.iv.b
     rng = np.random.default_rng(1000 * case[0] + case[2])
-    point_sets = (np.linspace(a, b, 4096), rng.uniform(a, b, 16384),
-                  np.concatenate([grid.points, near_nodes(grid)]), np.array([a, b]),
-                  np.array([]), np.array([0.5 * (a + b)]), rng.uniform(a, b, 2 * _BLOCK + 37))
+    nodal = np.concatenate([grid.points, near_nodes(grid)])
+    point_sets = (np.linspace(a, b, 4096), rng.uniform(a, b, 16384), nodal,
+                  np.array([a, b]), np.array([]), np.array([0.5 * (a + b)]),
+                  rng.uniform(a, b, 2 * _BLOCK + 37),
+                  # one call down every branch: nodes (duplicated ones
+                  # included) and their neighbours out of order, integral
+                  # u off the nodes, and the endpoints amid random points
+                  rng.permutation(nodal),
+                  rng.permutation(np.concatenate([rng.uniform(a, b, 700), integral_u_points(grid)])),
+                  rng.permutation(np.concatenate([rng.uniform(a, b, 600), [a, b, a, b]])))
     for ts in point_sets:
-        assert np.array_equal(evaluate_many(interp, ts), subtract_evaluate(interp, ts)), ts.size
+        assert_bitwise(evaluate_many(interp, ts), subtract_evaluate(interp, ts))
 
 
 POINT_CASES = [(example_id, method, N) for example_id in (1, 2) for method in Method
                for N in (4, 16, 64, 256)]
 
 
+def assert_bitwise(got, want):
+    """The same bits in every entry; an int64 view tells -0.0 from +0.0."""
+    got = np.asarray(got, dtype=float)
+    want = np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    bad = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+    assert bad.size == 0, f"{bad.size} entries differ, first at {bad[0]}: {got[bad[0]]!r} != {want[bad[0]]!r}"
+
+
 def assert_point_path_is_bitwise(interp, ts):
-    """_evaluate_point at each t has the bits of evaluate_many on [t]; an
-    int64 view tells -0.0 from +0.0."""
+    """_evaluate_point at each t has the bits of evaluate_many on [t]."""
     for t in ts:
-        got = np.array([_evaluate_point(interp, t)])
-        want = evaluate_many(interp, np.array([t]))
-        assert np.array_equal(got.view(np.int64), want.view(np.int64)), (t, got[0], want[0])
+        assert_bitwise([_evaluate_point(interp, t)], evaluate_many(interp, np.array([t])))
 
 
 @pytest.mark.parametrize("case", POINT_CASES, ids=case_id)
@@ -368,17 +398,29 @@ def test_one_point_path_is_bitwise_that_of_a_one_element_array(case, interpolant
 
 
 @pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
-def test_quotient_underflow_on_a_wide_interval_gives_minus_inf(method):
+def test_quotient_under_and_overflow_give_the_finite_preimage(method):
     # on [0, 1e300] the quotient (t - a)/(b - t) underflows to 0 at
-    # t = 5e-324 > a, so u = -inf there, as at t = a itself
-    iv = Interval(0.0, 1e300)
+    # t = 5e-324 > a, and on [-1e300, 1e-300] it overflows at t = 0 < b;
+    # the preimage there is log(t - a) - log(b - t), not -inf or +inf
     kind = method.transform
-    grid = build_grid(iv, method, 1.0, 3.14 if kind is TransformKind.SE else 1.57, 16)
-    interp = approximate(grid, np.random.default_rng(5).uniform(-1.0, 1.0, grid.n))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert inverse(kind, iv, 5e-324) == -math.inf
-        assert_point_path_is_bitwise(interp, [5e-324, np.nextafter(iv.b, iv.a)])
+    d = 3.14 if kind is TransformKind.SE else 1.57
+    for (a, b), t in (((0.0, 1e300), 5e-324), ((-1e300, 1e-300), 0.0)):
+        iv = Interval(a, b)
+        grid = build_grid(iv, method, 1.0, d, 16)
+        interp = approximate(grid, np.random.default_rng(5).uniform(-1.0, 1.0, grid.n))
+        want = math.log(t - a) - math.log(b - t)
+        if kind is not TransformKind.SE:
+            want = math.asinh(0.5 * want / _MP_DE_SCALE[kind])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = inverse(kind, iv, t)
+            assert abs(x - want) <= 4 * np.spacing(abs(want)), (x, want)
+            assert_bitwise(inverse(kind, iv, np.array([t, t])), [x, x])
+            assert_point_path_is_bitwise(interp, [t, np.nextafter(b, a)])
+            got = evaluate_many(interp, [t])
+            assert abs(got[0] - dense_sinc_evaluate(interp, [t])[0]) <= 1e-15
+            # the cardinal part is summed, not dropped as at x = -inf/+inf
+            assert got[0] != interp.boundary_left * omega_a(iv, t) + interp.boundary_right * omega_b(iv, t)
 
 
 _MP_DE_SCALE = {TransformKind.DE: math.pi / 2, TransformKind.JO_DE: math.pi / 4}
@@ -429,17 +471,26 @@ def hats(interp, t):
     return interp.boundary_left * omega_a(iv, t) + interp.boundary_right * omega_b(iv, t)
 
 
-def integral_u_near(grid, t, steps=64):
-    """The first of t and its float neighbours, up to `steps` each way,
-    that is not a node, lies inside (a, b), and has an integral u = x/h."""
+def find_integral_u(grid, t, steps=64):
+    """(s, k) for the first s of t and its float neighbours, up to `steps`
+    each way, that is not a node, lies inside (a, b), and has an integral
+    u = x/h = k; None if there is none."""
     for toward in (grid.iv.b, grid.iv.a):
         s = t
         for _ in range(steps):
-            u = inverse(grid.kind, grid.iv, s) / grid.h
-            if u == round(u) and grid.iv.a < s < grid.iv.b and s not in grid.points:
-                return s, int(u)
+            if grid.iv.a < s < grid.iv.b and s not in grid.points:
+                u = inverse(grid.kind, grid.iv, s) / grid.h
+                if u == round(u):
+                    return s, int(u)
             s = np.nextafter(s, toward)
-    raise AssertionError(f"no point with an integral u within {steps} ulp of {t}")
+    return None
+
+
+def integral_u_near(grid, t, steps=64):
+    """`find_integral_u`, which must find a point."""
+    found = find_integral_u(grid, t, steps)
+    assert found is not None, f"no point with an integral u within {steps} ulp of {t}"
+    return found
 
 
 def test_integral_u_off_the_nodes_gives_the_cardinal_coefficient(rng):

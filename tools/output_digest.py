@@ -13,7 +13,10 @@ differ in their last bits between BLAS thread counts.
 Families: A and rhs of each assembler; the coefficients of `solve`; the
 grid's points, weights and h; `evaluate_solution_many` on 4096 equispaced,
 1000 seeded random, the nodal and the endpoint points, and, as a family of
-its own, on the float neighbours and the +-1e-13 neighbours of every node;
+its own, on the float neighbours and the +-1e-13 neighbours of every node,
+and, as another, on one shuffled batch that takes every branch of
+evaluation: the nodes, some of them twice, some node neighbours, off-node
+points with an integral u = x/h, random points and the endpoints;
 `evaluate_solution` on some of those points; `max_error`; `self_check` of
 both examples; and `inverse` on random points, the endpoints and offsets
 L*10^k from each end, for every transform on two intervals.  Both
@@ -67,6 +70,28 @@ def assemble(vfie, problem, method, N):
     return vfie.assemble_new(problem, method, N)
 
 
+def integral_u_points(vfie, grid, count=8, steps=64):
+    """Off-node points of (a, b) whose u = x/h is an integer: for each of
+    `count` nodes spread over the lower half of [a, b], the first such
+    point within `steps` float steps of it, if any."""
+    iv, pts = grid.iv, grid.points
+
+    def first_near(t):
+        for toward in (iv.b, iv.a):
+            s = t
+            for _ in range(steps):
+                if iv.a < s < iv.b and s not in pts:
+                    u = vfie.inverse(grid.kind, iv, s) / grid.h
+                    if u == round(u):
+                        return s
+                s = float(np.nextafter(s, toward))
+        return None
+
+    below = pts[(pts > iv.a) & (pts < 0.5 * (iv.a + iv.b))]
+    starts = below[np.linspace(0, below.size - 1, count).astype(int)].tolist()
+    return np.array([s for s in map(first_near, starts) if s is not None])
+
+
 def solver_families(vfie, out):
     for example_id, method, N in configurations(vfie):
         example = vfie.builtin(example_id)
@@ -90,6 +115,10 @@ def solver_families(vfie, out):
                                p - 1e-13, p + 1e-13])
         near = near[(near >= iv.a) & (near <= iv.b)]
         out.add("evaluate_solution_many.near_nodes", vfie.evaluate_solution_many(sol, near))
+        branches = np.concatenate([p, p[::7], near[::5], integral_u_points(vfie, grid),
+                                   randoms[:200], endpoints])
+        shuffled = np.random.default_rng(N).permutation(branches)
+        out.add("evaluate_solution_many.branches", vfie.evaluate_solution_many(sol, shuffled))
         singles = np.concatenate([randoms[:24], grid.points[::max(1, grid.n // 24)], endpoints])
         out.add("evaluate_solution", [vfie.evaluate_solution(sol, float(t)) for t in singles])
         out.add("max_error", [vfie.max_error(sol, example.exact, 4096)])
