@@ -230,32 +230,24 @@ def _evaluate_point(interp: GeneralizedInterpolant, t) -> float:
     Here every step whose IEEE result numpy shares is done on Python
     floats: the preimage's quotient (`transforms._inverse_point`), u = x/h,
     k = round(u), which rounds half to even like np.rint, r = u - k, the
-    node bracket, the sign, pi r and the hats.  What might round
-    differently stays numpy's: the log, arcsinh and sine, and the row
-    r/(u - j) with its sum, the same (1, n) x (n,) product a one-point
-    block makes.
+    sign, pi r and the hats.  What might round differently stays numpy's:
+    the log, arcsinh and sine, and the row r/(u - j) with its sum, the
+    same (1, n) x (n,) product a one-point block makes.
     """
     grid = interp.grid
-    N = grid.mesh.N
-    p = grid.points
     t = float(t)
     u = transforms._inverse_point(grid.kind, grid.iv, t) / grid.h
-    inf = math.isinf(u)
-    k = u if inf else round(u)
-    # the node test of evaluate_many: bracket by the candidate c = k + N
-    c = min(max(k + N, 1), grid.n - 2)
-    if p[c - 1] < t < p[c + 1]:
-        if p[c] == t:
-            return float(interp.samples[c])
-    elif grid.iv.a < t < grid.iv.b:
-        i = p.searchsorted(t)
-        if i < grid.n and p[i] == t:
+    if grid.iv.a < t < grid.iv.b:
+        i = grid.points.searchsorted(t)
+        if i < grid.n and grid.points[i] == t:
             return float(interp.samples[i])
-    if inf:
+    if math.isinf(u):
         cardinal = 0.0
     else:
+        k = round(u)
         r = u - k
         if r == 0.0:
+            N = grid.mesh.N
             cardinal = float(interp.coeffs[k + N]) if -N <= k <= N else 0.0
         else:
             row = np.subtract(u, interp._offsets)

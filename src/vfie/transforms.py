@@ -10,6 +10,7 @@ pair.
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from enum import Enum, unique
 
@@ -71,6 +72,9 @@ _DE_SCALE = {TransformKind.DE: 0.5 * math.pi, TransformKind.JO_DE: 0.25 * math.p
 
 # sinh overflows past ~710; the maps are fully saturated long before that.
 _SINH_OVERFLOW = 700.0
+
+# The smallest normal double; inverse's quotient below it has lost bits.
+_TINY = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -141,9 +145,11 @@ def inverse(kind: TransformKind, iv: Interval, t):
 
     The inner argument is formed as log((t - a)/(b - t)), which is the
     tanh inverse rearranged to avoid the cancellation the naive atanh
-    form suffers near the endpoints.  Where that quotient underflows to 0
-    or overflows to inf although a < t < b (t = 5e-324 on [0, 1e300]),
-    the log is split into log(t - a) - log(b - t), which is finite.
+    form suffers near the endpoints.  Where that quotient is subnormal
+    (its bits partly lost, t = 1e-20 on [0, 1e300]), underflows to 0 or
+    overflows to inf although a < t < b (t = 5e-324 on [0, 1e300]), the
+    log is split into log(t - a) - log(b - t), which is finite and keeps
+    the bits the quotient lost.
     """
     if np.ndim(t) == 0:
         return _inverse_point(kind, iv, float(t))
@@ -152,10 +158,11 @@ def inverse(kind: TransformKind, iv: Interval, t):
     if not inside.all():
         raise _outside(iv, t[~inside][0])
     with np.errstate(divide="ignore", over="ignore"):
-        r = np.log((t - iv.a) / (iv.b - t))
-    # the log is +-inf exactly where the quotient is inf or 0: at the
-    # endpoints, and where it over- or underflows inside (a, b)
-    edge = np.flatnonzero(np.isinf(r))
+        q = (t - iv.a) / (iv.b - t)
+        r = np.log(q)
+    # q is 0 or inf at the endpoints; inside (a, b) it is subnormal, 0 or
+    # inf only where it has lost bits to underflow or has overflowed
+    edge = np.flatnonzero((q < _TINY) | (q == np.inf))
     if edge.size:
         te = t[edge]
         wide = (te > iv.a) & (te < iv.b)
@@ -172,8 +179,8 @@ def _inverse_point(kind, iv, t: float) -> float:
     log and arcsinh stay numpy's, whose bits Python's math module need not
     match.  The preimage is -inf at t = a and +inf at t = b (where Python's
     division would raise), taken without the log's divide warning.  Where
-    the quotient (t - a)/(b - t) underflows to 0 or overflows to inf in
-    between, the log is split as in the array path.
+    the quotient (t - a)/(b - t) is subnormal, 0 or inf in between, the
+    log is split as in the array path.
     """
     a, b = iv.a, iv.b
     if not a <= t <= b:
@@ -182,7 +189,7 @@ def _inverse_point(kind, iv, t: float) -> float:
         r = -math.inf if t == a else math.inf
     else:
         q = (t - a) / (b - t)
-        if q == 0.0 or q == math.inf:
+        if q < _TINY or q == math.inf:
             r = float(np.log(t - a)) - float(np.log(b - t))
         else:
             r = float(np.log(q))

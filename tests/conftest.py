@@ -16,10 +16,12 @@ system written as whole-array products, the form that assembly in place
 replaced.  `quadrature` and `indefinite` are the Sinc quadrature and
 indefinite integration of one function, one scalar call per node; with
 two closures per probe they give the residual that `solver._residual`
-computes in array form.
+computes in array form.  `load_tool` imports a script of tools/.
 """
 
+import importlib.util
 import math
+import os
 
 import numpy as np
 import pytest
@@ -35,6 +37,15 @@ _TAYLOR_CUTOFF = 1e-4
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240613)
+
+
+def load_tool(name):
+    """The module tools/<name>.py, which is not on the import path."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "tools", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def assert_ulp_close(got, want, ulps=1):

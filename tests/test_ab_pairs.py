@@ -1,19 +1,13 @@
 """The pair judgement of tools/ab_pairs.py: wins, ties and the gain rule."""
 
-import importlib.util
-import os
-
 import pytest
 
-_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "ab_pairs.py")
+from conftest import load_tool
 
 
 @pytest.fixture(scope="module")
 def ab_pairs():
-    spec = importlib.util.spec_from_file_location("ab_pairs", _PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_tool("ab_pairs")
 
 
 def test_nine_wins_and_a_tie_beyond_the_parents_spread_is_a_gain(ab_pairs):

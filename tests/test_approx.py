@@ -11,6 +11,7 @@ from conftest import (
     dense_sinc_evaluate,
     evaluate,
     indefinite,
+    load_tool,
     omega_a,
     omega_b,
     quadrature,
@@ -33,6 +34,7 @@ from vfie import (
 from vfie.approx import _BLOCK, _evaluate_point
 
 UNIT = Interval(0.0, 1.0)
+integral_u = load_tool("integral_u")
 
 
 def se_grid(N, alpha=1.0, d=3.14, iv=UNIT):
@@ -332,16 +334,11 @@ def test_off_node_values_match_the_dense_sinc_formula(case, interpolants):
     assert np.array_equal(evaluate_many(interp, ts), dense_sinc_evaluate(interp, ts))
 
 
-def integral_u_points(grid, count=8):
-    """Off-node points with an integral u: near `count` interior nodes
-    spread over the lower half of [a, b], where the float spacing of t
-    resolves u to its last bit, and beyond the outermost node near a."""
-    a, b = grid.iv.a, grid.iv.b
-    below = np.flatnonzero((grid.points > a) & (grid.points < 0.5 * (a + b)))
-    starts = grid.points[below[np.linspace(0, below.size - 1, count).astype(int)]].tolist()
-    starts.append(forward(grid.kind, grid.iv, -(grid.mesh.N + 2) * grid.h))
-    found = [find_integral_u(grid, t) for t in starts]
-    ts = np.array([f[0] for f in found if f is not None])
+def integral_u_test_points(grid):
+    """Off-node points with an integral u, near interior nodes and beyond
+    the outermost node near a."""
+    beyond = forward(grid.kind, grid.iv, -(grid.mesh.N + 2) * grid.h)
+    ts = integral_u.integral_u_points(inverse, grid, [beyond])
     assert ts.size >= 3, ts
     return ts
 
@@ -360,7 +357,7 @@ def test_values_are_bitwise_those_of_the_subtract_form(case, interpolants):
                   # included) and their neighbours out of order, integral
                   # u off the nodes, and the endpoints amid random points
                   rng.permutation(nodal),
-                  rng.permutation(np.concatenate([rng.uniform(a, b, 700), integral_u_points(grid)])),
+                  rng.permutation(np.concatenate([rng.uniform(a, b, 700), integral_u_test_points(grid)])),
                   rng.permutation(np.concatenate([rng.uniform(a, b, 600), [a, b, a, b]])))
     for ts in point_sets:
         assert_bitwise(evaluate_many(interp, ts), subtract_evaluate(interp, ts))
@@ -400,11 +397,13 @@ def test_one_point_path_is_bitwise_that_of_a_one_element_array(case, interpolant
 @pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
 def test_quotient_under_and_overflow_give_the_finite_preimage(method):
     # on [0, 1e300] the quotient (t - a)/(b - t) underflows to 0 at
-    # t = 5e-324 > a, and on [-1e300, 1e-300] it overflows at t = 0 < b;
-    # the preimage there is log(t - a) - log(b - t), not -inf or +inf
+    # t = 5e-324 > a and is subnormal at t = 1e-20, with about 11 of its
+    # bits left, and on [-1e300, 1e-300] it overflows at t = 0 < b; the
+    # preimage there is log(t - a) - log(b - t), not -inf, +inf or a log
+    # off in its 4th digit
     kind = method.transform
     d = 3.14 if kind is TransformKind.SE else 1.57
-    for (a, b), t in (((0.0, 1e300), 5e-324), ((-1e300, 1e-300), 0.0)):
+    for (a, b), t in (((0.0, 1e300), 5e-324), ((0.0, 1e300), 1e-20), ((-1e300, 1e-300), 0.0)):
         iv = Interval(a, b)
         grid = build_grid(iv, method, 1.0, d, 16)
         interp = approximate(grid, np.random.default_rng(5).uniform(-1.0, 1.0, grid.n))
@@ -471,24 +470,10 @@ def hats(interp, t):
     return interp.boundary_left * omega_a(iv, t) + interp.boundary_right * omega_b(iv, t)
 
 
-def find_integral_u(grid, t, steps=64):
-    """(s, k) for the first s of t and its float neighbours, up to `steps`
-    each way, that is not a node, lies inside (a, b), and has an integral
-    u = x/h = k; None if there is none."""
-    for toward in (grid.iv.b, grid.iv.a):
-        s = t
-        for _ in range(steps):
-            if grid.iv.a < s < grid.iv.b and s not in grid.points:
-                u = inverse(grid.kind, grid.iv, s) / grid.h
-                if u == round(u):
-                    return s, int(u)
-            s = np.nextafter(s, toward)
-    return None
-
-
 def integral_u_near(grid, t, steps=64):
-    """`find_integral_u`, which must find a point."""
-    found = find_integral_u(grid, t, steps)
+    """`find_integral_u` with this package's `inverse`, which must find a
+    point."""
+    found = integral_u.find_integral_u(inverse, grid, t, steps)
     assert found is not None, f"no point with an integral u within {steps} ulp of {t}"
     return found
 

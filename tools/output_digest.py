@@ -35,6 +35,8 @@ import sys  # noqa: E402
 
 import numpy as np  # noqa: E402
 
+from integral_u import integral_u_points  # noqa: E402
+
 N_LIST = (4, 16, 64, 128, 256)
 
 
@@ -70,28 +72,6 @@ def assemble(vfie, problem, method, N):
     return vfie.assemble_new(problem, method, N)
 
 
-def integral_u_points(vfie, grid, count=8, steps=64):
-    """Off-node points of (a, b) whose u = x/h is an integer: for each of
-    `count` nodes spread over the lower half of [a, b], the first such
-    point within `steps` float steps of it, if any."""
-    iv, pts = grid.iv, grid.points
-
-    def first_near(t):
-        for toward in (iv.b, iv.a):
-            s = t
-            for _ in range(steps):
-                if iv.a < s < iv.b and s not in pts:
-                    u = vfie.inverse(grid.kind, iv, s) / grid.h
-                    if u == round(u):
-                        return s
-                s = float(np.nextafter(s, toward))
-        return None
-
-    below = pts[(pts > iv.a) & (pts < 0.5 * (iv.a + iv.b))]
-    starts = below[np.linspace(0, below.size - 1, count).astype(int)].tolist()
-    return np.array([s for s in map(first_near, starts) if s is not None])
-
-
 def solver_families(vfie, out):
     for example_id, method, N in configurations(vfie):
         example = vfie.builtin(example_id)
@@ -115,7 +95,7 @@ def solver_families(vfie, out):
                                p - 1e-13, p + 1e-13])
         near = near[(near >= iv.a) & (near <= iv.b)]
         out.add("evaluate_solution_many.near_nodes", vfie.evaluate_solution_many(sol, near))
-        branches = np.concatenate([p, p[::7], near[::5], integral_u_points(vfie, grid),
+        branches = np.concatenate([p, p[::7], near[::5], integral_u_points(vfie.inverse, grid),
                                    randoms[:200], endpoints])
         shuffled = np.random.default_rng(N).permutation(branches)
         out.add("evaluate_solution_many.branches", vfie.evaluate_solution_many(sol, shuffled))
