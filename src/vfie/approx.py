@@ -5,32 +5,31 @@ and interpolation share.  The interpolant augments plain cardinal
 interpolation with the two boundary hats so functions with nonzero
 endpoint values are handled; its cardinal coefficients are the samples
 minus the boundary part, which is what makes it reproduce the samples at
-the nodes.
-`approximate` builds it from the samples at the nodes, and
+the nodes.  `approximate` builds it from the samples at the nodes, and
 `evaluate_many` evaluates it on a scalar or a 1-D array of points.
 
-The cardinal sum is evaluated in barycentric form (Richardson and
-Trefethen, "A sinc function analogue of Chebfun", SISC 33, 2011), which
-needs one sine per point instead of one per (point, node).  With
+The cardinal sum is evaluated in classic barycentric form (Richardson
+and Trefethen, "A sinc function analogue of Chebfun", SISC 33, 2011),
+which needs one sine per point instead of one per (point, node).  With
 u = x/h, k = rint(u) and r = u - k, which is exact in floating point,
 
-    sum_j c_j sinc(u - j) = (-1)^k sinc(r) sum_j (-1)^j c_j r/(u - j),
+    sum_j c_j sinc(u - j) = (-1)^k sin(pi r)/pi sum_j (-1)^j c_j/(u - j),
 
 because sin(pi (u - j)) = (-1)^(j+k) sin(pi r).  Reducing the argument
-to r before the sine keeps sin(pi u) accurate for large |u|, and every
-entry r/(u - j) lies in [-1, 1], so nothing overflows near u = 0.  The
-points are processed in blocks of `_BLOCK` = 256 in one 256 x n buffer
-per call, reused across blocks, so no call holds more than one such
-matrix of entries.
+to r keeps sin(pi u) accurate for large |u|.  Each row of entries is
+summed by `np.add.reduce`, numpy's pairwise sum, in the same order for a
+row of a block as for a lone row, so a value depends on its point alone.
 
-What depends only on the solution is built once, with the interpolant:
-the offsets j as floats, the signed coefficients (-1)^j c_j and the
-2 x n factor [1; -j].  A block's differences u - j are then the BLAS
-product [u, 1] [1; -j].  Both products in each entry, u*1 and 1*(-j),
-are exact, so the one rounding is that of their sum, and every entry is
-bitwise u - j in any summation order, on the +-inf rows too.  The
-product writes a block in about 0.4 of the time a broadcast subtraction
-takes.
+The entry at j = k is c_k/r, and |r| can be as small as 2^-1074, so the
+signed coefficients are stored times 2^-e, a power of two that takes the
+largest below 2^-51: no entry reaches 2^1023 and no sum overflows, for
+any finite coefficients.  The product of a sum and sin(pi r)/pi is
+scaled back by 2^e; a power of two scales exactly unless a result is
+subnormal.  These constants are built once, with the interpolant, and so
+is the 2 x n factor [1; -j]: a block's differences u - j are the BLAS
+product [u, 1] [1; -j], whose two products per entry are exact, so its
+one rounding is that of their sum, bitwise u - j in any summation order,
+on the +-inf rows too.
 """
 
 import math
@@ -49,11 +48,8 @@ __all__ = [
     "evaluate_many",
 ]
 
-# points per block of evaluate_many, whose one block buffer per call
-# (256 x 513 at N = 256, 1 MB) is reused across blocks.  Keep it a
-# multiple of 4: OpenBLAS's dgemv sums rows in groups of 4 and may round
-# a leftover row differently, so other sizes change the last bit of some
-# values
+# points per block of evaluate_many, whose one buffer per call (256 x 513
+# at N = 256, 1 MB) every block reuses; it bounds memory, not the values
 _BLOCK = 256
 
 
@@ -118,11 +114,10 @@ class GeneralizedInterpolant:
     boundary_left: float
     boundary_right: float
     coeffs: np.ndarray
-    # per-solution constants of evaluate_many: the offsets j = -N..N as
-    # floats, the signed coefficients (-1)^j c_j, and the 2 x n right
-    # factor [1; -j] that turns a block's [u, 1] into u - j
-    _offsets: np.ndarray = field(init=False, repr=False)
+    # per-solution constants of evaluate_many: the signed coefficients
+    # (-1)^j c_j times 2^-e, e, and the 2 x n factor [1; -j], j = -N..N
     _signed: np.ndarray = field(init=False, repr=False)
+    _exponent: int = field(init=False, repr=False)
     _right: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -131,13 +126,14 @@ class GeneralizedInterpolant:
             raise ValueError(f"samples and coeffs must have shape ({n},), "
                              f"got {self.samples.shape} and {self.coeffs.shape}")
         N = self.grid.mesh.N
-        offsets = np.arange(-N, N + 1, dtype=float)
-        signed = self.coeffs.copy()
+        # (-1)^j c_j times 2^-e, which takes the largest below 2^-51
+        exponent = max(math.frexp(np.abs(self.coeffs).max())[1] + 51, 0)
+        signed = np.ldexp(self.coeffs, -exponent)
         signed[(N + 1) % 2::2] *= -1.0  # j = -N + i is odd for these i
-        right = np.stack([np.ones(n), -offsets])
-        for name, value in (("_offsets", offsets), ("_signed", signed), ("_right", right)):
+        right = np.stack([np.ones(n), -np.arange(-N, N + 1, dtype=float)])
+        for name, value in (("_signed", signed), ("_exponent", exponent), ("_right", right)):
             object.__setattr__(self, name, value)
-        for a in (self.samples, self.coeffs, offsets, signed, right):
+        for a in (self.samples, self.coeffs, signed, right):
             a.setflags(write=False)
 
 
@@ -161,8 +157,8 @@ def evaluate_many(interp: GeneralizedInterpolant, ts) -> np.ndarray:
     to the stored sample; the endpoints map to x = -inf/+inf, where the
     cardinal terms vanish and only the boundary hats survive.  Elsewhere
     the cardinal part is the barycentric sum of the module docstring,
-    formed `_BLOCK` points at a time; where u = x/h is an integer k it is
-    c_k for |k| <= N and 0 beyond.
+    its entries formed `_BLOCK` points at a time; where u = x/h is an
+    integer k it is c_k for |k| <= N and 0 beyond.
 
     The work per point after the sums is O(1): the parity of k is read
     from k/2, and only the rows with r = 0 or u = +-inf take c_k, by index.
@@ -184,23 +180,22 @@ def evaluate_many(interp: GeneralizedInterpolant, ts) -> np.ndarray:
     rows = min(u.size, _BLOCK)
     block = np.empty((rows, grid.n))
     pairs = np.ones((rows, 2))  # a block's rows [u, 1]
-    # r is NaN on the +-inf rows, and r/(u - j) and sin(pi r)/(pi r) are
-    # 0/0 where r = 0; both kinds of row are replaced below
-    with np.errstate(invalid="ignore"):
+    # r is NaN on the +-inf rows, and c_k/r is x/0 where r = 0; both
+    # kinds of row are replaced below
+    with np.errstate(invalid="ignore", divide="ignore"):
         r = u - k
         for s in range(0, u.size, _BLOCK):
             blk = slice(s, s + _BLOCK)
             m = block[:min(_BLOCK, u.size - s)]
-            lhs = pairs[:len(m)]
-            lhs[:, 0] = u[blk]
-            np.matmul(lhs, interp._right, out=m)  # u*1 + 1*(-j): u - j, rounded once
-            np.divide(r[blk, None], m, out=m)
-            np.matmul(m, interp._signed, out=sums[blk])
-        y = np.pi * r
+            pairs[:len(m), 0] = u[blk]
+            np.matmul(pairs[:len(m)], interp._right, out=m)  # u*1 + 1*(-j): u - j, rounded once
+            np.divide(interp._signed, m, out=m)
+            np.add.reduce(m, axis=-1, out=sums[blk])
         half = 0.5 * k
         # k is odd where k/2 is not integral, never at k = +-inf; a
         # negation is exact, so where it is taken does not change the bits
-        cardinal = np.where(half != np.floor(half), -sums, sums) * (np.sin(y) / y)
+        cardinal = np.where(half != np.floor(half), -sums, sums) * (np.sin(np.pi * r) / np.pi)
+        np.ldexp(cardinal, interp._exponent, out=cardinal)
     # at an integral u only S(k, h) is nonzero; at u = +-inf none is
     special = np.flatnonzero((r == 0) | np.isinf(u))
     if special.size:
@@ -230,9 +225,10 @@ def _evaluate_point(interp: GeneralizedInterpolant, t) -> float:
     Here every step whose IEEE result numpy shares is done on Python
     floats: the preimage's quotient (`transforms._inverse_point`), u = x/h,
     k = round(u), which rounds half to even like np.rint, r = u - k, the
-    sign, pi r and the hats.  What might round differently stays numpy's:
-    the log, arcsinh and sine, and the row r/(u - j) with its sum, the
-    same (1, n) x (n,) product a one-point block makes.
+    sign, pi r, the division by pi, the scaling by 2^e and the hats.  What
+    might round differently stays numpy's: the log, arcsinh and sine, and
+    the row of entries with its `np.add.reduce`, the pairwise sum a block
+    row gets.
     """
     grid = interp.grid
     t = float(t)
@@ -250,10 +246,13 @@ def _evaluate_point(interp: GeneralizedInterpolant, t) -> float:
             N = grid.mesh.N
             cardinal = float(interp.coeffs[k + N]) if -N <= k <= N else 0.0
         else:
-            row = np.subtract(u, interp._offsets)
-            np.divide(r, row, out=row)
-            s = float(np.matmul(row[None, :], interp._signed)[0])
-            y = np.pi * r
-            cardinal = (-s if k % 2 else s) * (float(np.sin(y)) / y)
+            row = interp._right[1] + u  # u + (-j) is u - j, bitwise
+            np.divide(interp._signed, row, out=row)
+            s = float(np.add.reduce(row))
+            scaled = (-s if k % 2 else s) * (float(np.sin(np.pi * r)) / math.pi)
+            try:
+                cardinal = math.ldexp(scaled, interp._exponent)
+            except OverflowError:  # the value itself is beyond the doubles
+                cardinal = math.copysign(math.inf, scaled)
     wa, wb = _boundary_pair(grid.iv, t)
     return float(interp.boundary_left * wa + interp.boundary_right * wb + cardinal)

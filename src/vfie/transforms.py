@@ -79,14 +79,15 @@ _TINY = sys.float_info.min
 
 @dataclass(frozen=True)
 class Interval:
-    """A finite interval [a, b] with a < b."""
+    """A finite interval [a, b] with a < b and a finite length b - a."""
 
     a: float
     b: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise ValueError(f"interval endpoints must be finite, got [{self.a}, {self.b}]")
+        # b - a is not finite for an infinite or NaN endpoint either
+        if not math.isfinite(self.b - self.a):
+            raise ValueError(f"interval endpoints and length must be finite, got [{self.a}, {self.b}]")
         if not self.a < self.b:
             raise ValueError(f"interval needs a < b, got [{self.a}, {self.b}]")
 

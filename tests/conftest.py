@@ -7,13 +7,13 @@ they do not call the code they check.  `evaluate` is the single-point
 form of `evaluate_many`.  `dense_sinc_evaluate` is the interpolant by the
 direct formula, one np.sinc per (point, node), which `evaluate_many`
 replaced with a barycentric sum.  `subtract_evaluate` is that barycentric
-sum with every block's u - j formed by a broadcast subtraction and the
-signed coefficients built per call, the form that the rank-2 product and
-the per-solution constants replaced, and with the epilogue that the O(1)
-per-point one replaced: `k % 2`, `np.interp` and `searchsorted` on every
-point.  `expression_assemble` is the collocation
-system written as whole-array products, the form that assembly in place
-replaced.  `quadrature` and `indefinite` are the Sinc quadrature and
+sum by the same row rule, each row of (-1)^j c_j/(u - j) summed by
+np.add.reduce and times sin(pi r)/pi, but on all points at once, with
+u - j from a broadcast subtraction and the signed coefficients built per
+call and not scaled, and with the epilogue that the O(1) per-point one
+replaced: `k % 2`, `np.interp` and `searchsorted` on every point.
+`expression_assemble` is the collocation system written as whole-array
+products, the form that assembly in place replaced.  `quadrature` and `indefinite` are the Sinc quadrature and
 indefinite integration of one function, one scalar call per node; with
 two closures per probe they give the residual that `solver._residual`
 computes in array form.  `load_tool` imports a script of tools/.
@@ -27,7 +27,6 @@ import numpy as np
 import pytest
 
 from vfie import Method, evaluate_many, grid_for, inverse
-from vfie.approx import _BLOCK
 from vfie.solver import _offset_matrix, _running_integral
 
 _NODE_TOL = 1e-15
@@ -130,7 +129,8 @@ def dense_sinc_evaluate(interp, ts):
 
 def subtract_evaluate(interp, ts):
     """Interpolant values on a 1-D array of points, by the barycentric sum
-    of `evaluate_many` with u - j from np.subtract on int offsets."""
+    of `evaluate_many` with u - j from np.subtract on int offsets, all
+    points at once, and no scaling of the coefficients."""
     grid = interp.grid
     ts = np.asarray(ts, dtype=float)
     N = grid.mesh.N
@@ -139,18 +139,12 @@ def subtract_evaluate(interp, ts):
     k = np.rint(u)
     signed = interp.coeffs.copy()
     signed[(N + 1) % 2::2] *= -1.0
-    sums = np.empty_like(u)
-    block = np.empty((min(u.size, _BLOCK), j.size))
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore"):
         r = u - k
-        for s in range(0, u.size, _BLOCK):
-            blk = slice(s, s + _BLOCK)
-            m = block[:min(_BLOCK, u.size - s)]
-            np.subtract(u[blk, None], j, out=m)
-            np.divide(r[blk, None], m, out=m)
-            np.matmul(m, signed, out=sums[blk])
-        y = np.pi * r
-        cardinal = np.where(k % 2, -sums, sums) * (np.sin(y) / y)
+        entries = np.subtract(u[:, None], j)
+        np.divide(signed, entries, out=entries)
+        sums = np.add.reduce(entries, axis=-1)
+        cardinal = np.where(k % 2, -sums, sums) * (np.sin(np.pi * r) / np.pi)
     on_k = np.interp(k, j, interp.coeffs, left=0.0, right=0.0)
     cardinal = np.where((r == 0) | np.isinf(u), on_k, cardinal)
     a, b = grid.iv.a, grid.iv.b

@@ -259,13 +259,9 @@ def test_scalar_and_vector_evaluation_agree(rng, interpolants):
     for interp in cases:
         a, b = interp.grid.iv.a, interp.grid.iv.b
         ts = np.concatenate([rng.uniform(a, b, size=1024), [a, b], interp.grid.points[::3]])
-        vec = evaluate_many(interp, ts)
-        # a value depends on its batch: BLAS may sum a row of a batch and a
-        # lone row in different orders (OpenBLAS's dgemv takes rows in
-        # groups of 4), so agreement is to a few ulp, exact at the nodes
-        for t, v in zip(ts, vec):
-            s = _evaluate_point(interp, float(t))
-            assert abs(s - v) <= 4.0 * np.spacing(max(abs(s), abs(v), 1.0))
+        # every row is summed on its own, so a point's value does not
+        # depend on the batch it comes in
+        assert_bitwise([_evaluate_point(interp, t) for t in ts.tolist()], evaluate_many(interp, ts))
 
 
 def test_grid_arrays_are_read_only():
@@ -275,7 +271,7 @@ def test_grid_arrays_are_read_only():
     with pytest.raises(ValueError):
         grid.weights[0] = 0.0
     interp = approximate(grid, np.zeros(grid.n))
-    for name in ("samples", "coeffs", "_offsets", "_signed", "_right"):
+    for name in ("samples", "coeffs", "_signed", "_right"):
         with pytest.raises(ValueError):
             getattr(interp, name)[0] = 1.0
 
@@ -422,6 +418,40 @@ def test_quotient_under_and_overflow_give_the_finite_preimage(method):
             assert got[0] != interp.boundary_left * omega_a(iv, t) + interp.boundary_right * omega_b(iv, t)
 
 
+@pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
+def test_huge_coefficients_give_finite_values_next_to_the_midpoint(method):
+    # next to the midpoint of [0, 1], |u| is about 1e-16, so the row's
+    # entry c_0/u would overflow for samples near 1e300 if the signed
+    # coefficients were not scaled down
+    d = 3.14 if method.transform is TransformKind.SE else 1.57
+    grid = build_grid(UNIT, method, 1.0, d, 16)
+    scale = 1e300
+    interp = approximate(grid, scale * np.random.default_rng(11).uniform(-1.0, 1.0, grid.n))
+    assert np.abs(interp._signed).max() < 2.0**-51
+    above = np.nextafter(0.5, 1.0)
+    ts = np.array([np.nextafter(0.5, 0.0), above, np.nextafter(above, 1.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = dense_sinc_evaluate(interp, ts)
+        for got in (evaluate_many(interp, ts), [_evaluate_point(interp, t) for t in ts.tolist()]):
+            assert np.isfinite(got).all(), got
+            assert np.max(np.abs(got - want)) <= 1e-15 * scale
+
+
+def test_a_value_beyond_the_doubles_is_inf_on_both_paths():
+    # c_j = +-1.7e308 with the sign of sinc(u - j) at u = 1/2: every term
+    # adds, and the sum passes the largest double
+    grid = se_grid(16)
+    j = np.arange(-16, 17)
+    samples = 1.7e308 * (-1.0) ** j * np.sign(0.5 - j)
+    samples[[0, -1]] = 0.0
+    interp = approximate(grid, samples)
+    t = forward(grid.kind, grid.iv, 0.5 * grid.h)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert evaluate_many(interp, [t])[0] == math.inf
+    assert _evaluate_point(interp, t) == math.inf
+
+
 _MP_DE_SCALE = {TransformKind.DE: math.pi / 2, TransformKind.JO_DE: math.pi / 4}
 
 
@@ -524,9 +554,15 @@ def test_scalar_point_gives_a_one_element_array(rng):
 
 def test_call_on_several_blocks_is_the_concatenation_of_block_calls(interpolants):
     interp = interpolants[(2, Method.NEW_DE, 128)]
-    ts = np.random.default_rng(3).uniform(0.0, 1.0, 2 * _BLOCK + 37)
-    parts = [evaluate_many(interp, ts[s:s + _BLOCK]) for s in range(0, ts.size, _BLOCK)]
-    assert np.array_equal(evaluate_many(interp, ts), np.concatenate(parts))
+    rng = np.random.default_rng(3)
+    ts = rng.uniform(0.0, 1.0, 2 * _BLOCK + 37)
+    # single points, pieces of sizes that are not multiples of 4, and a
+    # last piece of more than one block
+    cuts = np.unique(np.concatenate([[0, 1, 2, 5, 6], rng.integers(7, 200, 20), [ts.size]]))
+    sizes = np.diff(cuts)
+    assert (sizes == 1).any() and (sizes % 4 != 0).sum() > 5 and sizes[-1] > _BLOCK
+    parts = [evaluate_many(interp, ts[s:e]) for s, e in zip(cuts[:-1], cuts[1:])]
+    assert_bitwise(evaluate_many(interp, ts), np.concatenate(parts))
 
 
 def test_evaluation_holds_one_block_of_entries(interpolants):

@@ -38,6 +38,16 @@ def test_interval_validation():
     assert Interval(-1.0, 2.0).length == 3.0
 
 
+def test_interval_refuses_an_overflowing_length():
+    # b - a overflows to inf; a length just below the largest double is kept
+    for a, b in ((-1e308, 1e308), (-1.7e308, 1e307)):
+        with pytest.raises(ValueError, match=re.escape(f"[{a}, {b}]")):
+            Interval(a, b)
+    iv = Interval(-8e307, 8e307)
+    assert iv.length == 1.6e308
+    assert np.isfinite(build_grid(iv, Method.NEW_SE, 1.0, 3.14, 4).points).all()
+
+
 @pytest.mark.parametrize("N", [8.0, 8.5, np.float64(8.0)], ids=["8.0", "8.5", "float64"])
 def test_non_integral_n_is_refused(N):
     message = f"N must be an integer, got {N!r}"
