@@ -21,6 +21,7 @@ from vfie import (
     self_check,
     solve,
 )
+import vfie.bench
 from vfie.bench import DEFAULT_N_LIST
 from vfie.solver import grid_for
 
@@ -120,6 +121,50 @@ def test_run_sweep_validates_n_list():
         run_sweep(1, Method.NEW_SE, (8, 8))
     with pytest.raises(ValueError):
         run_sweep(1, Method.NEW_SE, (16, 8))
+
+
+def _counted(monkeypatch, name):
+    """Replace vfie.bench.<name> by a wrapper that counts its calls."""
+    calls = []
+    original = getattr(vfie.bench, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(vfie.bench, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("eval_points, exact, error, message", [
+    (1, lambda t: t, ValueError, "need at least 2 evaluation points, got 1"),
+    (64, lambda t: math.nan if t > 0.5 else t, AssemblyError,
+     "u(0.5079365079365079) returned nan"),
+], ids=["one-point", "nan-exact"])
+def test_run_sweep_refuses_before_any_kernel_call(monkeypatch, eval_points, exact, error, message):
+    kernel_calls = _counted(monkeypatch, "_kernel_ts")
+    monkeypatch.setattr(vfie.bench, "_u1", exact)
+    with pytest.raises(error) as exc:
+        run_sweep(1, Method.NEW_DE, (4,), eval_points=eval_points)
+    assert str(exc.value) == message
+    assert len(kernel_calls) == 0
+
+
+def test_run_sweep_samples_the_exact_solution_once_per_point(monkeypatch):
+    exact_calls = _counted(monkeypatch, "_u2")
+    run_sweep(2, Method.NEW_DE, (4, 16, 64), eval_points=1024)
+    assert len(exact_calls) == 1024
+
+
+@pytest.mark.parametrize("method", list(Method))
+@pytest.mark.parametrize("example_id", [1, 2])
+def test_run_sweep_errors_are_bitwise_those_of_max_error(example_id, method):
+    ex = builtin(example_id)
+    records = run_sweep(example_id, method, (4, 16, 64), eval_points=1024)
+    assert [r.N for r in records] == [4, 16, 64]
+    for r in records:
+        expected = max_error(solve(ex.problem, method, r.N), ex.exact, 1024)
+        assert r.max_error.hex() == expected.hex()
 
 
 def test_decoupled_sweep_error_is_interpolation_error():

@@ -18,9 +18,10 @@ and, as another, on one shuffled batch that takes every branch of
 evaluation: the nodes, some of them twice, some node neighbours, off-node
 points with an integral u = x/h, random points and the endpoints;
 `evaluate_solution` on some of those points; `max_error`; `self_check` of
-both examples; and `inverse` on random points, the endpoints and offsets
-L*10^k from each end, for every transform on two intervals.  Both
-examples, all four methods, N = 4, 16, 64, 128, 256.
+both examples; h and max_error of each record of `run_sweep` over
+N = 4, 16, 64 with 4096 error points; and `inverse` on random points, the
+endpoints and offsets L*10^k from each end, for every transform on two
+intervals.  Both examples, all four methods, N = 4, 16, 64, 128, 256.
 `condition_hint` is left out: it is an estimate whose last digits depend
 on the BLAS thread count.
 """
@@ -38,6 +39,7 @@ import numpy as np  # noqa: E402
 from integral_u import integral_u_points  # noqa: E402
 
 N_LIST = (4, 16, 64, 128, 256)
+SWEEP_N_LIST = (4, 16, 64)
 
 
 class Digests:
@@ -104,6 +106,9 @@ def solver_families(vfie, out):
         out.add("max_error", [vfie.max_error(sol, example.exact, 4096)])
     for example_id in (1, 2):
         out.add("self_check", [vfie.self_check(vfie.builtin(example_id))])
+        for method in vfie.Method:
+            records = vfie.run_sweep(example_id, method, SWEEP_N_LIST, 4096)
+            out.add("run_sweep.records", [(r.h, r.max_error) for r in records])
 
 
 def inverse_family(vfie, out):
