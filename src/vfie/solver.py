@@ -57,13 +57,9 @@ RCOND_FLOOR = 100.0 * np.finfo(float).eps
 # and k2 samples (scaled in place into V and K), A and, for the original
 # variants, one scratch buffer for the hat columns, plus sampling and ufunc
 # temporaries below n^2/4: tracemalloc measures a peak of 5.17 n^2 doubles
-# at N = 128.  LU holds fewer: A and one n x n copy at a time.
+# at N = 128.  solve_linear holds fewer: A and |A| for the infinity norm,
+# then A and the LU copy.
 _PEAK_ARRAYS = 6
-
-# doubles of |A| that solve_linear holds at a time while it takes the
-# infinity norm row block by row block: 128 KB, glibc's default mmap
-# threshold, so the blocks come from the heap rather than fresh pages
-_NORM_BLOCK = 16384
 
 
 class AssemblyError(ValueError):
@@ -330,14 +326,7 @@ def solve_linear(A, rhs):
         raise ValueError(f"matrix must be square, got shape {A.shape}")
     if rhs.shape != (A.shape[0],):
         raise ValueError(f"rhs shape {rhs.shape} does not match order {A.shape[0]}")
-    # max_i sum_j |a_ij| as np.linalg.norm(A, inf) sums it (0 for n = 0),
-    # without |A|
-    n = A.shape[0]
-    rows = max(1, _NORM_BLOCK // max(n, 1))
-    rowsums = np.empty(n)
-    for s in range(0, n, rows):
-        np.abs(A[s:s + rows]).sum(axis=1, out=rowsums[s:s + rows])
-    anorm = rowsums.max(initial=0.0)
+    anorm = np.linalg.norm(A, np.inf)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         lu, piv = scipy.linalg.lu_factor(A)
@@ -358,9 +347,10 @@ def solve(problem: Problem, method: Method, N: int) -> DiscreteSolution:
     A numerically singular system (rcond below 100 eps) is reported
     through ConditioningWarning rather than raised: invertibility is only
     guaranteed for N large enough, and sweeps should report, not crash.
-    The grid is built first, so an N that cannot fit is refused before
-    any kernel call.
+    The grid is built here because the solution carries it and the
+    assemblers return only (A, rhs); the assembler builds it again.
     """
+    # the second build goes when assembly returns its grid (ROADMAP item 3, after item 2)
     grid = grid_for(problem, method, N)
     if method is Method.SHAMLOO_SE:
         A, rhs = assemble_shamloo(problem, N)

@@ -13,24 +13,46 @@ u - j from a broadcast subtraction and the signed coefficients built per
 call and not scaled, and with the epilogue that the O(1) per-point one
 replaced: `k % 2`, `np.interp` and `searchsorted` on every point.
 `expression_assemble` is the collocation system written as whole-array
-products, the form that assembly in place replaced.  `quadrature` and `indefinite` are the Sinc quadrature and
-indefinite integration of one function, one scalar call per node; with
-two closures per probe they give the residual that `solver._residual`
-computes in array form.  `load_tool` imports a script of tools/.
+products, the form that assembly in place replaced.  `naive_assemble_new`
+and `naive_assemble_original` build it entry by entry from the scalar
+transforms, hats and Si; `assemble` and `naive_assemble` pick the public
+assembler and the naive one by method.  `quadrature` and `indefinite` are
+the Sinc quadrature and indefinite integration of one function, one
+scalar call per node; with two closures per probe they give the residual
+that `solver._residual` computes in array form.  `quad_si` is Si by
+adaptive quadrature of sin(t)/t, and `SI_PI` is Si(pi) to 40 digits.
+`load_tool` imports a script of tools/.
 """
 
 import importlib.util
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning, quad
+from scipy.special import sici
 
-from vfie import Method, evaluate_many, grid_for, inverse
+from vfie import (
+    Method,
+    TransformKind,
+    assemble_johnogbonna,
+    assemble_new,
+    assemble_shamloo,
+    derivative,
+    evaluate_many,
+    forward,
+    grid_for,
+    inverse,
+    select_h,
+)
 from vfie.solver import _offset_matrix, _running_integral
 
 _NODE_TOL = 1e-15
 _TAYLOR_CUTOFF = 1e-4
+
+SI_PI = 1.8519370519824661703610533701579913633076  # Si(pi), 40-digit reference
 
 
 @pytest.fixture
@@ -199,3 +221,104 @@ def indefinite(grid, f, t: float) -> float:
     vals = np.array([f(s) for s in grid.points.tolist()], dtype=float)
     jrow = _running_integral(grid.h, (x - np.arange(-N, N + 1) * grid.h) / grid.h)
     return float((vals * grid.weights) @ jrow)
+
+
+def quad_si(x):
+    """Brute-force oracle: adaptive quadrature of sin(t)/t over [0, x]."""
+    with warnings.catch_warnings():
+        # pushing quad to 1e-15 trips its roundoff heuristic; the returned
+        # error estimate is what we actually gate on
+        warnings.simplefilter("ignore", IntegrationWarning)
+        val, err = quad(lambda t: math.sin(t) / t if t != 0.0 else 1.0, 0.0, x,
+                        limit=300, epsabs=1e-15, epsrel=1e-14)
+    assert err < 1e-12
+    return val
+
+
+def assemble(problem, method, N):
+    """(A, rhs) of `method` from its public assembler."""
+    if method is Method.SHAMLOO_SE:
+        return assemble_shamloo(problem, N)
+    if method is Method.JOHN_OGBONNA_DE:
+        return assemble_johnogbonna(problem, N)
+    return assemble_new(problem, method, N)
+
+
+def naive_assemble(problem, method, N):
+    """(A, rhs) of `method` from the naive double loops."""
+    if method.is_original:
+        return naive_assemble_original(problem, method, N)
+    return naive_assemble_new(problem, method, N)
+
+
+def naive_j_at_node(h, offset):
+    # J(j,h)(ih): the argument pi (ih - jh)/h is the exact integer multiple
+    # pi (i - j), so transcribe it that way (J has a 0.5 - 0.59 cancellation
+    # that would otherwise amplify a 1-ulp argument wobble)
+    return h * (0.5 + sici(math.pi * offset)[0] / math.pi)
+
+
+def naive_assemble_new(problem, method, N):
+    """Either boundary-corrected variant: I - V - K entry by entry."""
+    kind = method.transform
+    d = problem.d_se if kind is TransformKind.SE else problem.d_de
+    h = select_h(method, problem.alpha, d, N)
+    iv = problem.iv
+    n = 2 * N + 1
+    A = np.zeros((n, n))
+    rhs = np.zeros(n)
+    for i in range(-N, N + 1):
+        ti = forward(kind, iv, i * h)
+        rhs[i + N] = problem.g(ti)
+        for j in range(-N, N + 1):
+            sj = forward(kind, iv, j * h)
+            wj = derivative(kind, iv, j * h)
+            v = problem.k1(ti, sj) * wj * naive_j_at_node(h, i - j)
+            k = problem.k2(ti, sj) * wj * h
+            A[i + N, j + N] = (1.0 if i == j else 0.0) - v - k
+    return A, rhs
+
+
+def naive_assemble_original(problem, method, N):
+    """Either original variant: hats kept as explicit basis columns; for the
+    half-argument tanh-sinh variant the extreme collocation rows sit on the
+    endpoints, where the running-integral factor degenerates to 0 / h."""
+    kind = method.transform
+    d = problem.d_se if kind is TransformKind.SE else problem.d_de
+    h = select_h(method, problem.alpha, d, N)
+    iv = problem.iv
+    n = 2 * N + 1
+    pts = [forward(kind, iv, j * h) for j in range(-N, N + 1)]
+    wts = [derivative(kind, iv, j * h) for j in range(-N, N + 1)]
+    endpoint_rows = method is Method.JOHN_OGBONNA_DE
+    A = np.zeros((n, n))
+    rhs = np.zeros(n)
+    for i in range(-N, N + 1):
+        if endpoint_rows and i == -N:
+            ti, jfac = iv.a, (lambda l: 0.0)  # running integral from a to a
+        elif endpoint_rows and i == N:
+            ti, jfac = iv.b, (lambda l: h)    # full-interval limit of J
+        else:
+            ti, jfac = pts[i + N], (lambda l, i=i: naive_j_at_node(h, i - l))
+        rhs[i + N] = problem.g(ti)
+        for j in range(-N, N + 1):
+            if j in (-N, N):
+                hat = omega_a if j == -N else omega_b
+                e = hat(iv, ti)
+                v = 0.0
+                kacc = 0.0
+                for l in range(-N, N + 1):
+                    sl, wl = pts[l + N], wts[l + N]
+                    v += problem.k1(ti, sl) * hat(iv, sl) * wl * jfac(l)
+                    kacc += problem.k2(ti, sl) * hat(iv, sl) * wl
+                k = kacc * h
+            else:
+                e = 1.0 if i == j else 0.0
+                sj, wj = pts[j + N], wts[j + N]
+                v = problem.k1(ti, sj) * wj * jfac(j)
+                k = problem.k2(ti, sj) * wj * h
+            if endpoint_rows and i in (-N, N):
+                # identity rows of the endpoint-collocated variant
+                e = 1.0 if i == j else 0.0
+            A[i + N, j + N] = e - v - k
+    return A, rhs

@@ -5,22 +5,16 @@ Run with `pytest -s tests/test_acceptance.py` to see the lines as they go.
 
 import math
 import time
-import warnings
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 from scipy.special import beta, sici
 
-from conftest import assert_ulp_close
-from test_solver import naive_assemble_new, naive_assemble_original
+from conftest import assemble, assert_ulp_close, naive_assemble, quad_si
 from vfie import (
     Method,
     RateModel,
     TransformKind,
     approximate,
-    assemble_johnogbonna,
-    assemble_new,
-    assemble_shamloo,
     build_grid,
     builtin,
     derivative,
@@ -68,14 +62,7 @@ def test_criterion_01_interpolation_identity():
 def test_criterion_02_special_function_oracles():
     # Si as solver._running_integral computes it, and the beta function of
     # example 2's right-hand side
-    def oracle(x):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IntegrationWarning)
-            val, _ = quad(lambda t: math.sin(t) / t if t != 0.0 else 1.0, 0.0, x,
-                          limit=300, epsabs=1e-15, epsrel=1e-14)
-        return val
-
-    worst = max(abs(sici(x)[0] - oracle(x))
+    worst = max(abs(sici(x)[0] - quad_si(x))
                 for x in np.linspace(-20.0, 20.0, 200))
     beta_ok = (abs(beta(1.0, 1.0) - 1.0) <= 1e-12
                and abs(beta(1.5, 2.0) - 4.0 / 15.0) <= 1e-12 * (4.0 / 15.0)
@@ -89,17 +76,9 @@ def test_criterion_03_assembly_oracle_equivalence():
     N = 2
     for example_id in (1, 2):
         problem = builtin(example_id).problem
-        pairs = [
-            (assemble_new(problem, Method.NEW_SE, N),
-             naive_assemble_new(problem, Method.NEW_SE, N)),
-            (assemble_new(problem, Method.NEW_DE, N),
-             naive_assemble_new(problem, Method.NEW_DE, N)),
-            (assemble_shamloo(problem, N),
-             naive_assemble_original(problem, Method.SHAMLOO_SE, N)),
-            (assemble_johnogbonna(problem, N),
-             naive_assemble_original(problem, Method.JOHN_OGBONNA_DE, N)),
-        ]
-        for (A, rhs), (A_ref, rhs_ref) in pairs:
+        for method in Method:
+            A, rhs = assemble(problem, method, N)
+            A_ref, rhs_ref = naive_assemble(problem, method, N)
             assert_ulp_close(A, A_ref, ulps=1)
             assert_ulp_close(rhs, rhs_ref, ulps=1)
     report("3 assembly oracle equivalence", True,
@@ -160,12 +139,7 @@ def test_criterion_08_residual_bound():
         problem = builtin(example_id).problem
         for method in Method:
             for N in (4, 8, 16, 24, 32, 48, 64, 96, 128):
-                if method is Method.SHAMLOO_SE:
-                    A, rhs = assemble_shamloo(problem, N)
-                elif method is Method.JOHN_OGBONNA_DE:
-                    A, rhs = assemble_johnogbonna(problem, N)
-                else:
-                    A, rhs = assemble_new(problem, method, N)
+                A, rhs = assemble(problem, method, N)
                 c, _ = solve_linear(A, rhs)
                 ratio = (np.max(np.abs(A @ c - rhs))
                          / (1.0 + np.max(np.abs(rhs))))

@@ -1,6 +1,10 @@
+import ast
 import inspect
+import pathlib
 
 import vfie
+
+TESTS = pathlib.Path(__file__).parent
 
 # The public surface.  A name added or removed here is a deliberate change
 # to the API and belongs in CHANGES.md.
@@ -70,3 +74,23 @@ SIGNATURES = {
 def test_signatures_are_pinned():
     for name, params in SIGNATURES.items():
         assert list(inspect.signature(getattr(vfie, name)).parameters) == params, name
+
+
+def test_test_modules_follow_the_package_layout():
+    # each test module is named for the module of src/vfie or tools/ it
+    # tests, except the acceptance suite and this one; shared oracles and
+    # helpers live in conftest.py, so no test module imports another
+    root = TESTS.parent
+    sources = [*(root / "src" / "vfie").glob("*.py"), *(root / "tools").glob("*.py")]
+    allowed = {f"test_{path.stem}" for path in sources} | {"test_acceptance", "test_api"}
+    tests = {path.stem for path in TESTS.glob("test_*.py")}
+    assert tests <= allowed, sorted(tests - allowed)
+    for path in TESTS.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not {name.split(".")[0] for name in names} & tests, (path.name, names)

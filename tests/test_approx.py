@@ -15,6 +15,7 @@ from conftest import (
     omega_a,
     omega_b,
     quadrature,
+    sinc_S,
     subtract_evaluate,
 )
 from vfie import (
@@ -31,7 +32,7 @@ from vfie import (
     select_h,
     solve,
 )
-from vfie.approx import _BLOCK, _evaluate_point
+from vfie.approx import _BLOCK, _boundary_pair, _evaluate_point
 
 UNIT = Interval(0.0, 1.0)
 integral_u = load_tool("integral_u")
@@ -575,3 +576,59 @@ def test_evaluation_holds_one_block_of_entries(interpolants):
     finally:
         tracemalloc.stop()
     assert peak < 2 * _BLOCK * interp.grid.n * 8, f"peak {peak} B"
+
+
+# --- the boundary hats of _boundary_pair, and the oracle sinc_S ----------
+
+def test_omega_values():
+    assert _boundary_pair(UNIT, 0.0) == (1.0, 0.0)
+    assert _boundary_pair(UNIT, 1.0) == (0.0, 1.0)
+    assert _boundary_pair(UNIT, 0.25)[1] == 0.25
+    assert _boundary_pair(Interval(2.0, 6.0), 5.0)[0] == 0.25
+
+
+def test_omega_partition_unit_exact(rng):
+    wa, wb = _boundary_pair(UNIT, rng.uniform(0.0, 1.0, size=2000))
+    assert np.all(wa + wb == 1.0)
+
+
+def test_omega_partition_general(rng):
+    # general intervals round each hat once; the sum stays within 1 ulp of 1
+    for _ in range(2000):
+        a = rng.uniform(-10.0, 5.0)
+        b = a + rng.uniform(0.5, 8.0)
+        wa, wb = _boundary_pair(Interval(a, b), rng.uniform(a, b))
+        assert abs(wa + wb - 1.0) <= np.spacing(1.0)
+
+
+def test_S_node_values():
+    assert sinc_S(0, 1.0, 0.0) == 1.0
+    assert sinc_S(3, 0.5, 1.0) == 0.0  # x/h = 2, an off-index grid node
+    assert sinc_S(0, 1.0, 0.5) == pytest.approx(2.0 / math.pi, rel=1e-15)
+
+
+def test_S_cardinality_exact(rng):
+    for _ in range(50):
+        j = int(rng.integers(-40, 41))
+        h = float(rng.uniform(0.01, 3.0))
+        for i in range(-50, 51):
+            expected = 1.0 if i == j else 0.0
+            assert sinc_S(j, h, i * h) == expected
+
+
+def test_S_limits_and_nan():
+    assert sinc_S(0, 1.0, math.inf) == 0.0
+    assert sinc_S(5, 0.3, -math.inf) == 0.0
+    assert math.isnan(sinc_S(0, 1.0, math.nan))
+    with pytest.raises(ValueError):
+        sinc_S(0, 0.0, 1.0)
+
+
+def test_S_near_node_taylor_branch():
+    # just off the node the Taylor fallback must join the sin form smoothly
+    x = 1e-5
+    y = math.pi * x
+    assert sinc_S(0, 1.0, x) == pytest.approx(1.0 - y * y / 6.0, abs=1e-15)
+    x = 5e-5  # still below the 1e-4 cutoff in y = pi r
+    direct = math.sin(math.pi * x) / (math.pi * x)
+    assert sinc_S(0, 1.0, x) == pytest.approx(direct, rel=1e-14)

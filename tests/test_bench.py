@@ -5,6 +5,7 @@ import math
 import re
 
 import pytest
+from scipy.special import beta
 
 from vfie import (
     AssemblyError,
@@ -46,6 +47,23 @@ def test_builtin_example2_values():
     assert ex.problem.k1(0.5, 0.25) == pytest.approx(0.25, rel=1e-15)  # s^1 at t=1/2
     assert ex.exact(0.25) == 0.5
     assert ex.problem.alpha == 0.5
+
+
+def test_beta_trivial():
+    # example 2's g calls scipy.special.beta
+    assert beta(1.0, 1.0) == pytest.approx(1.0, rel=1e-14)
+
+
+def test_beta_closed_forms():
+    assert beta(1.5, 2.0) == pytest.approx(4.0 / 15.0, rel=1e-12)
+    assert beta(2.0, 3.0) == pytest.approx(1.0 / 12.0, rel=1e-12)
+
+
+def test_beta_symmetry(rng):
+    for _ in range(200):
+        p, q = rng.uniform(0.05, 30.0, size=2)
+        bp, bq = beta(p, q), beta(q, p)
+        assert abs(bp - bq) <= 2e-15 * abs(bp)
 
 
 def test_builtin_unknown_id():

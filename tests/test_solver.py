@@ -13,11 +13,15 @@ from scipy.special import sici
 import vfie.bench
 import vfie.solver
 from conftest import (
+    SI_PI,
+    assemble,
     assert_ulp_close,
     expression_assemble,
     indefinite,
+    naive_assemble,
     omega_a,
     omega_b,
+    quad_si,
     quadrature,
     sinc_S,
 )
@@ -29,19 +33,15 @@ from vfie import (
     Method,
     Problem,
     SingularMatrixError,
-    TransformKind,
     assemble_johnogbonna,
     assemble_new,
     assemble_shamloo,
     builtin,
-    derivative,
     evaluate_solution,
     evaluate_solution_many,
-    forward,
     grid_for,
     inverse,
     max_error,
-    select_h,
     self_check,
     solve,
     solve_linear,
@@ -56,104 +56,12 @@ def zero_kernel_problem(g, alpha=1.0):
                    d_se=3.14, d_de=1.57)
 
 
-# ---------------------------------------------------------------------------
-# naive double-loop assembly oracle (independent transcription of the
-# collocation systems, built from the scalar transform/basis functions)
-# ---------------------------------------------------------------------------
-
-def naive_j_at_node(h, offset):
-    # J(j,h)(ih): the argument pi (ih - jh)/h is the exact integer multiple
-    # pi (i - j), so transcribe it that way (J has a 0.5 - 0.59 cancellation
-    # that would otherwise amplify a 1-ulp argument wobble)
-    return h * (0.5 + sici(math.pi * offset)[0] / math.pi)
-
-
-def naive_assemble_new(problem, method, N):
-    kind = method.transform
-    d = problem.d_se if kind is TransformKind.SE else problem.d_de
-    h = select_h(method, problem.alpha, d, N)
-    iv = problem.iv
-    n = 2 * N + 1
-    A = np.zeros((n, n))
-    rhs = np.zeros(n)
-    for i in range(-N, N + 1):
-        ti = forward(kind, iv, i * h)
-        rhs[i + N] = problem.g(ti)
-        for j in range(-N, N + 1):
-            sj = forward(kind, iv, j * h)
-            wj = derivative(kind, iv, j * h)
-            v = problem.k1(ti, sj) * wj * naive_j_at_node(h, i - j)
-            k = problem.k2(ti, sj) * wj * h
-            A[i + N, j + N] = (1.0 if i == j else 0.0) - v - k
-    return A, rhs
-
-
-def naive_assemble_original(problem, method, N):
-    """Either original variant: hats kept as explicit basis columns; for the
-    half-argument tanh-sinh variant the extreme collocation rows sit on the
-    endpoints, where the running-integral factor degenerates to 0 / h."""
-    kind = method.transform
-    d = problem.d_se if kind is TransformKind.SE else problem.d_de
-    h = select_h(method, problem.alpha, d, N)
-    iv = problem.iv
-    n = 2 * N + 1
-    pts = [forward(kind, iv, j * h) for j in range(-N, N + 1)]
-    wts = [derivative(kind, iv, j * h) for j in range(-N, N + 1)]
-    endpoint_rows = method is Method.JOHN_OGBONNA_DE
-    A = np.zeros((n, n))
-    rhs = np.zeros(n)
-    for i in range(-N, N + 1):
-        if endpoint_rows and i == -N:
-            ti, jfac = iv.a, (lambda l: 0.0)  # running integral from a to a
-        elif endpoint_rows and i == N:
-            ti, jfac = iv.b, (lambda l: h)    # full-interval limit of J
-        else:
-            ti, jfac = pts[i + N], (lambda l, i=i: naive_j_at_node(h, i - l))
-        rhs[i + N] = problem.g(ti)
-        for j in range(-N, N + 1):
-            if j == -N:
-                e = omega_a(iv, ti)
-                v = 0.0
-                kacc = 0.0
-                for l in range(-N, N + 1):
-                    sl, wl = pts[l + N], wts[l + N]
-                    v += problem.k1(ti, sl) * omega_a(iv, sl) * wl * jfac(l)
-                    kacc += problem.k2(ti, sl) * omega_a(iv, sl) * wl
-                k = kacc * h
-            elif j == N:
-                e = omega_b(iv, ti)
-                v = 0.0
-                kacc = 0.0
-                for l in range(-N, N + 1):
-                    sl, wl = pts[l + N], wts[l + N]
-                    v += problem.k1(ti, sl) * omega_b(iv, sl) * wl * jfac(l)
-                    kacc += problem.k2(ti, sl) * omega_b(iv, sl) * wl
-                k = kacc * h
-            else:
-                e = 1.0 if i == j else 0.0
-                sj, wj = pts[j + N], wts[j + N]
-                v = problem.k1(ti, sj) * wj * jfac(j)
-                k = problem.k2(ti, sj) * wj * h
-            if endpoint_rows and i in (-N, N):
-                # identity rows of the endpoint-collocated variant
-                e = 1.0 if i == j else 0.0
-            A[i + N, j + N] = e - v - k
-    return A, rhs
-
-
 @pytest.mark.parametrize("method", list(Method))
 def test_assembly_matches_naive_oracle_example1(method):
     problem = builtin(1).problem
     N = 2
-    if method is Method.SHAMLOO_SE:
-        got = assemble_shamloo(problem, N)
-        want = naive_assemble_original(problem, method, N)
-    elif method is Method.JOHN_OGBONNA_DE:
-        got = assemble_johnogbonna(problem, N)
-        want = naive_assemble_original(problem, method, N)
-    else:
-        got = assemble_new(problem, method, N)
-        want = naive_assemble_new(problem, method, N)
+    got = assemble(problem, method, N)
+    want = naive_assemble(problem, method, N)
     assert_ulp_close(got[0], want[0], ulps=1)
     assert_ulp_close(got[1], want[1], ulps=1)
 
@@ -162,15 +70,8 @@ def test_assembly_matches_naive_oracle_example1(method):
 def test_assembly_matches_naive_oracle_example2(method):
     problem = builtin(2).problem
     N = 3
-    if method is Method.SHAMLOO_SE:
-        got = assemble_shamloo(problem, N)
-        want = naive_assemble_original(problem, Method.SHAMLOO_SE, N)
-    elif method is Method.JOHN_OGBONNA_DE:
-        got = assemble_johnogbonna(problem, N)
-        want = naive_assemble_original(problem, Method.JOHN_OGBONNA_DE, N)
-    else:
-        got = assemble_new(problem, method, N)
-        want = naive_assemble_new(problem, method, N)
+    got = assemble(problem, method, N)
+    want = naive_assemble(problem, method, N)
     assert_ulp_close(got[0], want[0], ulps=1)
     assert_ulp_close(got[1], want[1], ulps=1)
 
@@ -182,12 +83,7 @@ def test_assembly_equals_the_expression_form_bitwise(method):
     for example_id in (1, 2):
         problem = builtin(example_id).problem
         for N in (8, 64):
-            if method is Method.SHAMLOO_SE:
-                A, rhs = assemble_shamloo(problem, N)
-            elif method is Method.JOHN_OGBONNA_DE:
-                A, rhs = assemble_johnogbonna(problem, N)
-            else:
-                A, rhs = assemble_new(problem, method, N)
+            A, rhs = assemble(problem, method, N)
             A_ref, rhs_ref = expression_assemble(problem, method, N)
             assert np.array_equal(A, A_ref), (example_id, N)
             assert np.array_equal(rhs, rhs_ref), (example_id, N)
@@ -459,6 +355,138 @@ def test_offset_identity(rng):
 
 
 # ---------------------------------------------------------------------------
+# the running integral J(j,h) = h (1/2 + Si(pi r)/pi), Si from scipy's sici
+# ---------------------------------------------------------------------------
+
+def J(j, h, x):
+    """J(j,h)(x), the running integral at the offset (x - jh)/h."""
+    return vfie.solver._running_integral(h, (x - j * h) / h)
+
+
+def test_J_values():
+    assert J(0, 1.0, 0.0) == 0.5
+    assert J(0, 1.0, math.inf) == 1.0
+    assert J(0, 1.0, -math.inf) == 0.0
+    # offset of one mesh step: h (1/2 + Si(pi)/pi)
+    expected = 0.25 * (0.5 + SI_PI / math.pi)
+    assert J(0, 0.25, 0.25) == pytest.approx(expected, rel=1e-14)
+    assert expected == pytest.approx(0.2723724680590209, rel=1e-13)
+    assert math.isnan(J(0, 1.0, math.nan))
+
+
+def test_J_array_calls_equal_scalar_calls():
+    h = 0.3
+    js = np.arange(-20, 21)
+    xs = np.concatenate([np.linspace(-20.0, 20.0, 1001), [math.inf, -math.inf]])
+    got = J(js[:, None], h, xs[None, :])
+    scalar = [[J(int(j), h, float(x)) for x in xs] for j in js]
+    assert np.array_equal(got, np.array(scalar))
+    assert np.array_equal(got[:, -2:], np.tile([h, 0.0], (len(js), 1)))
+
+
+def test_J_bound_and_range(rng):
+    for _ in range(100):
+        j = int(rng.integers(-20, 21))
+        h = float(rng.uniform(0.01, 2.5))
+        xs = rng.uniform(j * h - 20.0 * h, j * h + 20.0 * h, size=100)
+        vals = np.array([J(j, h, x) for x in xs])
+        assert np.all(np.abs(vals) <= 1.1 * h)
+        assert np.all(vals >= -0.1 * h)
+        assert np.all(vals <= 1.1 * h)
+
+
+def test_J_reflection_identity(rng):
+    # J(j,h)(2jh - x) + J(j,h)(x) = h, by oddness of Si
+    for _ in range(200):
+        j = int(rng.integers(-10, 11))
+        h = float(rng.uniform(0.05, 2.0))
+        x = float(rng.uniform(j * h - 15.0 * h, j * h + 15.0 * h))
+        total = J(j, h, 2 * j * h - x) + J(j, h, x)
+        assert total == pytest.approx(h, rel=5e-16)
+
+
+# High-precision references (40-digit evaluation of the defining integral).
+SI_REFERENCE = {
+    1.0: 0.9460830703671830149413533138231796578123,
+    50.0: 1.5516170724859358947279855948604768702769,
+    1e4: 1.5708915453859619157223696748119829376928,
+    1e6: 1.5707953900431190814622082011440286365853,
+}
+
+
+def sine_integral(x):
+    """Si(x) as the solver computes it."""
+    return sici(x)[0]
+
+
+def test_si_zero_is_exact():
+    assert sine_integral(0.0) == 0.0
+    assert sine_integral(-0.0) == 0.0
+
+
+def test_si_at_one():
+    assert sine_integral(1.0) == pytest.approx(SI_REFERENCE[1.0], rel=1e-15)
+
+
+@pytest.mark.parametrize("x", sorted(SI_REFERENCE))
+def test_si_reference_points(x):
+    assert sine_integral(x) == pytest.approx(SI_REFERENCE[x], rel=1e-14)
+
+
+def test_si_large_argument_absolute_error():
+    # beyond 1e4 the contract is absolute: |err| <= 1e-13
+    assert abs(sine_integral(1e6) - SI_REFERENCE[1e6]) <= 1e-13
+
+
+@pytest.mark.parametrize("x", [0.5, 3.0, 50.0])
+def test_si_oddness_is_exact(x):
+    assert sine_integral(-x) == -sine_integral(x)
+
+
+def test_si_oddness_random(rng):
+    for x in rng.uniform(0.0, 100.0, size=200):
+        assert sine_integral(-x) == -sine_integral(x)
+
+
+def test_si_matches_quadrature_oracle():
+    xs = np.linspace(-20.0, 20.0, 200)
+    for x in xs:
+        assert abs(sine_integral(x) - quad_si(x)) <= 1e-13
+
+
+def test_si_asymptote_envelope():
+    for x in np.linspace(10.0, 2000.0, 150):
+        assert abs(sine_integral(x) - 0.5 * math.pi) <= 1.1 / x
+
+
+def test_si_monotone_on_first_arch():
+    xs = np.linspace(0.0, math.pi, 200)
+    vals = [sine_integral(x) for x in xs]
+    assert all(b > a for a, b in zip(vals, vals[1:]))
+
+
+def test_si_infinity_limits():
+    assert sine_integral(math.inf) == pytest.approx(0.5 * math.pi, rel=1e-15)
+    assert sine_integral(-math.inf) == pytest.approx(-0.5 * math.pi, rel=1e-15)
+
+
+def test_si_nan_propagates():
+    assert math.isnan(sine_integral(math.nan))
+
+
+def test_si_regime_crossover_is_smooth():
+    # sici has no jump at x = 4, the seam where the program's earlier Si
+    # changed from a series to a continued fraction: Si at the two float
+    # neighbours of 4 differs by about 2.5e-16 (Si'(4) = sin(4)/4 ~ -0.19
+    # times their gap of 1.3e-15), and 2e-15 allows nine ulp of Si(4) ~ 1.76
+    below = sine_integral(math.nextafter(4.0, 0.0))
+    above = sine_integral(math.nextafter(4.0, 8.0))
+    assert abs(above - below) <= 2e-15
+    for x in (3.999999, 4.0, 4.000001):
+        assert sine_integral(x) == pytest.approx(quad_si(x), abs=1e-14)
+
+
+# ---------------------------------------------------------------------------
 # linear algebra
 # ---------------------------------------------------------------------------
 
@@ -500,8 +528,7 @@ def test_solve_linear_residual_bound(rng):
 
 
 def test_solve_linear_passes_numpys_infinity_norm_to_dgecon(monkeypatch):
-    # the norm is summed a row block at a time, here 63 rows and then 3 at
-    # n = 257; it must be bitwise the whole-matrix np.linalg.norm
+    # dgecon gets bitwise the np.linalg.norm(A, inf) of the matrix it factors
     got, want = [], []
     lu_factor, dgecon = scipy.linalg.lu_factor, scipy.linalg.lapack.dgecon
 
@@ -515,12 +542,10 @@ def test_solve_linear_passes_numpys_infinity_norm_to_dgecon(monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "lu_factor", spy_lu_factor)
     monkeypatch.setattr(scipy.linalg.lapack, "dgecon", spy_dgecon)
-    for block in (vfie.solver._NORM_BLOCK, 1000):
-        monkeypatch.setattr(vfie.solver, "_NORM_BLOCK", block)
-        for example_id in (1, 2):
-            for method in Method:
-                solve(builtin(example_id).problem, method, 128)
-    assert len(got) == 16 and np.array_equal(got, want)
+    for example_id in (1, 2):
+        for method in Method:
+            solve(builtin(example_id).problem, method, 128)
+    assert len(got) == 8 and np.array_equal(got, want)
 
 
 def test_conditioning_warning_for_numerically_singular_limit():
@@ -627,12 +652,7 @@ def test_collocation_residual_invariant():
         problem = builtin(example_id).problem
         for method in Method:
             for N in (8, 32):
-                if method is Method.SHAMLOO_SE:
-                    A, rhs = assemble_shamloo(problem, N)
-                elif method is Method.JOHN_OGBONNA_DE:
-                    A, rhs = assemble_johnogbonna(problem, N)
-                else:
-                    A, rhs = assemble_new(problem, method, N)
+                A, rhs = assemble(problem, method, N)
                 c, _ = solve_linear(A, rhs)
                 residual = np.max(np.abs(A @ c - rhs))
                 assert residual <= 1e-11 * (1.0 + np.max(np.abs(rhs)))

@@ -240,7 +240,7 @@ def test_select_h_domain():
         select_h(Method.JOHN_OGBONNA_DE, 1.0, 3.14, 16)
 
 
-def test_sinc_points_small():
+def test_forward_on_jh_small():
     pts = forward(TransformKind.SE, UNIT, np.arange(-1, 2) * 1.0)
     assert pts.shape == (3,)
     assert pts[1] == 0.5
@@ -250,7 +250,7 @@ def test_sinc_points_small():
     assert de_pts[1] == 0.5
 
 
-def test_sinc_points_symmetry(rng):
+def test_forward_on_jh_symmetry(rng):
     for _ in range(100):
         iv = random_interval(rng)
         h = rng.uniform(0.05, 1.2)
@@ -260,7 +260,7 @@ def test_sinc_points_symmetry(rng):
             assert abs((pts[12 - j] + pts[12 + j]) - (iv.a + iv.b)) <= scale
 
 
-def test_sinc_points_increasing_moderate():
+def test_forward_on_jh_increasing_moderate():
     for kind in ALL_KINDS:
         pts = forward(kind, UNIT, np.arange(-16, 17) * 0.2)
         assert np.all(np.diff(pts) > 0.0)
