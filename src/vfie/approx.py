@@ -139,7 +139,7 @@ class GeneralizedInterpolant:
 
 def approximate(grid: SincGrid, samples) -> GeneralizedInterpolant:
     """Interpolant through `samples` taken at the grid points."""
-    samples = np.array(samples, dtype=float)
+    samples = transforms._real(samples).copy()  # frozen below: never the caller's array
     if samples.shape != (grid.n,):
         raise ValueError(f"expected {grid.n} samples, got shape {samples.shape}")
     bl = float(samples[0])
@@ -171,7 +171,7 @@ def evaluate_many(interp: GeneralizedInterpolant, ts) -> np.ndarray:
     """
     grid = interp.grid
     N = grid.mesh.N
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    ts = np.atleast_1d(transforms._real(ts))
     if ts.ndim > 1:
         raise ValueError(f"points must be a scalar or a 1-D array, got shape {ts.shape}")
     u = transforms.inverse(grid.kind, grid.iv, ts) / grid.h
@@ -231,7 +231,7 @@ def _evaluate_point(interp: GeneralizedInterpolant, t) -> float:
     row gets.
     """
     grid = interp.grid
-    t = float(t)
+    t = float(t) if isinstance(t, float) else float(transforms._real(t))
     u = transforms._inverse_point(grid.kind, grid.iv, t) / grid.h
     if grid.iv.a < t < grid.iv.b:
         i = grid.points.searchsorted(t)

@@ -32,7 +32,7 @@ from .approx import (
     build_grid,
     evaluate_many,
 )
-from .transforms import Interval, Method, TransformKind, _check_N, _check_mesh_args, inverse
+from .transforms import Interval, Method, TransformKind, _check_N, _check_mesh_args, _real, inverse
 
 __all__ = [
     "Problem",
@@ -166,16 +166,14 @@ def grid_for(problem: Problem, method: Method, N: int) -> SincGrid:
 
 
 def assemble_new(problem: Problem, method: Method, N: int):
-    """Collocation system (A, rhs) of a boundary-corrected method:
-    A = I - V - K with V_ij = k1(t_i,t_j) w_j J_{i-j} and
-    K_ij = k2(t_i,t_j) w_j h, rhs_i = g(t_i)."""
-    if method.is_original:
-        raise ValueError(f"assemble_new handles se-new/de-new, got {method.value}")
+    """Collocation system (A, rhs, grid) of any method on its `grid_for` grid;
+    for se-new/de-new A = I - V - K with V_ij = k1(t_i,t_j) w_j J_{i-j},
+    K_ij = k2(t_i,t_j) w_j h and rhs_i = g(t_i)."""
     return _assemble(problem, method, N)
 
 
 def assemble_shamloo(problem: Problem, N: int):
-    """Collocation system of the original tanh-map variant.
+    """Collocation system (A, rhs, grid) of the original tanh-map variant.
 
     Interior columns look like the boundary-corrected system; the first
     and last columns carry the discrete operators applied to the boundary
@@ -185,7 +183,7 @@ def assemble_shamloo(problem: Problem, N: int):
 
 
 def assemble_johnogbonna(problem: Problem, N: int):
-    """Collocation system of the original half-argument tanh-sinh variant.
+    """Collocation system (A, rhs, grid) of the original half-argument tanh-sinh variant.
 
     Its extreme collocation points sit on t = a and t = b themselves (the
     interior ones are the transform nodes), so k1, k2 and g must be
@@ -196,7 +194,7 @@ def assemble_johnogbonna(problem: Problem, N: int):
 
 
 def _assemble(problem, method, N):
-    """A = E - V - K and rhs for any method, built in place in A.
+    """A = E - V - K, rhs and the grid for any method, A built in place.
 
     V_ij = k1(t_i,s_j) w_j J_{i-j} and K_ij = k2(t_i,s_j) w_j h over the
     collocation points t_i and nodes s_j, with E the identity.  The
@@ -243,7 +241,7 @@ def _assemble(problem, method, N):
         V[:, col], K[:, col] = v, k
     A -= V
     A -= K
-    return A, _sample(problem.g, "g", coll)
+    return A, _sample(problem.g, "g", coll), grid
 
 
 def _offset_matrix(N, h):
@@ -320,8 +318,8 @@ def solve_linear(A, rhs):
     estimate taken from the factorization.  An exactly zero pivot raises
     SingularMatrixError.
     """
-    A = np.asarray(A, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
+    A = _real(A)
+    rhs = _real(rhs)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"matrix must be square, got shape {A.shape}")
     if rhs.shape != (A.shape[0],):
@@ -342,22 +340,14 @@ def solve_linear(A, rhs):
 
 
 def solve(problem: Problem, method: Method, N: int) -> DiscreteSolution:
-    """Assemble and solve the collocation system of `method` at index N.
+    """Assemble and solve the collocation system of any `method` at index
+    N, on the one grid that assembly builds and returns.
 
     A numerically singular system (rcond below 100 eps) is reported
     through ConditioningWarning rather than raised: invertibility is only
     guaranteed for N large enough, and sweeps should report, not crash.
-    The grid is built here because the solution carries it and the
-    assemblers return only (A, rhs); the assembler builds it again.
     """
-    # the second build goes when assembly returns its grid (ROADMAP item 3, after item 2)
-    grid = grid_for(problem, method, N)
-    if method is Method.SHAMLOO_SE:
-        A, rhs = assemble_shamloo(problem, N)
-    elif method is Method.JOHN_OGBONNA_DE:
-        A, rhs = assemble_johnogbonna(problem, N)
-    else:
-        A, rhs = assemble_new(problem, method, N)
+    A, rhs, grid = assemble_new(problem, method, N)
     coeffs, rcond = solve_linear(A, rhs)
     if rcond < RCOND_FLOOR:
         warnings.warn(

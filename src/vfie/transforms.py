@@ -130,7 +130,7 @@ def forward(kind: TransformKind, iv: Interval, x):
     precision instead of rounding onto a; near b it still rounds onto b
     once the distance drops below half an ulp of b.
     """
-    x = np.asarray(x, dtype=float)
+    x = _real(x)
     if kind is TransformKind.SE:
         v = 0.5 * x
     else:
@@ -152,9 +152,9 @@ def inverse(kind: TransformKind, iv: Interval, t):
     log is split into log(t - a) - log(b - t), which is finite and keeps
     the bits the quotient lost.
     """
-    if np.ndim(t) == 0:
+    t = _real(t)
+    if t.ndim == 0:
         return _inverse_point(kind, iv, float(t))
-    t = np.asarray(t, dtype=float)
     inside = (t >= iv.a) & (t <= iv.b)
     if not inside.all():
         raise _outside(iv, t[~inside][0])
@@ -208,7 +208,7 @@ def derivative(kind: TransformKind, iv: Interval, x):
     """Jacobian dt/dx of the forward map; positive, and permitted to
     underflow to 0 for large |x|.  Accepts an array; a scalar argument
     gives a float."""
-    ax = np.abs(np.asarray(x, dtype=float))  # the Jacobian is even
+    ax = np.abs(_real(x))  # the Jacobian is even
     w = iv.length
     if kind is TransformKind.SE:
         e = np.exp(-ax)  # (1/4) sech^2(x/2) = e / (1 + e)^2
@@ -218,6 +218,15 @@ def derivative(kind: TransformKind, iv: Interval, x):
     with np.errstate(over="ignore"):  # cosh(u)^2 -> inf takes the Jacobian to 0
         ch = np.cosh(c * np.sinh(ax))
         return _scalar_or_array(w * 0.5 * c * np.cosh(ax) / (ch * ch))
+
+
+def _real(x):
+    """x as float64, as np.asarray(x, dtype=float) gives it; a complex dtype
+    raises TypeError, where numpy would drop the imaginary part with a warning."""
+    x = np.asarray(x)
+    if x.dtype.kind == "c":
+        raise TypeError(f"expected real values, got dtype {x.dtype}")
+    return x.astype(float, copy=False)
 
 
 def _scalar_or_array(values):

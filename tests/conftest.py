@@ -15,12 +15,12 @@ replaced: `k % 2`, `np.interp` and `searchsorted` on every point.
 `expression_assemble` is the collocation system written as whole-array
 products, the form that assembly in place replaced.  `naive_assemble_new`
 and `naive_assemble_original` build it entry by entry from the scalar
-transforms, hats and Si; `assemble` and `naive_assemble` pick the public
-assembler and the naive one by method.  `quadrature` and `indefinite` are
-the Sinc quadrature and indefinite integration of one function, one
-scalar call per node; with two closures per probe they give the residual
-that `solver._residual` computes in array form.  `quad_si` is Si by
-adaptive quadrature of sin(t)/t, and `SI_PI` is Si(pi) to 40 digits.
+transforms, hats and Si; `naive_assemble` picks the naive one by method.
+`quadrature` and `indefinite` are the Sinc quadrature and indefinite
+integration of one function, one scalar call per node; with two closures
+per probe they give the residual that `solver._residual` computes in
+array form.  `quad_si` is Si by adaptive quadrature of sin(t)/t, and
+`SI_PI` is Si(pi) to 40 digits.
 `load_tool` imports a script of tools/.
 """
 
@@ -37,9 +37,6 @@ from scipy.special import sici
 from vfie import (
     Method,
     TransformKind,
-    assemble_johnogbonna,
-    assemble_new,
-    assemble_shamloo,
     derivative,
     evaluate_many,
     forward,
@@ -233,15 +230,6 @@ def quad_si(x):
                         limit=300, epsabs=1e-15, epsrel=1e-14)
     assert err < 1e-12
     return val
-
-
-def assemble(problem, method, N):
-    """(A, rhs) of `method` from its public assembler."""
-    if method is Method.SHAMLOO_SE:
-        return assemble_shamloo(problem, N)
-    if method is Method.JOHN_OGBONNA_DE:
-        return assemble_johnogbonna(problem, N)
-    return assemble_new(problem, method, N)
 
 
 def naive_assemble(problem, method, N):

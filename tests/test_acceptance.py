@@ -9,12 +9,13 @@ import time
 import numpy as np
 from scipy.special import beta, sici
 
-from conftest import assemble, assert_ulp_close, naive_assemble, quad_si
+from conftest import assert_ulp_close, naive_assemble, quad_si
 from vfie import (
     Method,
     RateModel,
     TransformKind,
     approximate,
+    assemble_new,
     build_grid,
     builtin,
     derivative,
@@ -77,7 +78,7 @@ def test_criterion_03_assembly_oracle_equivalence():
     for example_id in (1, 2):
         problem = builtin(example_id).problem
         for method in Method:
-            A, rhs = assemble(problem, method, N)
+            A, rhs, _ = assemble_new(problem, method, N)
             A_ref, rhs_ref = naive_assemble(problem, method, N)
             assert_ulp_close(A, A_ref, ulps=1)
             assert_ulp_close(rhs, rhs_ref, ulps=1)
@@ -139,7 +140,7 @@ def test_criterion_08_residual_bound():
         problem = builtin(example_id).problem
         for method in Method:
             for N in (4, 8, 16, 24, 32, 48, 64, 96, 128):
-                A, rhs = assemble(problem, method, N)
+                A, rhs, _ = assemble_new(problem, method, N)
                 c, _ = solve_linear(A, rhs)
                 ratio = (np.max(np.abs(A @ c - rhs))
                          / (1.0 + np.max(np.abs(rhs))))

@@ -1,6 +1,10 @@
 import ast
 import inspect
 import pathlib
+import warnings
+
+import numpy as np
+import pytest
 
 import vfie
 
@@ -94,3 +98,36 @@ def test_test_modules_follow_the_package_layout():
             else:
                 continue
             assert not {name.split(".")[0] for name in names} & tests, (path.name, names)
+
+
+# Entry points that take points, samples or a matrix from the caller, each
+# given a complex one: numpy would keep the real part with only a
+# ComplexWarning.
+UNIT = vfie.Interval(0.0, 1.0)
+POINTS = np.array([0.5 + 1j, 0.25])
+COMPLEX_INPUT = {
+    "evaluate_many": lambda sol: vfie.evaluate_many(sol._interp, POINTS),
+    "evaluate_solution_many": lambda sol: vfie.evaluate_solution_many(sol, POINTS),
+    "evaluate_solution": lambda sol: vfie.evaluate_solution(sol, 0.5 + 1j),
+    "evaluate_solution numpy scalar": lambda sol: vfie.evaluate_solution(sol, POINTS[0]),
+    "inverse": lambda sol: vfie.inverse(vfie.TransformKind.DE, UNIT, POINTS),
+    "inverse numpy scalar": lambda sol: vfie.inverse(vfie.TransformKind.DE, UNIT, POINTS[0]),
+    "forward": lambda sol: vfie.forward(vfie.TransformKind.SE, UNIT, POINTS),
+    "derivative": lambda sol: vfie.derivative(vfie.TransformKind.DE, UNIT, POINTS),
+    "approximate": lambda sol: vfie.approximate(sol.grid, sol.coeffs + 1j),
+    "solve_linear A": lambda sol: vfie.solve_linear(np.eye(2) * (1.0 + 1j), np.ones(2)),
+    "solve_linear rhs": lambda sol: vfie.solve_linear(np.eye(2), np.ones(2) + 1j),
+}
+
+
+@pytest.fixture(scope="module")
+def solution():
+    return vfie.solve(vfie.builtin(1).problem, vfie.Method.NEW_DE, 4)
+
+
+@pytest.mark.parametrize("call", COMPLEX_INPUT.values(), ids=COMPLEX_INPUT.keys())
+def test_complex_input_is_refused_without_a_warning(call, solution):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TypeError, match="complex"):
+            call(solution)

@@ -6,17 +6,21 @@ compared bit for bit:
     diff parent.txt change.txt
 
 The optional argument is the root of the source checkout whose ./src is
-imported (default: the checkout holding this script).  BLAS is pinned to
-one thread before numpy is imported, because the coefficients of a solve
-differ in their last bits between BLAS thread counts.
+imported (default: the checkout holding this script).  A checkout from
+before the assemblers returned their grid, and so `assemble_new` every
+method, is digested with its own copy of this script instead:
+`python3 /path/to/other/checkout/tools/output_digest.py`.  BLAS is pinned
+to one thread before numpy is imported, because the coefficients of a
+solve differ in their last bits between BLAS thread counts.
 
-Families: A and rhs of each assembler; the coefficients of `solve`; the
-grid's points, weights and h; `evaluate_solution_many` on 4096 equispaced,
-1000 seeded random, the nodal and the endpoint points, and, as a family of
-its own, on the float neighbours and the +-1e-13 neighbours of every node,
-and, as another, on one shuffled batch that takes every branch of
-evaluation: the nodes, some of them twice, some node neighbours, off-node
-points with an integral u = x/h, random points and the endpoints;
+Families: A and rhs of `assemble_new` for every method; the coefficients
+of `solve`; the grid's points, weights and h; `evaluate_solution_many` on
+4096 equispaced, 1000 seeded random, the nodal and the endpoint points,
+and, as a family of its own, on the float neighbours and the +-1e-13
+neighbours of every node, and, as another, on one shuffled batch that
+takes every branch of evaluation: the nodes, some of them twice, some
+node neighbours, off-node points with an integral u = x/h, random points
+and the endpoints;
 `evaluate_solution` on some of those points; `max_error`; `self_check` of
 both examples; h and max_error of each record of `run_sweep` over
 N = 4, 16, 64 with 4096 error points; and `inverse` on random points, the
@@ -66,18 +70,10 @@ def configurations(vfie):
                 yield example_id, method, N
 
 
-def assemble(vfie, problem, method, N):
-    if method is vfie.Method.SHAMLOO_SE:
-        return vfie.assemble_shamloo(problem, N)
-    if method is vfie.Method.JOHN_OGBONNA_DE:
-        return vfie.assemble_johnogbonna(problem, N)
-    return vfie.assemble_new(problem, method, N)
-
-
 def solver_families(vfie, out):
     for example_id, method, N in configurations(vfie):
         example = vfie.builtin(example_id)
-        A, rhs = assemble(vfie, example.problem, method, N)
+        A, rhs, _ = vfie.assemble_new(example.problem, method, N)
         out.add("assemble.A", A)
         out.add("assemble.rhs", rhs)
         sol = vfie.solve(example.problem, method, N)
