@@ -4,7 +4,6 @@ import math
 import operator
 import time
 from dataclasses import dataclass
-from enum import Enum, unique
 from typing import Callable
 
 import numpy as np
@@ -12,12 +11,11 @@ from scipy.special import beta
 
 from .solver import (DiscreteSolution, Problem, _residual, _sample, evaluate_solution_many,
                      grid_for, solve)
-from .transforms import Interval, Method
+from .transforms import Interval, Method, TransformKind, _check_N
 
 __all__ = [
     "BuiltinExample",
     "SweepRecord",
-    "RateModel",
     "FitError",
     "builtin",
     "max_error",
@@ -43,7 +41,6 @@ class FitError(ValueError):
 class BuiltinExample:
     """One built-in equation together with its known exact solution."""
 
-    id: int
     problem: Problem
     exact: Callable[[float], float]
 
@@ -75,9 +72,9 @@ def _u1(t):
 
 
 def _k1_power(t, s):
-    # s^(t + 1/2) on [0, 1]; the exp/log form keeps pow away from the
-    # s = 0 corner (sample points are interior, but the de-johnogbonna
-    # baseline evaluates the first argument at the endpoints).
+    # s^(t + 1/2) on [0, 1]; the guard on the node s gives the limit 0 at
+    # s = 0, which de-new's nodes reach (4 at N = 96, 11 at N = 128); the
+    # de-johnogbonna endpoint rows move the collocation point t, not s.
     if s == 0.0:
         return 0.0
     return math.exp((t + 0.5) * math.log(s))
@@ -109,11 +106,11 @@ def builtin(example_id: int) -> BuiltinExample:
     if example_id == 1:
         problem = Problem(iv=iv, k1=_kernel_ts, k2=_kernel_ts, g=_g1,
                           alpha=1.0, d_se=3.14, d_de=1.57)
-        return BuiltinExample(id=1, problem=problem, exact=_u1)
+        return BuiltinExample(problem=problem, exact=_u1)
     if example_id == 2:
         problem = Problem(iv=iv, k1=_k1_power, k2=_k2_power, g=_g2,
                           alpha=0.5, d_se=3.14, d_de=1.57)
-        return BuiltinExample(id=2, problem=problem, exact=_u2)
+        return BuiltinExample(problem=problem, exact=_u2)
     raise ValueError(f"unknown example id {example_id} (choose 1 or 2)")
 
 
@@ -137,6 +134,17 @@ def max_error(sol: DiscreteSolution, exact, M: int) -> float:
     return _sup_error(sol, *_exact_on_grid(exact, sol.grid.iv, M))
 
 
+def _check_n_list(n_list):
+    """The sweep's N list as Python ints: nonempty, each N as `solve` takes
+    it, strictly increasing."""
+    n_list = [_check_N(N) for N in n_list]
+    if not n_list:
+        raise ValueError("n_list must be nonempty")
+    if any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise ValueError(f"n_list must be strictly increasing, got {n_list}")
+    return n_list
+
+
 def run_sweep(example_id: int, method: Method, n_list, eval_points: int = 4096):
     """Solve the example at each N of the (strictly increasing) list and
     measure the sup error on the evaluation grid; one record per N.
@@ -146,11 +154,7 @@ def run_sweep(example_id: int, method: Method, n_list, eval_points: int = 4096):
     so a bad value of it is refused before any kernel call.  A record's
     `elapsed_seconds` covers its solve and its error evaluation, not that
     sampling."""
-    n_list = list(n_list)
-    if not n_list:
-        raise ValueError("n_list must be nonempty")
-    if any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ValueError(f"n_list must be strictly increasing, got {n_list}")
+    n_list = _check_n_list(n_list)
     example = builtin(example_id)
     ts, exact_values = _exact_on_grid(example.exact, example.problem.iv, eval_points)
     records = []
@@ -184,33 +188,32 @@ def emit_csv(records, path) -> None:
         fh.write(text)
 
 
-@unique
-class RateModel(Enum):
-    """Decay model for fit_rate.
+def _rate_model(method: Method) -> str:
+    """The decay model fitted to a method's sweep, the one the paper proves for
+    its transform: "se" for the tanh methods, "de" for the tanh-sinh ones."""
+    return "se" if method.transform is TransformKind.SE else "de"
 
-    SE_ROOT_EXP fits log(err) - (1/2) log(N) against sqrt(N): a clean
-    C sqrt(N) exp(-c sqrt(N)) decay recovers slope -c exactly.
-    DE_ALMOST_EXP fits log(err) against 1/h, which under the de-new mesh
-    rule equals N/log(2 d N / alpha) (and the analogous ratio for the
-    baseline rules), so exp(-c N / log(...)) decay shows slope -c.
+
+def fit_rate(records):
+    """Least-squares decay rate of one method's sweep: returns (slope, r_squared).
+
+    The model follows from the records' method.  "se" fits
+    log(err) - (1/2) log(N) against sqrt(N): a clean C sqrt(N) exp(-c sqrt(N))
+    decay recovers slope -c exactly.  "de" fits log(err) against 1/h, which
+    under the de-new mesh rule equals N/log(2 d N / alpha) (and the analogous
+    ratio for the baseline rule), so exp(-c N / log(...)) decay shows slope -c.
+    Records of more than one method raise ValueError.  Only finite errors
+    above the saturation floor (1e-13) are used; at least four are required.
     """
-
-    SE_ROOT_EXP = "se"
-    DE_ALMOST_EXP = "de"
-
-
-def fit_rate(records, model: RateModel):
-    """Least-squares decay rate of a sweep: returns (slope, r_squared).
-
-    Records at or below the saturation floor (1e-13) are excluded; at
-    least four usable records are required.
-    """
-    usable = [r for r in records if r.max_error > SATURATION_FLOOR]
+    methods = {r.method for r in records}
+    if len(methods) > 1:
+        raise ValueError(f"records of one method expected, got {sorted(m.value for m in methods)}")
+    usable = [r for r in records if SATURATION_FLOOR < r.max_error < math.inf]
     if len(usable) < 4:
         raise FitError(
-            f"need at least 4 records above {SATURATION_FLOOR:g}, have {len(usable)}"
+            f"need at least 4 finite records above {SATURATION_FLOOR:g}, have {len(usable)}"
         )
-    if model is RateModel.SE_ROOT_EXP:
+    if _rate_model(usable[0].method) == "se":
         xs = np.array([math.sqrt(r.N) for r in usable])
         ys = np.array([math.log(r.max_error) - 0.5 * math.log(r.N) for r in usable])
     else:

@@ -9,7 +9,8 @@ import sys
 from .bench import (
     DEFAULT_N_LIST,
     FitError,
-    RateModel,
+    _check_n_list,
+    _rate_model,
     builtin,
     emit_csv,
     fit_rate,
@@ -17,7 +18,7 @@ from .bench import (
     self_check,
 )
 from .solver import SingularMatrixError, evaluate_solution, solve
-from .transforms import Method, TransformKind
+from .transforms import Method
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -29,16 +30,13 @@ SELF_CHECK_TOL = 1e-8
 
 def _parse_n_list(text):
     try:
-        values = tuple(int(part) for part in text.split(","))
+        values = [int(part) for part in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("N list must be nonempty")
-    if any(v < 1 for v in values):
-        raise argparse.ArgumentTypeError(f"all N must be >= 1, got {values}")
-    if any(b <= a for a, b in zip(values, values[1:])):
-        raise argparse.ArgumentTypeError(f"N list must be strictly increasing, got {values}")
-    return values
+    try:
+        return _check_n_list(values)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -95,14 +93,12 @@ def _run_bench(args) -> int:
     if args.fit:
         for method in methods:
             subset = [r for r in records if r.method is method]
-            model = (RateModel.SE_ROOT_EXP if method.transform is TransformKind.SE
-                     else RateModel.DE_ALMOST_EXP)
             try:
-                slope, r_squared = fit_rate(subset, model)
+                slope, r_squared = fit_rate(subset)
             except FitError as exc:
                 print(f"{method.value}: fit unavailable ({exc})")
                 continue
-            print(f"{method.value}: {model.value}-model slope {slope:.4f} "
+            print(f"{method.value}: {_rate_model(method)}-model slope {slope:.4f} "
                   f"(r^2 {r_squared:.4f})")
     return EXIT_OK
 

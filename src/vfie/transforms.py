@@ -109,7 +109,7 @@ class MeshParams:
     h: float
 
     def __post_init__(self):
-        _check_N(self.N)
+        object.__setattr__(self, "N", _check_N(self.N))
         if not self.h > 0.0:
             raise ValueError(f"h must be positive, got {self.h}")
 
@@ -258,8 +258,8 @@ def select_h(method: Method, alpha: float, d: float, N: int) -> float:
 
 def _check_N(N):
     """N as a Python int.  N must be an integer >= 1: numpy integers pass,
-    floats are refused even when integral (8.0)."""
-    if not isinstance(N, numbers.Integral):
+    floats are refused even when integral (8.0), and so is a bool."""
+    if isinstance(N, bool) or not isinstance(N, numbers.Integral):
         raise ValueError(f"N must be an integer, got {N!r}")
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")

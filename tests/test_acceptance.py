@@ -12,7 +12,6 @@ from scipy.special import beta, sici
 from conftest import assert_ulp_close, naive_assemble, quad_si
 from vfie import (
     Method,
-    RateModel,
     TransformKind,
     approximate,
     assemble_new,
@@ -100,7 +99,7 @@ def test_criterion_05_se_rate_example1():
     start = time.perf_counter()
     records = run_sweep(1, Method.NEW_SE, (8, 16, 24, 32, 48, 64, 96, 128),
                         eval_points=4096)
-    slope, r2 = fit_rate(records, RateModel.SE_ROOT_EXP)
+    slope, r2 = fit_rate(records)
     elapsed = time.perf_counter() - start
     target = -math.sqrt(math.pi * 3.14 * 1.0)
     ok = abs(slope - target) <= 0.25 * abs(target) and elapsed < 10.0
@@ -111,7 +110,7 @@ def test_criterion_05_se_rate_example1():
 def test_criterion_06_se_rate_and_de_accuracy_example2():
     records = run_sweep(2, Method.NEW_SE, (8, 16, 24, 32, 48, 64, 96, 128),
                         eval_points=4096)
-    slope, r2 = fit_rate(records, RateModel.SE_ROOT_EXP)
+    slope, r2 = fit_rate(records)
     target = -math.sqrt(math.pi * 3.14 * 0.5)
     ex = builtin(2)
     de_err = max_error(solve(ex.problem, Method.NEW_DE, 64), ex.exact, 4096)

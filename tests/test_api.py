@@ -23,7 +23,6 @@ PUBLIC = [
     "MeshParams",
     "Method",
     "Problem",
-    "RateModel",
     "SincGrid",
     "SingularMatrixError",
     "SweepRecord",
@@ -72,6 +71,7 @@ SIGNATURES = {
     "run_sweep": ["example_id", "method", "n_list", "eval_points"],
     "self_check": ["example"],
     "emit_csv": ["records", "path"],
+    "fit_rate": ["records"],
 }
 
 

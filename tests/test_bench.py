@@ -11,7 +11,6 @@ from vfie import (
     AssemblyError,
     FitError,
     Method,
-    RateModel,
     SweepRecord,
     builtin,
     emit_csv,
@@ -139,6 +138,9 @@ def test_run_sweep_validates_n_list():
         run_sweep(1, Method.NEW_SE, (8, 8))
     with pytest.raises(ValueError):
         run_sweep(1, Method.NEW_SE, (16, 8))
+    for bad in (0, 8.0, True):
+        with pytest.raises(ValueError, match="N must be"):
+            run_sweep(1, Method.NEW_SE, (bad, 16))
 
 
 def _counted(monkeypatch, name):
@@ -232,32 +234,41 @@ def test_emit_csv_unwritable_destination():
         emit_csv(records, "/nonexistent-dir/sweep.csv")
 
 
-def synthetic_records(ns, err_of_n, h_of_n=None):
+def synthetic_records(ns, err_of_n, h_of_n=None, method=Method.NEW_SE):
     h_of_n = h_of_n or (lambda N: 1.0 / N)
-    return [SweepRecord(method=Method.NEW_SE, example=1, N=N, h=h_of_n(N),
+    return [SweepRecord(method=method, example=1, N=N, h=h_of_n(N),
                         max_error=err_of_n(N), elapsed_seconds=0.0)
             for N in ns]
 
 
 def test_fit_rate_recovers_exact_se_model():
-    records = synthetic_records(
-        (4, 8, 16, 32, 64),
-        lambda N: math.exp(-3.14 * math.sqrt(N)) * math.sqrt(N))
-    slope, r2 = fit_rate(records, RateModel.SE_ROOT_EXP)
-    assert slope == pytest.approx(-3.14, abs=1e-6)
-    assert r2 > 0.9999
+    # a tanh method's records regress log(err) - (1/2) log(N) on sqrt(N)
+    for method in (Method.NEW_SE, Method.SHAMLOO_SE):
+        records = synthetic_records(
+            (4, 8, 16, 32, 64),
+            lambda N: math.exp(-3.14 * math.sqrt(N)) * math.sqrt(N), method=method)
+        slope, r2 = fit_rate(records)
+        assert slope == pytest.approx(-3.14, abs=1e-6)
+        assert r2 > 0.9999
 
 
 def test_fit_rate_recovers_exact_de_model():
-    # err = exp(-c / h): the DE model regresses log(err) on 1/h
-    records = synthetic_records((4, 8, 16, 32), lambda N: 1.0,
-                                h_of_n=lambda N: math.log(2 * 1.57 * N) / N)
-    records = [SweepRecord(method=r.method, example=r.example, N=r.N, h=r.h,
-                           max_error=math.exp(-2.0 / r.h),
-                           elapsed_seconds=0.0) for r in records]
-    slope, r2 = fit_rate(records, RateModel.DE_ALMOST_EXP)
-    assert slope == pytest.approx(-2.0, abs=1e-6)
-    assert r2 > 0.9999
+    # err = exp(-c / h): a tanh-sinh method's records regress log(err) on 1/h
+    for method in (Method.NEW_DE, Method.JOHN_OGBONNA_DE):
+        records = synthetic_records((4, 8, 16, 32), lambda N: 1.0, method=method,
+                                    h_of_n=lambda N: math.log(2 * 1.57 * N) / N)
+        records = [dataclasses.replace(r, max_error=math.exp(-2.0 / r.h)) for r in records]
+        slope, r2 = fit_rate(records)
+        assert slope == pytest.approx(-2.0, abs=1e-6)
+        assert r2 > 0.9999
+
+
+def test_fit_rate_refuses_records_of_more_than_one_method():
+    records = synthetic_records((4, 8, 16, 32), lambda N: math.exp(-math.sqrt(N)))
+    mixed = records + synthetic_records((64,), lambda N: 1e-3, method=Method.NEW_DE)
+    with pytest.raises(ValueError, match="one method") as exc:
+        fit_rate(mixed)
+    assert not isinstance(exc.value, FitError)
 
 
 def test_fit_rate_excludes_saturated_records():
@@ -265,24 +276,39 @@ def test_fit_rate_excludes_saturated_records():
         (4, 8, 16, 32, 64),
         lambda N: math.exp(-3.14 * math.sqrt(N)) * math.sqrt(N))
     noisy = clean + synthetic_records((128, 256), lambda N: 5e-14)
-    slope_clean, _ = fit_rate(clean, RateModel.SE_ROOT_EXP)
-    slope_noisy, _ = fit_rate(noisy, RateModel.SE_ROOT_EXP)
+    slope_clean, _ = fit_rate(clean)
+    slope_noisy, _ = fit_rate(noisy)
     assert slope_noisy == slope_clean
+
+
+def test_fit_rate_skips_non_finite_errors():
+    # an infinite or NaN error is no decay measurement: the fit neither
+    # warns nor turns NaN, and too few finite records is a FitError
+    clean = synthetic_records(
+        (4, 8, 16, 32, 64),
+        lambda N: math.exp(-3.14 * math.sqrt(N)) * math.sqrt(N))
+    for bad in (math.inf, math.nan):
+        spoiled = clean + synthetic_records((128,), lambda N: bad)
+        assert fit_rate(spoiled) == fit_rate(clean)
+        with pytest.raises(FitError, match="have 3"):
+            fit_rate(clean[:3] + synthetic_records((128,), lambda N: bad))
 
 
 def test_fit_rate_insufficient_points():
     records = synthetic_records((4, 8, 16), lambda N: math.exp(-math.sqrt(N)))
     with pytest.raises(FitError):
-        fit_rate(records, RateModel.SE_ROOT_EXP)
+        fit_rate(records)
     saturated = synthetic_records((4, 8, 16, 32, 64), lambda N: 1e-14)
     with pytest.raises(FitError):
-        fit_rate(saturated, RateModel.SE_ROOT_EXP)
+        fit_rate(saturated)
+    with pytest.raises(FitError):
+        fit_rate([])
 
 
 def test_example1_se_rate():
     records = run_sweep(1, Method.NEW_SE, (8, 16, 24, 32, 48, 64, 96, 128),
                         eval_points=2048)
-    slope, r2 = fit_rate(records, RateModel.SE_ROOT_EXP)
+    slope, r2 = fit_rate(records)
     target = -math.sqrt(math.pi * 3.14 * 1.0)
     assert abs(slope - target) <= 0.25 * abs(target)
     assert r2 > 0.99
@@ -293,7 +319,7 @@ def test_example2_de_rate_fit_is_clean(method):
     # the default example-2 sweep decays at a clean almost-exponential rate
     # once nodes near t = 0 no longer round onto the endpoint
     records = run_sweep(2, method, DEFAULT_N_LIST, eval_points=4096)
-    _, r2 = fit_rate(records, RateModel.DE_ALMOST_EXP)
+    _, r2 = fit_rate(records)
     assert r2 >= 0.99
 
 

@@ -42,11 +42,20 @@ def test_solve_bad_method_is_usage_error():
     assert exc.value.code == 2
 
 
-def test_bad_n_list_is_usage_error():
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["bench", "--example", "1", "--method", "de-new",
-                 "--n-list", "8,4", "--out", "x.csv"])
-    assert exc.value.code == 2
+def test_bad_n_list_is_usage_error(capsys):
+    # the sweep's own N-list rule, read as an argparse type error before
+    # any self-check
+    for text, message in [("8,4", "n_list must be strictly increasing, got [8, 4]"),
+                          ("0,4", "N must be >= 1, got 0"),
+                          ("4,x", "not a comma-separated integer list: '4,x'"),
+                          ("", "not a comma-separated integer list: ''")]:
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["bench", "--example", "1", "--method", "de-new", "--n-list", text,
+                     "--out", "x.csv", "--self-check"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
 
 def test_unknown_example_is_usage_error():

@@ -781,7 +781,9 @@ def test_solve_peak_memory_is_within_the_size_refusal_estimate(method):
     assert peak <= vfie.solver._PEAK_ARRAYS * 8 * n * n, f"{peak / (8 * n * n):.2f} n^2 doubles"
 
 
-@pytest.mark.parametrize("N", [8.0, 8.5, np.float64(8.0)], ids=["8.0", "8.5", "float64"])
+# a bool is a numbers.Integral, but True is no truncation index
+@pytest.mark.parametrize("N", [8.0, 8.5, np.float64(8.0), True],
+                         ids=["8.0", "8.5", "float64", "bool"])
 def test_solve_refuses_non_integral_n(N):
     for method in Method:
         with pytest.raises(ValueError, match=re.escape(f"N must be an integer, got {N!r}")):
@@ -794,6 +796,7 @@ def test_numpy_integer_n_gives_the_same_solution(N):
     for method in Method:
         want = solve(problem, method, 8)
         got = solve(problem, method, N)
+        assert type(got.grid.mesh.N) is int
         assert got.grid.h == want.grid.h
         assert np.array_equal(got.grid.points, want.grid.points)
         assert np.array_equal(got.grid.weights, want.grid.weights)

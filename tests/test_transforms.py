@@ -48,7 +48,8 @@ def test_interval_refuses_an_overflowing_length():
     assert np.isfinite(build_grid(iv, Method.NEW_SE, 1.0, 3.14, 4).points).all()
 
 
-@pytest.mark.parametrize("N", [8.0, 8.5, np.float64(8.0)], ids=["8.0", "8.5", "float64"])
+@pytest.mark.parametrize("N", [8.0, 8.5, np.float64(8.0), True],
+                         ids=["8.0", "8.5", "float64", "bool"])
 def test_non_integral_n_is_refused(N):
     message = f"N must be an integer, got {N!r}"
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -62,6 +63,7 @@ def test_non_integral_n_is_refused(N):
 def test_mesh_params_validation():
     assert MeshParams(N=4, h=0.5).n == 9
     assert MeshParams(N=np.int64(4), h=0.5).n == 9
+    assert type(MeshParams(N=np.int64(4), h=0.5).N) is int
     with pytest.raises(ValueError):
         MeshParams(N=0, h=0.5)
     with pytest.raises(ValueError):

@@ -23,9 +23,12 @@ node neighbours, off-node points with an integral u = x/h, random points
 and the endpoints;
 `evaluate_solution` on some of those points; `max_error`; `self_check` of
 both examples; h and max_error of each record of `run_sweep` over
-N = 4, 16, 64 with 4096 error points; and `inverse` on random points, the
+N = 4, 16, 64 with 4096 error points; `inverse` on random points, the
 endpoints and offsets L*10^k from each end, for every transform on two
-intervals.  Both examples, all four methods, N = 4, 16, 64, 128, 256.
+intervals; and, as `cli.bench`, the stdout of `vfie bench --method all
+--eval-points 4096 --self-check --fit` on each example, its --out path
+replaced by a fixed token, with that run's CSV less its elapsed_seconds
+column.  Both examples, all four methods, N = 4, 16, 64, 128, 256.
 `condition_hint` is left out: it is an estimate whose last digits depend
 on the BLAS thread count.
 """
@@ -35,8 +38,11 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import contextlib  # noqa: E402
 import hashlib  # noqa: E402
+import io  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -57,6 +63,11 @@ class Digests:
         h = self._hashes.setdefault(family, hashlib.sha256())
         h.update(repr(arr.shape).encode())
         h.update(arr.tobytes())
+
+    def add_text(self, family, text):
+        h = self._hashes.setdefault(family, hashlib.sha256())
+        h.update(repr(len(text)).encode())
+        h.update(text.encode())
 
     def lines(self):
         return [f"{family} {h.hexdigest()}" for family, h in self._hashes.items()]
@@ -117,16 +128,33 @@ def inverse_family(vfie, out):
             out.add("inverse", vfie.inverse(kind, iv, ts))
 
 
+def cli_bench_family(vfie, out):
+    for example_id in (1, 2):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "sweep.csv")
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = vfie.cli.main(["bench", "--example", str(example_id), "--method", "all",
+                                      "--eval-points", "4096", "--out", path,
+                                      "--self-check", "--fit"])
+            out.add_text("cli.bench", f"exit {code}\n" + stdout.getvalue().replace(path, "<OUT>"))
+            with open(path, newline="") as fh:
+                rows = [line.split(",") for line in fh.read().split("\n")]
+        drop = rows[0].index("elapsed_seconds")
+        out.add_text("cli.bench", "\n".join(",".join(r[:drop] + r[drop + 1:]) for r in rows))
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     root = argv[0] if argv else os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     sys.path.insert(0, os.path.join(os.path.abspath(root), "src"))
-    import vfie
+    import vfie.cli
 
     print(f"vfie from {os.path.dirname(vfie.__file__)}", file=sys.stderr)
     out = Digests()
     solver_families(vfie, out)
     inverse_family(vfie, out)
+    cli_bench_family(vfie, out)
     print("\n".join(out.lines()))
     return 0
 
