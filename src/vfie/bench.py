@@ -72,12 +72,13 @@ def _u1(t):
 
 
 def _k1_power(t, s):
-    # s^(t + 1/2) on [0, 1]; the guard on the node s gives the limit 0 at
-    # s = 0, which de-new's nodes reach (4 at N = 96, 11 at N = 128); the
-    # de-johnogbonna endpoint rows move the collocation point t, not s.
-    if s == 0.0:
-        return 0.0
-    return math.exp((t + 0.5) * math.log(s))
+    # s^(t + 1/2) on [0, 1] as one pow on the exact t, a correctly rounded
+    # sqrt and one product: within a few ulp, where exp((t + 1/2) log s)
+    # scales the rounding of log s by (t + 1/2)|log s|, about 1e3 at the
+    # tanh-sinh nodes near 0.  No guard is needed at s = 0, which de-new's
+    # nodes reach (4 at N = 96, 11 at N = 128): 0.0 ** t * 0.0 is 0.0 for
+    # every t >= 0, t = 0 included.
+    return s ** t * math.sqrt(s)
 
 
 def _k2_power(t, s):
@@ -97,8 +98,9 @@ def builtin(example_id: int) -> BuiltinExample:
 
     1: k1 = k2 = t s, g = (2/3) t - (1/3) t^4, solution u(t) = t;
        smooth everywhere, alpha = 1.
-    2: k1 = s^(t+1/2), k2 = (1-s)^t,
-       g = sqrt(t) - t^(t+2)/(t+2) - B(3/2, t+1), solution u(t) = sqrt(t);
+    2: k1 = s^(t+1/2), computed as s^t sqrt(s) to within a few ulp,
+       k2 = (1-s)^t, g = sqrt(t) - t^(t+2)/(t+2) - B(3/2, t+1),
+       solution u(t) = sqrt(t);
        square-root behaviour at the left endpoint, alpha = 1/2.
     Both use strip half-widths 3.14 (tanh map) and 1.57 (tanh-sinh map).
     """
@@ -114,10 +116,16 @@ def builtin(example_id: int) -> BuiltinExample:
     raise ValueError(f"unknown example id {example_id} (choose 1 or 2)")
 
 
-def _exact_on_grid(exact, iv: Interval, M: int):
-    """The M equispaced error points of iv, endpoints included, and `exact` there."""
+def _check_eval_points(M):
+    """The size of the error grid, which holds both endpoints: M >= 2."""
     if M < 2:
         raise ValueError(f"need at least 2 evaluation points, got {M}")
+    return M
+
+
+def _exact_on_grid(exact, iv: Interval, M: int):
+    """The M equispaced error points of iv, endpoints included, and `exact` there."""
+    _check_eval_points(M)
     ts = np.linspace(iv.a, iv.b, M)
     return ts, _sample(exact, "u", ts)
 

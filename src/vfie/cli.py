@@ -9,6 +9,7 @@ import sys
 from .bench import (
     DEFAULT_N_LIST,
     FitError,
+    _check_eval_points,
     _check_n_list,
     _rate_model,
     builtin,
@@ -18,7 +19,7 @@ from .bench import (
     self_check,
 )
 from .solver import SingularMatrixError, evaluate_solution, solve
-from .transforms import Method
+from .transforms import Method, _check_point
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -35,6 +36,17 @@ def _parse_n_list(text):
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
     try:
         return _check_n_list(values)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
+def _parse_eval_points(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    try:
+        return _check_eval_points(value)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
@@ -57,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="N1,N2,...",
                        help="strictly increasing truncation indices "
                             f"(default {','.join(map(str, DEFAULT_N_LIST))})")
-    bench.add_argument("--eval-points", type=int, default=4096,
+    bench.add_argument("--eval-points", type=_parse_eval_points, default=4096,
                        help="equispaced error-grid size (default 4096)")
     bench.add_argument("--out", required=True, help="CSV destination path")
     bench.add_argument("--self-check", action="store_true",
@@ -105,6 +117,7 @@ def _run_bench(args) -> int:
 
 def _run_solve(args) -> int:
     example = builtin(args.example)
+    _check_point(example.problem.iv, args.at)
     sol = solve(example.problem, Method(args.method), args.n)
     print(repr(evaluate_solution(sol, args.at)))
     return EXIT_OK

@@ -183,9 +183,8 @@ def _inverse_point(kind, iv, t: float) -> float:
     the quotient (t - a)/(b - t) is subnormal, 0 or inf in between, the
     log is split as in the array path.
     """
+    _check_point(iv, t)
     a, b = iv.a, iv.b
-    if not a <= t <= b:
-        raise _outside(iv, t)
     if t == a or t == b:
         r = -math.inf if t == a else math.inf
     else:
@@ -202,6 +201,12 @@ def _inverse_point(kind, iv, t: float) -> float:
 def _outside(iv, t):
     """The refusal of a point t outside [a, b], NaN included."""
     return ValueError(f"t = {t} lies outside [{iv.a}, {iv.b}]")
+
+
+def _check_point(iv, t: float) -> None:
+    """Refuse one point t outside [a, b], NaN included."""
+    if not iv.a <= t <= iv.b:
+        raise _outside(iv, t)
 
 
 def derivative(kind: TransformKind, iv: Interval, x):

@@ -1,4 +1,8 @@
-"""The pair judgement of tools/ab_pairs.py: wins, ties and the gain rule."""
+"""The pair judgement of tools/ab_pairs.py: wins, ties and the gain rule,
+and its JSON record."""
+
+import json
+import os
 
 import pytest
 
@@ -69,3 +73,47 @@ def test_the_report_gives_each_sides_median_of_the_workloads_own_metrics(ab_pair
     lines = ab_pairs.report(metrics, runs)
     assert "point_query_us_p50 (us): median parent 40.0  change 6.0" in lines
     assert not any(line.startswith("wall_s (s): median") for line in lines)
+
+
+def test_json_holds_every_pair_and_the_judgement_of_every_metric(ab_pairs, monkeypatch, tmp_path):
+    # main with the benchmark runs replaced by the synthetic one: parent
+    # walls 2.0, 2.1, 2.2, change walls 1.0, 1.1, 1.2, every other metric tied
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    walls = iter([2.0, 1.0, 1.1, 2.1, 2.2, 1.2])
+
+    def fake_run(side_root, workload, seed, seconds):
+        result = ab_pairs.parse(_RUN)
+        result["metrics"] = {"setup_s": {"value": 1.5, "unit": "s"},
+                             "wall_s": {"value": next(walls), "unit": "s"},
+                             "sup_err_geomean": {"value": 3.5e-15, "unit": "abs_err"}}
+        return result
+
+    monkeypatch.setattr(ab_pairs, "run", fake_run)
+    path = tmp_path / "bench.json"
+    ab_pairs.main([root, root, "--workload", "eval-dense", "--pairs", "3", "--seconds", "45",
+                   "--first-seed", "7", "--json", str(path)])
+    with open(path) as fh:
+        data = json.load(fh)
+    assert {k: data[k] for k in ("workload", "seconds", "first_seed")} == {
+        "workload": "eval-dense", "seconds": 45.0, "first_seed": 7}
+    assert [(p["seed"], p["first"]) for p in data["pairs"]] == [
+        (7, "parent"), (8, "change"), (9, "parent")]
+    pair = data["pairs"][1]
+    assert (pair["parent"]["metrics"]["wall_s"], pair["change"]["metrics"]["wall_s"]) == (
+        {"value": 2.1, "unit": "s"}, {"value": 1.1, "unit": "s"})
+    assert pair["change"]["failed"] == 0
+    assert pair["change"]["metric_lines"]["point_query_us_p50"] == [139.17399883212056, "us"]
+    with open(os.path.join(root, "BENCHMARK.json")) as fh:
+        gated = [m["name"] for m in json.load(fh)["end_to_end"]]
+    assert list(data["metrics"]) == gated
+    wall = data["metrics"]["wall_s"]
+    assert {k: wall[k] for k in ("unit", "better", "bound", "wins", "losses", "gain",
+                                 "within_bound")} == {
+        "unit": "s", "better": "lower", "bound": 0.25, "wins": 3, "losses": 0, "gain": True,
+        "within_bound": True}
+    assert wall["quartiles"]["parent"] == pytest.approx([2.05, 2.1, 2.15])
+    assert wall["quartiles"]["change"] == pytest.approx([1.05, 1.1, 1.15])
+    assert wall["median_change"] == pytest.approx(-1.0 / 2.1)
+    setup = data["metrics"]["setup_s"]
+    assert (setup["wins"], setup["losses"], setup["gain"], setup["median_change"]) == (
+        0, 0, False, 0.0)

@@ -5,6 +5,7 @@ import math
 import re
 
 import pytest
+from mpmath import mp, mpf
 from scipy.special import beta
 
 from vfie import (
@@ -43,9 +44,29 @@ def test_builtin_example2_values():
     assert ex.problem.g(1.0) == pytest.approx(0.4, rel=1e-13)
     assert ex.problem.k2(0.0, 0.3) == 1.0
     assert ex.problem.k1(0.5, 0.0) == 0.0
-    assert ex.problem.k1(0.5, 0.25) == pytest.approx(0.25, rel=1e-15)  # s^1 at t=1/2
+    assert ex.problem.k1(0.0, 0.0) == 0.0
+    assert ex.problem.k1(1.0, 0.0) == 0.0
+    assert ex.problem.k1(0.5, 0.25) == 0.25  # s^1 at t=1/2
+    assert ex.problem.k1(0.3, 1.0) == 1.0
     assert ex.exact(0.25) == 0.5
     assert ex.problem.alpha == 0.5
+
+
+@pytest.mark.parametrize("method", [Method.NEW_DE, Method.NEW_SE], ids=lambda m: m.value)
+def test_example2_k1_is_within_4_ulp_of_mpmath(method):
+    # pow within 1 ulp, then a correctly rounded sqrt and product; a result
+    # that rounds to a subnormal is judged on the subnormal spacing, which
+    # is what math.ulp gives there
+    k1 = builtin(2).problem.k1
+    points = grid_for(builtin(2).problem, method, 64).points.tolist()
+    worst = 0.0
+    with mp.workprec(200):
+        for t in points:
+            power = mpf(t) + mpf(0.5)
+            for s in points:
+                want = mpf(s) ** power
+                worst = max(worst, float(abs(mpf(k1(t, s)) - want)) / math.ulp(float(want)))
+    assert worst <= 4.0
 
 
 def test_beta_trivial():

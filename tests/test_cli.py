@@ -21,11 +21,19 @@ def test_solve_prints_value(capsys):
     assert abs(float(out) - 0.5) < 1e-6
 
 
-def test_solve_point_outside_interval(capsys):
-    code = run_cli(["solve", "--example", "1", "--method", "de-new",
-                    "--n", "8", "--at", "2.0"])
-    assert code == 2
-    assert "vfie:" in capsys.readouterr().err
+def test_solve_point_outside_interval(monkeypatch, capsys):
+    # refused before the solve
+    def no_solve(*args, **kwargs):
+        pytest.fail("solve called for a point outside the interval")
+
+    monkeypatch.setattr(cli, "solve", no_solve)
+    for at in ("2.0", "nan"):
+        code = run_cli(["solve", "--example", "1", "--method", "de-new",
+                        "--n", "8", "--at", at])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"vfie: t = {float(at)} lies outside [0.0, 1.0]\n"
 
 
 def test_solve_n_too_large_is_usage_error(capsys):
@@ -51,6 +59,22 @@ def test_bad_n_list_is_usage_error(capsys):
                           ("", "not a comma-separated integer list: ''")]:
         with pytest.raises(SystemExit) as exc:
             run_cli(["bench", "--example", "1", "--method", "de-new", "--n-list", text,
+                     "--out", "x.csv", "--self-check"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+
+def test_bad_eval_points_is_usage_error(capsys):
+    # the sweep's own M >= 2 rule, read as an argparse type error before
+    # any self-check
+    for text, message in [("1", "need at least 2 evaluation points, got 1"),
+                          ("0", "need at least 2 evaluation points, got 0"),
+                          ("-3", "need at least 2 evaluation points, got -3"),
+                          ("x", "not an integer: 'x'")]:
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["bench", "--example", "1", "--method", "de-new", "--eval-points", text,
                      "--out", "x.csv", "--self-check"])
         assert exc.value.code == 2
         captured = capsys.readouterr()

@@ -17,7 +17,8 @@ differ by more than the distance between the parent's quartiles.  The
 change of the median is set against the metric's regression bound.  The
 workload's own metrics, its "# metric NAME = VALUE UNIT" lines such as
 eval-dense's point_query_us_p50, follow with each side's median, to show
-where a gain comes from.
+where a gain comes from.  With --json PATH the same pairs and judgement
+are also written to PATH as JSON (see `record`).
 """
 
 import argparse
@@ -38,6 +39,8 @@ def parse_args(argv):
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--first-seed", type=int, required=True)
+    parser.add_argument("--json", metavar="PATH",
+                        help="also write the pairs and the judgement of every metric as JSON")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -94,26 +97,42 @@ def judge(parent, change, better):
     return wins, losses, gain, worse
 
 
+def summarize(metrics, results):
+    """For every end-to-end metric, by name: its unit, direction and bound,
+    each side's quartiles, the change's wins and losses, the gain verdict,
+    the change of the median (positive is worse) and whether it is within
+    the bound."""
+    summary = {}
+    for metric in metrics:
+        name = metric["name"]
+        values = {side: [r[side]["metrics"][name]["value"] for r in results]
+                  for side in ("parent", "change")}
+        wins, losses, gain, worse = judge(values["parent"], values["change"], metric["better"])
+        summary[name] = {
+            "unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
+            "quartiles": {side: quartiles(v) for side, v in values.items()},
+            "wins": wins, "losses": losses, "gain": gain,
+            "median_change": worse, "within_bound": worse <= metric["bound"],
+        }
+    return summary
+
+
 def report(metrics, results):
     """Lines for every metric: each pair, both sides' quartiles, wins."""
     lines = []
     fails = [(r["parent"]["failed"], r["change"]["failed"]) for r in results]
     lines.append(f"failed per pair (parent, change): {fails}")
-    for metric in metrics:
-        name = metric["name"]
-        parent = [r["parent"]["metrics"][name]["value"] for r in results]
-        change = [r["change"]["metrics"][name]["value"] for r in results]
-        wins, losses, gain, worse = judge(parent, change, metric["better"])
-        lines.append(f"{name} ({metric['unit']}, {metric['better']} is better)")
-        for r, p, c in zip(results, parent, change):
+    for name, s in summarize(metrics, results).items():
+        lines.append(f"{name} ({s['unit']}, {s['better']} is better)")
+        for r in results:
+            p, c = (r[side]["metrics"][name]["value"] for side in ("parent", "change"))
             lines.append(f"  seed {r['seed']} {r['first']:>6} first: parent {p!r}  change {c!r}")
-        for side, values in (("parent", parent), ("change", change)):
-            q1, q2, q3 = quartiles(values)
+        for side, (q1, q2, q3) in s["quartiles"].items():
             lines.append(f"  {side}: median {q2!r}  quartiles {q1!r} .. {q3!r}")
-        lines.append(f"  change wins {wins} of {len(results)}, loses {losses}; "
-                     f"gain {'holds' if gain else 'not shown'}; median {worse:+.1%} worse "
-                     f"({'within' if worse <= metric['bound'] else 'beyond'} the bound "
-                     f"{metric['bound']})")
+        lines.append(f"  change wins {s['wins']} of {len(results)}, loses {s['losses']}; "
+                     f"gain {'holds' if s['gain'] else 'not shown'}; "
+                     f"median {s['median_change']:+.1%} worse "
+                     f"({'within' if s['within_bound'] else 'beyond'} the bound {s['bound']})")
     gated = {metric["name"] for metric in metrics}
     for name, (_, unit) in results[0]["parent"]["metric_lines"].items():
         if name not in gated:
@@ -121,6 +140,15 @@ def report(metrics, results):
                        for side in ("parent", "change")]
             lines.append(f"{name} ({unit}): median parent {medians[0]!r}  change {medians[1]!r}")
     return lines
+
+
+def record(args, metrics, results):
+    """What --json writes: the run's settings, every pair as run (seed, the
+    side that ran first, each side's parsed result with its end-to-end
+    metrics and "# metric" lines) and the `summarize` of every metric."""
+    return {"workload": args.workload, "seconds": args.seconds,
+            "first_seed": args.first_seed, "pairs": results,
+            "metrics": summarize(metrics, results)}
 
 
 def main(argv=None):
@@ -138,6 +166,10 @@ def main(argv=None):
         walls = {side: pair[side]["metrics"]["wall_s"]["value"] for side in order}
         print(f"# pair {i + 1}/{args.pairs} seed {seed}: wall_s {walls}", flush=True)
     print("\n".join(report(metrics, results)))
+    if args.json:
+        with open(args.json, "w") as fh:
+            json.dump(record(args, metrics, results), fh, indent=1)
+            fh.write("\n")
     return 0
 
 
