@@ -117,16 +117,18 @@ def builtin(example_id: int) -> BuiltinExample:
 
 
 def _check_eval_points(M):
-    """The size of the error grid, which holds both endpoints: M >= 2."""
+    """The size of the error grid, which holds both endpoints, as a Python int
+    M >= 2: floats are refused even when integral (16.0); a bool is below 2."""
+    if not isinstance(M, (int, np.integer)):
+        raise ValueError(f"the number of evaluation points must be an integer, got {M!r}")
     if M < 2:
         raise ValueError(f"need at least 2 evaluation points, got {M}")
-    return M
+    return int(M)
 
 
 def _exact_on_grid(exact, iv: Interval, M: int):
     """The M equispaced error points of iv, endpoints included, and `exact` there."""
-    _check_eval_points(M)
-    ts = np.linspace(iv.a, iv.b, M)
+    ts = np.linspace(iv.a, iv.b, _check_eval_points(M))
     return ts, _sample(exact, "u", ts)
 
 

@@ -312,12 +312,11 @@ def _call(name, args):
 
 
 def solve_linear(A, rhs):
-    """Solve A c = rhs by LU with partial pivoting.
-
-    Returns (c, rcond) where rcond is the LAPACK reciprocal condition
-    estimate taken from the factorization.  An exactly zero pivot raises
-    SingularMatrixError.
-    """
+    """Solve A c = rhs by LU with partial pivoting (LAPACK's dgesv, which
+    leaves A and rhs unchanged).  Returns (c, rcond) where rcond is the
+    LAPACK reciprocal condition estimate taken from the factorization.  An
+    exactly zero pivot raises SingularMatrixError.  A NaN or inf in A or rhs
+    raises ValueError, and so does a finite A whose infinity norm overflows."""
     A = _real(A)
     rhs = _real(rhs)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -325,17 +324,14 @@ def solve_linear(A, rhs):
     if rhs.shape != (A.shape[0],):
         raise ValueError(f"rhs shape {rhs.shape} does not match order {A.shape[0]}")
     anorm = np.linalg.norm(A, np.inf)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(A)
-    if np.any(np.diag(lu) == 0.0):
-        raise SingularMatrixError(
-            f"exactly singular pivot in order-{A.shape[0]} collocation matrix"
-        )
+    if not (math.isfinite(anorm) and np.isfinite(rhs).all()):
+        raise ValueError(f"A, rhs and the infinity norm of A ({anorm}) must be finite")
+    lu, _, c, info = scipy.linalg.lapack.dgesv(A, rhs)
+    if info > 0:
+        raise SingularMatrixError(f"exactly singular pivot in order-{len(A)} collocation matrix")
     rcond, info = scipy.linalg.lapack.dgecon(lu, anorm, norm="I")
     if info != 0:
         raise RuntimeError(f"dgecon failed with info={info}")
-    c = scipy.linalg.lu_solve((lu, piv), rhs)
     return c, float(rcond)
 
 

@@ -1,8 +1,11 @@
 """The pair judgement of tools/ab_pairs.py: wins, ties and the gain rule,
 and its JSON record."""
 
+import hashlib
 import json
 import os
+import pathlib
+import shutil
 
 import pytest
 
@@ -77,8 +80,17 @@ def test_the_report_gives_each_sides_median_of_the_workloads_own_metrics(ab_pair
 
 def test_json_holds_every_pair_and_the_judgement_of_every_metric(ab_pairs, monkeypatch, tmp_path):
     # main with the benchmark runs replaced by the synthetic one: parent
-    # walls 2.0, 2.1, 2.2, change walls 1.0, 1.1, 1.2, every other metric tied
+    # walls 2.0, 2.1, 2.2, change walls 1.0, 1.1, 1.2, every other metric tied;
+    # the change side is a tree of its own, two source files in it
     root = os.path.join(os.path.dirname(__file__), os.pardir)
+    change_root = tmp_path / "change"
+    (change_root / "perfbench").mkdir(parents=True)
+    (change_root / "perfbench" / "run.py").write_text("")
+    shutil.copy(os.path.join(root, "BENCHMARK.json"), change_root)
+    (change_root / "src" / "vfie").mkdir(parents=True)
+    (change_root / "src" / "vfie" / "b.py").write_bytes(b"B = 2\n")
+    (change_root / "src" / "vfie" / "a.py").write_bytes(b"A = 1\n")
+    (change_root / "src" / "vfie" / "notes.txt").write_bytes(b"not source\n")
     walls = iter([2.0, 1.0, 1.1, 2.1, 2.2, 1.2])
 
     def fake_run(side_root, workload, seed, seconds):
@@ -90,12 +102,16 @@ def test_json_holds_every_pair_and_the_judgement_of_every_metric(ab_pairs, monke
 
     monkeypatch.setattr(ab_pairs, "run", fake_run)
     path = tmp_path / "bench.json"
-    ab_pairs.main([root, root, "--workload", "eval-dense", "--pairs", "3", "--seconds", "45",
-                   "--first-seed", "7", "--json", str(path)])
+    ab_pairs.main([root, str(change_root), "--workload", "eval-dense", "--pairs", "3",
+                   "--seconds", "45", "--first-seed", "7", "--json", str(path)])
     with open(path) as fh:
         data = json.load(fh)
     assert {k: data[k] for k in ("workload", "seconds", "first_seed")} == {
         "workload": "eval-dense", "seconds": 45.0, "first_seed": 7}
+    parent_source = b"".join(source.read_bytes()
+                             for source in sorted(pathlib.Path(root, "src", "vfie").glob("*.py")))
+    assert data["source_sha256"] == {"parent": hashlib.sha256(parent_source).hexdigest(),
+                                     "change": hashlib.sha256(b"A = 1\nB = 2\n").hexdigest()}
     assert [(p["seed"], p["first"]) for p in data["pairs"]] == [
         (7, "parent"), (8, "change"), (9, "parent")]
     pair = data["pairs"][1]

@@ -179,9 +179,14 @@ def _counted(monkeypatch, name):
 
 @pytest.mark.parametrize("eval_points, exact, error, message", [
     (1, lambda t: t, ValueError, "need at least 2 evaluation points, got 1"),
+    (True, lambda t: t, ValueError, "need at least 2 evaluation points, got True"),
+    (16.0, lambda t: t, ValueError,
+     "the number of evaluation points must be an integer, got 16.0"),
+    (16.5, lambda t: t, ValueError,
+     "the number of evaluation points must be an integer, got 16.5"),
     (64, lambda t: math.nan if t > 0.5 else t, AssemblyError,
      "u(0.5079365079365079) returned nan"),
-], ids=["one-point", "nan-exact"])
+], ids=["one-point", "bool", "integral-float", "float", "nan-exact"])
 def test_run_sweep_refuses_before_any_kernel_call(monkeypatch, eval_points, exact, error, message):
     kernel_calls = _counted(monkeypatch, "_kernel_ts")
     monkeypatch.setattr(vfie.bench, "_u1", exact)

@@ -514,6 +514,28 @@ def test_solve_linear_shape_errors():
         solve_linear(np.eye(3), np.zeros(2))
 
 
+@pytest.mark.parametrize("A, rhs", [
+    (np.array([[1.0, np.nan], [0.0, 1.0]]), np.ones(2)),
+    (np.array([[1.0, 0.0], [np.inf, 1.0]]), np.ones(2)),
+    (np.eye(2), np.array([1.0, np.nan])),
+], ids=["nan-in-A", "inf-in-A", "nan-in-rhs"])
+def test_solve_linear_refuses_non_finite_input(A, rhs):
+    with pytest.raises(ValueError, match="must be finite"):
+        solve_linear(A, rhs)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_solve_linear_leaves_A_and_rhs_unchanged(rng, order):
+    # perfbench's residual reads A and rhs after the call
+    A = np.asarray(np.eye(40) + 0.1 * rng.standard_normal((40, 40)), order=order)
+    rhs = rng.standard_normal(40)
+    A_before, rhs_before = A.copy(order="K"), rhs.copy()
+    solve_linear(A, rhs)
+    assert A.flags.f_contiguous == (order == "F")
+    assert A.tobytes(order="A") == A_before.tobytes(order="A")
+    assert rhs.tobytes() == rhs_before.tobytes()
+
+
 def test_solve_linear_residual_bound(rng):
     n = 50
     A = np.eye(n) + 0.1 * rng.standard_normal((n, n))
@@ -530,17 +552,17 @@ def test_solve_linear_residual_bound(rng):
 def test_solve_linear_passes_numpys_infinity_norm_to_dgecon(monkeypatch):
     # dgecon gets bitwise the np.linalg.norm(A, inf) of the matrix it factors
     got, want = [], []
-    lu_factor, dgecon = scipy.linalg.lu_factor, scipy.linalg.lapack.dgecon
+    dgesv, dgecon = scipy.linalg.lapack.dgesv, scipy.linalg.lapack.dgecon
 
-    def spy_lu_factor(A):
+    def spy_dgesv(A, rhs):
         want.append(np.linalg.norm(A, np.inf))
-        return lu_factor(A)
+        return dgesv(A, rhs)
 
     def spy_dgecon(lu, anorm, norm):
         got.append(anorm)
         return dgecon(lu, anorm, norm=norm)
 
-    monkeypatch.setattr(scipy.linalg, "lu_factor", spy_lu_factor)
+    monkeypatch.setattr(scipy.linalg.lapack, "dgesv", spy_dgesv)
     monkeypatch.setattr(scipy.linalg.lapack, "dgecon", spy_dgecon)
     for example_id in (1, 2):
         for method in Method:

@@ -18,10 +18,14 @@ change of the median is set against the metric's regression bound.  The
 workload's own metrics, its "# metric NAME = VALUE UNIT" lines such as
 eval-dense's point_query_us_p50, follow with each side's median, to show
 where a gain comes from.  With --json PATH the same pairs and judgement
-are also written to PATH as JSON (see `record`).
+are also written to PATH as JSON (see `record`), with the sha256 of each
+side's src/vfie/*.py, so that the record names the code each side ran
+also when the checkouts carry no git metadata.
 """
 
 import argparse
+import glob
+import hashlib
 import json
 import os
 import statistics
@@ -73,6 +77,16 @@ def parse(stdout):
             value, _, unit = rest.partition(" ")
             result["metric_lines"][name] = (float(value), unit)
     return result
+
+
+def source_sha256(root):
+    """sha256 of root's src/vfie/*.py read in sorted name order, as
+    `cat src/vfie/*.py | sha256sum` gives it in the C locale."""
+    digest = hashlib.sha256()
+    for path in sorted(glob.glob(os.path.join(root, "src", "vfie", "*.py"))):
+        with open(path, "rb") as fh:
+            digest.update(fh.read())
+    return digest.hexdigest()
 
 
 def quartiles(values):
@@ -142,12 +156,13 @@ def report(metrics, results):
     return lines
 
 
-def record(args, metrics, results):
-    """What --json writes: the run's settings, every pair as run (seed, the
-    side that ran first, each side's parsed result with its end-to-end
-    metrics and "# metric" lines) and the `summarize` of every metric."""
+def record(args, sources, metrics, results):
+    """What --json writes: the run's settings, each side's `source_sha256`,
+    every pair as run (seed, the side that ran first, each side's parsed
+    result with its end-to-end metrics and "# metric" lines) and the
+    `summarize` of every metric."""
     return {"workload": args.workload, "seconds": args.seconds,
-            "first_seed": args.first_seed, "pairs": results,
+            "first_seed": args.first_seed, "source_sha256": sources, "pairs": results,
             "metrics": summarize(metrics, results)}
 
 
@@ -155,6 +170,7 @@ def main(argv=None):
     args = parse_args(argv)
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
         metrics = json.load(fh)["end_to_end"]
+    sources = {side: source_sha256(getattr(args, side)) for side in ("parent", "change")}
     results = []
     for i in range(args.pairs):
         seed = args.first_seed + i
@@ -168,7 +184,7 @@ def main(argv=None):
     print("\n".join(report(metrics, results)))
     if args.json:
         with open(args.json, "w") as fh:
-            json.dump(record(args, metrics, results), fh, indent=1)
+            json.dump(record(args, sources, metrics, results), fh, indent=1)
             fh.write("\n")
     return 0
 
