@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import transforms
-from .transforms import Interval, MeshParams, Method, TransformKind
+from .transforms import Interval, MeshParams, Method, TransformKind, _vector
 
 __all__ = [
     "SincGrid",
@@ -67,11 +67,8 @@ class SincGrid:
     weights: np.ndarray
 
     def __post_init__(self):
-        n = self.mesh.n
-        if self.points.shape != (n,) or self.weights.shape != (n,):
-            raise ValueError(f"points and weights must have length {n}")
-        self.points.setflags(write=False)
-        self.weights.setflags(write=False)
+        for name in ("points", "weights"):
+            object.__setattr__(self, name, _vector(getattr(self, name), self.mesh.n, name))
 
     @property
     def n(self) -> int:
@@ -121,27 +118,24 @@ class GeneralizedInterpolant:
     _right: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        n = self.grid.n
-        if self.samples.shape != (n,) or self.coeffs.shape != (n,):
-            raise ValueError(f"samples and coeffs must have shape ({n},), "
-                             f"got {self.samples.shape} and {self.coeffs.shape}")
-        N = self.grid.mesh.N
+        n, N = self.grid.n, self.grid.mesh.N
+        samples = _vector(self.samples, n, "samples")
+        coeffs = _vector(self.coeffs, n, "coeffs")
         # (-1)^j c_j times 2^-e, which takes the largest below 2^-51
-        exponent = max(math.frexp(np.abs(self.coeffs).max())[1] + 51, 0)
-        signed = np.ldexp(self.coeffs, -exponent)
+        exponent = max(math.frexp(np.abs(coeffs).max())[1] + 51, 0)
+        signed = np.ldexp(coeffs, -exponent)
         signed[(N + 1) % 2::2] *= -1.0  # j = -N + i is odd for these i
         right = np.stack([np.ones(n), -np.arange(-N, N + 1, dtype=float)])
-        for name, value in (("_signed", signed), ("_exponent", exponent), ("_right", right)):
+        signed.setflags(write=False)
+        right.setflags(write=False)
+        for name, value in (("samples", samples), ("coeffs", coeffs), ("_signed", signed),
+                            ("_exponent", exponent), ("_right", right)):
             object.__setattr__(self, name, value)
-        for a in (self.samples, self.coeffs, signed, right):
-            a.setflags(write=False)
 
 
 def approximate(grid: SincGrid, samples) -> GeneralizedInterpolant:
     """Interpolant through `samples` taken at the grid points."""
-    samples = transforms._real(samples).copy()  # frozen below: never the caller's array
-    if samples.shape != (grid.n,):
-        raise ValueError(f"expected {grid.n} samples, got shape {samples.shape}")
+    samples = _vector(samples, grid.n, "samples")
     bl = float(samples[0])
     br = float(samples[-1])
     wa, wb = _boundary_pair(grid.iv, grid.points)
@@ -231,7 +225,11 @@ def _evaluate_point(interp: GeneralizedInterpolant, t) -> float:
     row gets.
     """
     grid = interp.grid
-    t = float(t) if isinstance(t, float) else float(transforms._real(t))
+    if not isinstance(t, float):
+        t = transforms._real(t)
+        if t.ndim:
+            raise ValueError(f"t must be a scalar, got shape {t.shape}")
+    t = float(t)
     u = transforms._inverse_point(grid.kind, grid.iv, t) / grid.h
     if grid.iv.a < t < grid.iv.b:
         i = grid.points.searchsorted(t)

@@ -11,7 +11,7 @@ from scipy.special import beta
 
 from .solver import (DiscreteSolution, Problem, _residual, _sample, evaluate_solution_many,
                      grid_for, solve)
-from .transforms import Interval, Method, TransformKind, _check_N
+from .transforms import Interval, Method, TransformKind, _integer
 
 __all__ = [
     "BuiltinExample",
@@ -116,19 +116,14 @@ def builtin(example_id: int) -> BuiltinExample:
     raise ValueError(f"unknown example id {example_id} (choose 1 or 2)")
 
 
-def _check_eval_points(M):
-    """The size of the error grid, which holds both endpoints, as a Python int
-    M >= 2: floats are refused even when integral (16.0); a bool is below 2."""
-    if not isinstance(M, (int, np.integer)):
-        raise ValueError(f"the number of evaluation points must be an integer, got {M!r}")
-    if M < 2:
-        raise ValueError(f"need at least 2 evaluation points, got {M}")
-    return int(M)
+# the name and lower bound of `_integer`'s rule for the error-grid size,
+# whose grid holds both endpoints
+_EVAL_POINTS_RULE = ("the number of evaluation points", 2)
 
 
 def _exact_on_grid(exact, iv: Interval, M: int):
     """The M equispaced error points of iv, endpoints included, and `exact` there."""
-    ts = np.linspace(iv.a, iv.b, _check_eval_points(M))
+    ts = np.linspace(iv.a, iv.b, _integer(M, *_EVAL_POINTS_RULE))
     return ts, _sample(exact, "u", ts)
 
 
@@ -147,7 +142,7 @@ def max_error(sol: DiscreteSolution, exact, M: int) -> float:
 def _check_n_list(n_list):
     """The sweep's N list as Python ints: nonempty, each N as `solve` takes
     it, strictly increasing."""
-    n_list = [_check_N(N) for N in n_list]
+    n_list = [_integer(N, "N", 1) for N in n_list]
     if not n_list:
         raise ValueError("n_list must be nonempty")
     if any(b <= a for a, b in zip(n_list, n_list[1:])):

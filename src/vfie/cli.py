@@ -8,8 +8,8 @@ import sys
 
 from .bench import (
     DEFAULT_N_LIST,
+    _EVAL_POINTS_RULE,
     FitError,
-    _check_eval_points,
     _check_n_list,
     _rate_model,
     builtin,
@@ -19,7 +19,7 @@ from .bench import (
     self_check,
 )
 from .solver import SingularMatrixError, evaluate_solution, solve
-from .transforms import Method, _check_point
+from .transforms import Method, _check_point, _integer
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -29,26 +29,20 @@ EXIT_IO = 4
 SELF_CHECK_TOL = 1e-8
 
 
-def _parse_n_list(text):
-    try:
-        values = [int(part) for part in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
-    try:
-        return _check_n_list(values)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-
-
-def _parse_eval_points(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    try:
-        return _check_eval_points(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+def _argument(parse, what, check):
+    """An argparse type that reads the text with `parse` and refuses what
+    `check`, the library's own rule, refuses: either ValueError is a usage
+    error, raised before any work."""
+    def convert(text):
+        try:
+            value = parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not {what}: {text!r}")
+        try:
+            return check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+    return convert
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,11 +59,14 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--method", required=True,
                        choices=[m.value for m in Method] + ["all"],
                        help="solver flavour, or 'all'")
-    bench.add_argument("--n-list", type=_parse_n_list, default=DEFAULT_N_LIST,
+    bench.add_argument("--n-list", default=DEFAULT_N_LIST,
+                       type=_argument(lambda text: [int(part) for part in text.split(",")],
+                                      "a comma-separated integer list", _check_n_list),
                        metavar="N1,N2,...",
                        help="strictly increasing truncation indices "
                             f"(default {','.join(map(str, DEFAULT_N_LIST))})")
-    bench.add_argument("--eval-points", type=_parse_eval_points, default=4096,
+    bench.add_argument("--eval-points", default=4096,
+                       type=_argument(int, "an integer", lambda M: _integer(M, *_EVAL_POINTS_RULE)),
                        help="equispaced error-grid size (default 4096)")
     bench.add_argument("--out", required=True, help="CSV destination path")
     bench.add_argument("--self-check", action="store_true",

@@ -32,7 +32,8 @@ from .approx import (
     build_grid,
     evaluate_many,
 )
-from .transforms import Interval, Method, TransformKind, _check_N, _check_mesh_args, _real, inverse
+from .transforms import (Interval, Method, TransformKind, _check_mesh_args, _integer, _real,
+                         _vector, inverse)
 
 __all__ = [
     "Problem",
@@ -118,9 +119,7 @@ class DiscreteSolution:
     _interp: GeneralizedInterpolant = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.coeffs.shape != (self.grid.n,):
-            raise ValueError(f"expected {self.grid.n} coefficients, got shape {self.coeffs.shape}")
-        self.coeffs.setflags(write=False)
+        object.__setattr__(self, "coeffs", _vector(self.coeffs, self.grid.n, "coeffs"))
         object.__setattr__(self, "_interp", _interpolant(self.method, self.grid, self.coeffs))
 
 
@@ -152,7 +151,7 @@ def grid_for(problem: Problem, method: Method, N: int) -> SincGrid:
     so `solve` refuses it before any kernel call; where the memory size
     cannot be read, nothing is refused.
     """
-    n = 2 * _check_N(N) + 1
+    n = 2 * _integer(N, "N", 1) + 1
     need = _PEAK_ARRAYS * 8 * n * n
     try:
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")

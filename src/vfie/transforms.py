@@ -109,7 +109,7 @@ class MeshParams:
     h: float
 
     def __post_init__(self):
-        object.__setattr__(self, "N", _check_N(self.N))
+        object.__setattr__(self, "N", _integer(self.N, "N", 1))
         if not self.h > 0.0:
             raise ValueError(f"h must be positive, got {self.h}")
 
@@ -157,7 +157,7 @@ def inverse(kind: TransformKind, iv: Interval, t):
         return _inverse_point(kind, iv, float(t))
     inside = (t >= iv.a) & (t <= iv.b)
     if not inside.all():
-        raise _outside(iv, t[~inside][0])
+        _check_point(iv, t[~inside][0])  # raises for the first point outside
     with np.errstate(divide="ignore", over="ignore"):
         q = (t - iv.a) / (iv.b - t)
         r = np.log(q)
@@ -198,15 +198,10 @@ def _inverse_point(kind, iv, t: float) -> float:
     return r
 
 
-def _outside(iv, t):
-    """The refusal of a point t outside [a, b], NaN included."""
-    return ValueError(f"t = {t} lies outside [{iv.a}, {iv.b}]")
-
-
 def _check_point(iv, t: float) -> None:
     """Refuse one point t outside [a, b], NaN included."""
     if not iv.a <= t <= iv.b:
-        raise _outside(iv, t)
+        raise ValueError(f"t = {t} lies outside [{iv.a}, {iv.b}]")
 
 
 def derivative(kind: TransformKind, iv: Interval, x):
@@ -234,6 +229,27 @@ def _real(x):
     return x.astype(float, copy=False)
 
 
+def _vector(values, n, what):
+    """values as a read-only float64 copy of shape (n,), never the caller's
+    array: a complex dtype raises TypeError, as in `_real`, any other
+    shape ValueError."""
+    v = _real(values).copy()
+    if v.shape != (n,):
+        raise ValueError(f"{what} must have shape ({n},), got {v.shape}")
+    v.setflags(write=False)
+    return v
+
+
+def _integer(value, name, low):
+    """value as a Python int >= low: numpy integers pass, floats are refused
+    even when integral (8.0), and so is a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return int(value)
+
+
 def _scalar_or_array(values):
     """A float for a 0-d result (every argument was a scalar), else the array."""
     return float(values) if np.ndim(values) == 0 else values
@@ -247,7 +263,7 @@ def select_h(method: Method, alpha: float, d: float, N: int) -> float:
     log(pi N)/N.  Every rule checks alpha and d against the method's
     transform, the fixed ones included.
     """
-    N = _check_N(N)
+    N = _integer(N, "N", 1)
     _check_mesh_args(method.transform, alpha, d)
     if method is Method.NEW_SE:
         return math.sqrt(math.pi * d / (alpha * N))
@@ -259,16 +275,6 @@ def select_h(method: Method, alpha: float, d: float, N: int) -> float:
     if method is Method.SHAMLOO_SE:
         return math.pi / math.sqrt(N)
     return math.log(math.pi * N) / N
-
-
-def _check_N(N):
-    """N as a Python int.  N must be an integer >= 1: numpy integers pass,
-    floats are refused even when integral (8.0), and so is a bool."""
-    if isinstance(N, bool) or not isinstance(N, numbers.Integral):
-        raise ValueError(f"N must be an integer, got {N!r}")
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    return int(N)
 
 
 def _check_mesh_args(kind, alpha, d):

@@ -115,6 +115,12 @@ COMPLEX_INPUT = {
     "forward": lambda sol: vfie.forward(vfie.TransformKind.SE, UNIT, POINTS),
     "derivative": lambda sol: vfie.derivative(vfie.TransformKind.DE, UNIT, POINTS),
     "approximate": lambda sol: vfie.approximate(sol.grid, sol.coeffs + 1j),
+    "GeneralizedInterpolant samples": lambda sol: vfie.GeneralizedInterpolant(
+        grid=sol.grid, samples=sol.coeffs + 1j, boundary_left=0.0, boundary_right=0.0,
+        coeffs=sol.coeffs),
+    "SincGrid points": lambda sol: vfie.SincGrid(
+        kind=sol.grid.kind, iv=sol.grid.iv, mesh=sol.grid.mesh, points=sol.grid.points + 1j,
+        weights=sol.grid.weights),
     "solve_linear A": lambda sol: vfie.solve_linear(np.eye(2) * (1.0 + 1j), np.ones(2)),
     "solve_linear rhs": lambda sol: vfie.solve_linear(np.eye(2), np.ones(2) + 1j),
 }

@@ -86,10 +86,10 @@ def test_approximate_length_mismatch():
 def test_interpolant_refuses_samples_or_coeffs_of_another_length():
     grid = se_grid(4)
     good = np.zeros(grid.n)
-    wrong = ((np.zeros(3), good), (good, np.zeros(3)), (good, np.zeros((grid.n, 1))))
-    for samples, coeffs in wrong:
-        shapes = f"{samples.shape} and {coeffs.shape}"
-        want = rf"\({grid.n},\).*{re.escape(shapes)}"
+    wrong = ((np.zeros(3), good, "samples", (3,)), (good, np.zeros(3), "coeffs", (3,)),
+             (good, np.zeros((grid.n, 1)), "coeffs", (grid.n, 1)))
+    for samples, coeffs, name, shape in wrong:
+        want = re.escape(f"{name} must have shape ({grid.n},), got {shape}")
         with pytest.raises(ValueError, match=want):
             GeneralizedInterpolant(grid=grid, samples=samples, boundary_left=0.0,
                                    boundary_right=0.0, coeffs=coeffs)

@@ -178,8 +178,9 @@ def _counted(monkeypatch, name):
 
 
 @pytest.mark.parametrize("eval_points, exact, error, message", [
-    (1, lambda t: t, ValueError, "need at least 2 evaluation points, got 1"),
-    (True, lambda t: t, ValueError, "need at least 2 evaluation points, got True"),
+    (1, lambda t: t, ValueError, "the number of evaluation points must be >= 2, got 1"),
+    (True, lambda t: t, ValueError,
+     "the number of evaluation points must be an integer, got True"),
     (16.0, lambda t: t, ValueError,
      "the number of evaluation points must be an integer, got 16.0"),
     (16.5, lambda t: t, ValueError,

@@ -69,9 +69,9 @@ def test_bad_n_list_is_usage_error(capsys):
 def test_bad_eval_points_is_usage_error(capsys):
     # the sweep's own M >= 2 rule, read as an argparse type error before
     # any self-check
-    for text, message in [("1", "need at least 2 evaluation points, got 1"),
-                          ("0", "need at least 2 evaluation points, got 0"),
-                          ("-3", "need at least 2 evaluation points, got -3"),
+    for text, message in [("1", "the number of evaluation points must be >= 2, got 1"),
+                          ("0", "the number of evaluation points must be >= 2, got 0"),
+                          ("-3", "the number of evaluation points must be >= 2, got -3"),
                           ("x", "not an integer: 'x'")]:
         with pytest.raises(SystemExit) as exc:
             run_cli(["bench", "--example", "1", "--method", "de-new", "--eval-points", text,

@@ -28,9 +28,11 @@ from vfie import (
     AssemblyError,
     ConditioningWarning,
     DiscreteSolution,
+    GeneralizedInterpolant,
     Interval,
     Method,
     Problem,
+    SincGrid,
     SingularMatrixError,
     assemble_johnogbonna,
     assemble_new,
@@ -752,9 +754,37 @@ def test_solution_refuses_coefficients_of_the_wrong_length(method):
     grid = solve(builtin(1).problem, method, 4).grid
     assert grid.n == 9
     for coeffs in (np.zeros(5), np.zeros(10), np.zeros((9, 1))):
-        message = f"expected 9 coefficients, got shape {coeffs.shape}"
+        message = f"coeffs must have shape (9,), got {coeffs.shape}"
         with pytest.raises(ValueError, match=re.escape(message)):
             DiscreteSolution(method, grid, coeffs, 1.0)
+
+
+@pytest.mark.parametrize("as_list", [False, True], ids=["array", "list"])
+def test_constructors_store_read_only_copies_of_the_callers_arrays(as_list):
+    grid = solve(builtin(1).problem, Method.NEW_DE, 4).grid
+    given = {name: np.linspace(0.25, 0.75, grid.n) for name in
+             ("points", "weights", "samples", "coeffs", "solution")}
+    arg = {name: a.tolist() if as_list else a for name, a in given.items()}
+    built = SincGrid(kind=grid.kind, iv=grid.iv, mesh=grid.mesh,
+                     points=arg["points"], weights=arg["weights"])
+    interp = GeneralizedInterpolant(grid=grid, samples=arg["samples"], boundary_left=0.0,
+                                    boundary_right=0.0, coeffs=arg["coeffs"])
+    sol = DiscreteSolution(Method.NEW_DE, grid, arg["solution"], 1.0)
+    stored = {"points": built.points, "weights": built.weights, "samples": interp.samples,
+              "coeffs": interp.coeffs, "solution": sol.coeffs}
+    for name, a in stored.items():
+        assert a.dtype == np.float64 and not a.flags.writeable, name
+        assert not np.shares_memory(a, given[name]), name
+        assert np.array_equal(a, given[name]), name
+        assert given[name].flags.writeable, name
+
+
+def test_evaluate_solution_refuses_an_array_naming_its_shape():
+    sol = solve(builtin(1).problem, Method.NEW_SE, 4)
+    for t, shape in ((np.array([0.5]), (1,)), (np.array([[0.5]]), (1, 1))):
+        with pytest.raises(ValueError, match=re.escape(f"t must be a scalar, got shape {shape}")):
+            evaluate_solution(sol, t)
+    assert evaluate_solution(sol, np.array(0.5)) == evaluate_solution(sol, 0.5)
 
 
 @pytest.mark.parametrize("alpha, d_se, d_de, culprit", [
