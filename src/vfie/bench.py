@@ -77,8 +77,10 @@ def _k1_power(t, s):
     # scales the rounding of log s by (t + 1/2)|log s|, about 1e3 at the
     # tanh-sinh nodes near 0.  No guard is needed at s = 0, which de-new's
     # nodes reach (4 at N = 96, 11 at N = 128): 0.0 ** t * 0.0 is 0.0 for
-    # every t >= 0, t = 0 included.
-    return s ** t * math.sqrt(s)
+    # every t >= 0, t = 0 included.  Like the other callables of example 2
+    # it takes arrays, where numpy's power may differ from the scalar pow
+    # by an ulp or two.
+    return s ** t * np.sqrt(s)
 
 
 def _k2_power(t, s):
@@ -86,7 +88,7 @@ def _k2_power(t, s):
 
 
 def _g2(t):
-    return math.sqrt(t) - t ** (t + 2.0) / (t + 2.0) - beta(1.5, t + 1.0)
+    return np.sqrt(t) - t ** (t + 2.0) / (t + 2.0) - beta(1.5, t + 1.0)
 
 
 def _u2(t):
@@ -102,6 +104,8 @@ def builtin(example_id: int) -> BuiltinExample:
        k2 = (1-s)^t, g = sqrt(t) - t^(t+2)/(t+2) - B(3/2, t+1),
        solution u(t) = sqrt(t);
        square-root behaviour at the left endpoint, alpha = 1/2.
+       Its k1, k2 and g take arrays (`Problem.vectorized`); the exact
+       solution is scalar.
     Both use strip half-widths 3.14 (tanh map) and 1.57 (tanh-sinh map).
     """
     iv = Interval(0.0, 1.0)
@@ -111,7 +115,7 @@ def builtin(example_id: int) -> BuiltinExample:
         return BuiltinExample(problem=problem, exact=_u1)
     if example_id == 2:
         problem = Problem(iv=iv, k1=_k1_power, k2=_k2_power, g=_g2,
-                          alpha=0.5, d_se=3.14, d_de=1.57)
+                          alpha=0.5, d_se=3.14, d_de=1.57, vectorized=True)
         return BuiltinExample(problem=problem, exact=_u2)
     raise ValueError(f"unknown example id {example_id} (choose 1 or 2)")
 

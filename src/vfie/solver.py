@@ -57,16 +57,19 @@ RCOND_FLOOR = 100.0 * np.finfo(float).eps
 # n x n float64 arrays alive at once in a solve.  Assembly holds J, the k1
 # and k2 samples (scaled in place into V and K), A and, for the original
 # variants, one scratch buffer for the hat columns, plus sampling and ufunc
-# temporaries below n^2/4: tracemalloc measures a peak of 5.17 n^2 doubles
-# at N = 128.  solve_linear holds fewer: A and |A| for the infinity norm,
-# then A and the LU copy.
+# temporaries below n^2/4: tracemalloc measures a peak of 5.16 n^2 doubles
+# at N = 128 on either built-in example.  A vectorized kernel's result and
+# temporaries (two n^2 arrays for example 2's k1) are freed before A is
+# made, so they add to J and k1 alone.  solve_linear holds fewer: A and |A|
+# for the infinity norm, then A and the LU copy.
 _PEAK_ARRAYS = 6
 
 
 class AssemblyError(ValueError):
     """A kernel, the right-hand side or, in `self_check` and `max_error`, the
-    exact solution returned a non-finite or non-real value, or raised an
-    ArithmeticError or ValueError, when sampled."""
+    exact solution returned a non-finite or non-real value, or an array of
+    the wrong shape, or raised an ArithmeticError, TypeError or ValueError,
+    when sampled."""
 
 
 class SingularMatrixError(RuntimeError):
@@ -83,10 +86,17 @@ class Problem:
     side g, endpoint regularity exponent alpha, and the strip half-widths
     used by the mesh rules of the tanh (d_se) and tanh-sinh (d_de) maps.
 
-    k1, k2 and g are called with Python floats, one point per call.  A
-    non-finite or non-real return value, or an ArithmeticError (such as
-    ZeroDivisionError or OverflowError) or ValueError (such as a math
-    domain error), raises AssemblyError.
+    By default k1, k2 and g are called with Python floats, one point per
+    call: k1(t, s) and k2(t, s) once per (collocation point, node) pair in
+    row-major order, g(t) once per collocation point.  With
+    `vectorized=True` each is called once, on read-only float64 arrays:
+    k1 and k2 on the points t as shape (m, 1) and the nodes s as shape
+    (1, n), g on the points as shape (m,), under np.errstate(all="ignore");
+    the result must be real and broadcast to (m, n) or (m,), so a constant
+    is taken.  Either way a non-finite or non-real value, an
+    ArithmeticError (such as ZeroDivisionError or OverflowError), a
+    TypeError or a ValueError (such as a math domain error), and on
+    arrays a result of another shape, raises AssemblyError.
     """
 
     iv: Interval
@@ -96,6 +106,7 @@ class Problem:
     alpha: float
     d_se: float
     d_de: float
+    vectorized: bool = False
 
     def __post_init__(self):
         _check_mesh_args(TransformKind.SE, self.alpha, self.d_se)
@@ -216,8 +227,8 @@ def _assemble(problem, method, N):
         coll[0], coll[-1] = grid.iv.a, grid.iv.b
         jmat[0, :] = 0.0
         jmat[-1, :] = h
-    k1 = _sample(problem.k1, "k1", coll, pts)
-    k2 = _sample(problem.k2, "k2", coll, pts)
+    k1 = _sample(problem.k1, "k1", coll, pts, vectorized=problem.vectorized)
+    k2 = _sample(problem.k2, "k2", coll, pts, vectorized=problem.vectorized)
     A = np.eye(n)
     hat_columns = []
     if method.is_original:
@@ -240,7 +251,7 @@ def _assemble(problem, method, N):
         V[:, col], K[:, col] = v, k
     A -= V
     A -= K
-    return A, _sample(problem.g, "g", coll), grid
+    return A, _sample(problem.g, "g", coll, vectorized=problem.vectorized), grid
 
 
 def _offset_matrix(N, h):
@@ -262,47 +273,78 @@ def _residual(problem, grid, u, ts):
     """r(t) = u(t) - sum_j k1(t,s_j) u(s_j) w_j J(x(t)/h - j)
     - h sum_j k2(t,s_j) u(s_j) w_j - g(t) at the points ts, with x(t) the
     preimage of t: the equation with u substituted and its two integrals
-    replaced by the rules assembly uses.  Every callable is sampled once
-    per point by `_sample`, so a bad value raises AssemblyError."""
+    replaced by the rules assembly uses.  Every callable is sampled by
+    `_sample` as assembly samples it (u, the exact solution, one point per
+    call), so a bad value raises AssemblyError."""
     j = np.arange(-grid.mesh.N, grid.mesh.N + 1)[:, None]
     x = inverse(grid.kind, grid.iv, ts)[:, None, None]
     u_nodes = _sample(u, "u", grid.points)
+    vec = problem.vectorized
     # each probe's sums are 1 x n by n x 1 products, that is vector dot
     # products; a matrix-vector product sums in another order and moves
     # self_check's maximum by an ulp
-    k1u = _sample(problem.k1, "k1", ts, grid.points)[:, None, :] * u_nodes
-    k2u = _sample(problem.k2, "k2", ts, grid.points)[:, None, :] * u_nodes
+    k1u = _sample(problem.k1, "k1", ts, grid.points, vectorized=vec)[:, None, :] * u_nodes
+    k2u = _sample(problem.k2, "k2", ts, grid.points, vectorized=vec)[:, None, :] * u_nodes
     running = (k1u * grid.weights @ _running_integral(grid.h, x / grid.h - j)).ravel()
     full = grid.h * (k2u @ grid.weights).ravel()
-    return _sample(u, "u", ts) - running - full - _sample(problem.g, "g", ts)
+    return _sample(u, "u", ts) - running - full - _sample(problem.g, "g", ts, vectorized=vec)
 
 
-def _sample(func, name, *axes):
-    """func at every point of the grid spanned by the axes, called once per
-    point in row-major order with the axes' elements as Python floats.
+def _sample(func, name, *axes, vectorized=False):
+    """func at every point of the grid spanned by the axes, as a new
+    float64 array.  By default func is called once per point in row-major
+    order, with the axes' elements as Python floats; a `vectorized` func
+    is called once, by `_sample_arrays`.
 
     A non-finite value, a value float() refuses (such as a complex), or an
-    ArithmeticError or ValueError raised by func becomes an AssemblyError
-    naming the first such point; the point is found by walking the grid
-    again, so only a failing call pays for it.  min and max carry a NaN
-    and show an infinity without an n x n mask on the success path.
+    ArithmeticError, TypeError or ValueError raised by func becomes an
+    AssemblyError naming func and, for a non-finite value or a raising
+    scalar call, the first such point; a raising point is found by
+    walking the grid again, so only a failing call pays for it.  min and
+    max carry a NaN and show an infinity without an n x n mask on the
+    success path.
     """
     shape = tuple(len(axis) for axis in axes)
-    lists = [axis.tolist() for axis in axes]
-    calls = itertools.starmap(func, itertools.product(*lists))
-    try:
-        vals = np.fromiter(calls, dtype=float, count=math.prod(shape)).reshape(shape)
-    except (ArithmeticError, TypeError, ValueError) as exc:
-        for args in itertools.product(*lists):
-            try:
-                float(func(*args))
-            except (ArithmeticError, TypeError, ValueError):
-                raise AssemblyError(f"{_call(name, args)} raised {exc!r}") from exc
-        raise AssemblyError(f"{name} raised {exc!r}") from exc
+    if vectorized:
+        vals = _sample_arrays(func, name, axes, shape)
+    else:
+        lists = [axis.tolist() for axis in axes]
+        calls = itertools.starmap(func, itertools.product(*lists))
+        try:
+            vals = np.fromiter(calls, dtype=float, count=math.prod(shape)).reshape(shape)
+        except (ArithmeticError, TypeError, ValueError) as exc:
+            for args in itertools.product(*lists):
+                try:
+                    float(func(*args))
+                except (ArithmeticError, TypeError, ValueError):
+                    raise AssemblyError(f"{_call(name, args)} raised {exc!r}") from exc
+            raise AssemblyError(f"{name} raised {exc!r}") from exc
     if not (math.isfinite(vals.min()) and math.isfinite(vals.max())):
         idx = tuple(np.argwhere(~np.isfinite(vals))[0])
-        args = [values[i] for values, i in zip(lists, idx)]
+        args = [float(axis[i]) for axis, i in zip(axes, idx)]
         raise AssemblyError(f"{_call(name, args)} returned {vals[idx]}")
+    return vals
+
+
+def _sample_arrays(func, name, axes, shape):
+    """func called once on the axes as np.ix_ gives them, read-only views
+    of shapes (m, 1) and (1, n) for two axes, its result copied into a new
+    array of `shape`.  numpy's floating-point warnings are off during the
+    call, so that the finiteness check decides; a dtype `_real` refuses
+    or a shape that does not broadcast to `shape` becomes an AssemblyError."""
+    views = np.ix_(*axes)
+    for view in views:
+        view.flags.writeable = False
+    try:
+        with np.errstate(all="ignore"):
+            out = func(*views)
+    except (ArithmeticError, TypeError, ValueError) as exc:
+        raise AssemblyError(f"{name} raised {exc!r}") from exc
+    vals = np.empty(shape)
+    try:
+        np.copyto(vals, _real(out))
+    except (TypeError, ValueError) as exc:
+        raise AssemblyError(f"{name}'s result is refused: {exc}") from exc
     return vals
 
 

@@ -221,10 +221,12 @@ def derivative(kind: TransformKind, iv: Interval, x):
 
 
 def _real(x):
-    """x as float64, as np.asarray(x, dtype=float) gives it; a complex dtype
-    raises TypeError, where numpy would drop the imaginary part with a warning."""
+    """x as float64, as np.asarray(x, dtype=float) gives it, for an integer
+    or float dtype only.  Any other raises TypeError: a complex, where numpy
+    would drop the imaginary part with a warning, a string, which numpy
+    would parse as a number, a bool and an object."""
     x = np.asarray(x)
-    if x.dtype.kind == "c":
+    if x.dtype.kind not in "iuf":
         raise TypeError(f"expected real values, got dtype {x.dtype}")
     return x.astype(float, copy=False)
 

@@ -16,6 +16,9 @@ replaced: `k % 2`, `np.interp` and `searchsorted` on every point.
 products, the form that assembly in place replaced.  `naive_assemble_new`
 and `naive_assemble_original` build it entry by entry from the scalar
 transforms, hats and Si; `naive_assemble` picks the naive one by method.
+All three take k1, k2 and g from `sample_problem`, which calls them by the
+problem's protocol as the solver does: one Python float per call, or one
+call per callable on arrays for a vectorized problem.
 `quadrature` and `indefinite` are the Sinc quadrature and indefinite
 integration of one function, one scalar call per node; with two closures
 per probe they give the residual that `solver._residual` computes in
@@ -188,8 +191,7 @@ def expression_assemble(problem, method, N):
         coll[0], coll[-1] = iv.a, iv.b
         jmat[0, :] = 0.0
         jmat[-1, :] = h
-    k1 = np.array([[problem.k1(t, s) for s in pts.tolist()] for t in coll.tolist()])
-    k2 = np.array([[problem.k2(t, s) for s in pts.tolist()] for t in coll.tolist()])
+    k1, k2, g = sample_problem(problem, coll.tolist(), pts.tolist())
     E = np.eye(n)
     V = k1 * w[None, :] * jmat
     K = k2 * w[None, :] * h
@@ -200,7 +202,24 @@ def expression_assemble(problem, method, N):
             hat = np.array([hat_at(iv, s) for s in pts.tolist()])
             V[:, col] = (k1 * hat[None, :] * w[None, :] * jmat).sum(axis=1)
             K[:, col] = (k2 * hat[None, :] * w[None, :]).sum(axis=1) * h
-    return E - V - K, np.array([problem.g(t) for t in coll.tolist()])
+    return E - V - K, g
+
+
+def sample_problem(problem, coll, pts):
+    """(k1, k2, g) of the problem at the collocation points `coll` and the
+    nodes `pts` (lists of floats), sampled the way the solver samples it:
+    a scalar problem one Python-float call per point, a vectorized one
+    with one call per callable on float64 arrays of shapes (m, 1), (1, n)
+    and (m,)."""
+    if problem.vectorized:
+        t, s = np.array(coll), np.array(pts)
+        shape = (t.size, s.size)
+        return (np.broadcast_to(problem.k1(t[:, None], s[None, :]), shape),
+                np.broadcast_to(problem.k2(t[:, None], s[None, :]), shape),
+                np.broadcast_to(problem.g(t), t.shape))
+    return (np.array([[problem.k1(t, s) for s in pts] for t in coll], dtype=float),
+            np.array([[problem.k2(t, s) for s in pts] for t in coll], dtype=float),
+            np.array([problem.g(t) for t in coll], dtype=float))
 
 
 def quadrature(grid, f) -> float:
@@ -253,16 +272,16 @@ def naive_assemble_new(problem, method, N):
     h = select_h(method, problem.alpha, d, N)
     iv = problem.iv
     n = 2 * N + 1
+    pts = [forward(kind, iv, j * h) for j in range(-N, N + 1)]
+    k1, k2, g = sample_problem(problem, pts, pts)
     A = np.zeros((n, n))
     rhs = np.zeros(n)
     for i in range(-N, N + 1):
-        ti = forward(kind, iv, i * h)
-        rhs[i + N] = problem.g(ti)
+        rhs[i + N] = g[i + N]
         for j in range(-N, N + 1):
-            sj = forward(kind, iv, j * h)
             wj = derivative(kind, iv, j * h)
-            v = problem.k1(ti, sj) * wj * naive_j_at_node(h, i - j)
-            k = problem.k2(ti, sj) * wj * h
+            v = k1[i + N, j + N] * wj * naive_j_at_node(h, i - j)
+            k = k2[i + N, j + N] * wj * h
             A[i + N, j + N] = (1.0 if i == j else 0.0) - v - k
     return A, rhs
 
@@ -279,16 +298,21 @@ def naive_assemble_original(problem, method, N):
     pts = [forward(kind, iv, j * h) for j in range(-N, N + 1)]
     wts = [derivative(kind, iv, j * h) for j in range(-N, N + 1)]
     endpoint_rows = method is Method.JOHN_OGBONNA_DE
+    coll = list(pts)
+    if endpoint_rows:
+        coll[0], coll[-1] = iv.a, iv.b
+    k1, k2, g = sample_problem(problem, coll, pts)
     A = np.zeros((n, n))
     rhs = np.zeros(n)
     for i in range(-N, N + 1):
+        ti = coll[i + N]
         if endpoint_rows and i == -N:
-            ti, jfac = iv.a, (lambda l: 0.0)  # running integral from a to a
+            jfac = lambda l: 0.0  # running integral from a to a
         elif endpoint_rows and i == N:
-            ti, jfac = iv.b, (lambda l: h)    # full-interval limit of J
+            jfac = lambda l: h    # full-interval limit of J
         else:
-            ti, jfac = pts[i + N], (lambda l, i=i: naive_j_at_node(h, i - l))
-        rhs[i + N] = problem.g(ti)
+            jfac = lambda l, i=i: naive_j_at_node(h, i - l)
+        rhs[i + N] = g[i + N]
         for j in range(-N, N + 1):
             if j in (-N, N):
                 hat = omega_a if j == -N else omega_b
@@ -297,14 +321,14 @@ def naive_assemble_original(problem, method, N):
                 kacc = 0.0
                 for l in range(-N, N + 1):
                     sl, wl = pts[l + N], wts[l + N]
-                    v += problem.k1(ti, sl) * hat(iv, sl) * wl * jfac(l)
-                    kacc += problem.k2(ti, sl) * hat(iv, sl) * wl
+                    v += k1[i + N, l + N] * hat(iv, sl) * wl * jfac(l)
+                    kacc += k2[i + N, l + N] * hat(iv, sl) * wl
                 k = kacc * h
             else:
                 e = 1.0 if i == j else 0.0
-                sj, wj = pts[j + N], wts[j + N]
-                v = problem.k1(ti, sj) * wj * jfac(j)
-                k = problem.k2(ti, sj) * wj * h
+                wj = wts[j + N]
+                v = k1[i + N, j + N] * wj * jfac(j)
+                k = k2[i + N, j + N] * wj * h
             if endpoint_rows and i in (-N, N):
                 # identity rows of the endpoint-collocated variant
                 e = 1.0 if i == j else 0.0

@@ -137,3 +137,26 @@ def test_complex_input_is_refused_without_a_warning(call, solution):
         warnings.simplefilter("error")
         with pytest.raises(TypeError, match="complex"):
             call(solution)
+
+
+# The same entry points given strings, which numpy would parse as numbers,
+# bools, which it would take as 0 and 1, or objects
+NOT_NUMBERS = {
+    "evaluate_solution string": lambda sol: vfie.evaluate_solution(sol, "0.5"),
+    "evaluate_solution bool": lambda sol: vfie.evaluate_solution(sol, True),
+    "evaluate_solution_many strings": lambda sol: vfie.evaluate_solution_many(sol, ["0.5", "0.25"]),
+    "evaluate_solution_many bools": lambda sol: vfie.evaluate_solution_many(sol, [True, False]),
+    "inverse string": lambda sol: vfie.inverse(vfie.TransformKind.SE, UNIT, "0.5"),
+    "inverse objects": lambda sol: vfie.inverse(vfie.TransformKind.SE, UNIT,
+                                                np.array([0.5, 0.25], dtype=object)),
+    "SincGrid points": lambda sol: vfie.SincGrid(
+        kind=sol.grid.kind, iv=sol.grid.iv, mesh=sol.grid.mesh,
+        points=[str(t) for t in sol.grid.points.tolist()], weights=sol.grid.weights),
+    "solve_linear bool A": lambda sol: vfie.solve_linear(np.eye(2, dtype=bool), np.ones(2)),
+}
+
+
+@pytest.mark.parametrize("call", NOT_NUMBERS.values(), ids=NOT_NUMBERS.keys())
+def test_input_that_is_not_integer_or_float_is_refused(call, solution):
+    with pytest.raises(TypeError, match="expected real values, got dtype"):
+        call(solution)

@@ -223,6 +223,82 @@ def test_arithmetic_error_in_a_callable_becomes_assembly_error():
     assert isinstance(exc.value.__cause__, TypeError)
 
 
+def vectorized_problem(k1=lambda t, s: t * s, k2=lambda t, s: 0.0, g=lambda t: t):
+    return Problem(iv=UNIT, k1=k1, k2=k2, g=g, alpha=1.0, d_se=3.14, d_de=1.57,
+                   vectorized=True)
+
+
+def test_vectorized_non_finite_value_names_the_first_point():
+    # numpy's overflow, invalid and divide warnings are off during the
+    # call, so the finiteness check refuses the value, and it names the
+    # first non-finite entry in row-major order from the axes
+    problem = vectorized_problem(k1=lambda t, s: 10.0 ** (400.0 * s) + t)
+    pts = grid_for(problem, Method.NEW_SE, 8).points
+    first = float(pts[400.0 * pts > math.log10(np.finfo(float).max)][0])
+    with pytest.raises(AssemblyError, match=re.escape(f"k1({float(pts[0])!r}, {first!r}) returned inf")):
+        solve(problem, Method.NEW_SE, 8)
+    problem = vectorized_problem(k2=lambda t, s: np.sqrt(t - 0.5) * s)
+    p0 = float(pts[0])
+    with pytest.raises(AssemblyError, match=re.escape(f"k2({p0!r}, {p0!r}) returned nan")):
+        solve(problem, Method.NEW_SE, 8)
+    with pytest.raises(AssemblyError, match=re.escape("g(0.0) returned inf")):
+        solve(vectorized_problem(g=lambda t: 1.0 / t), Method.JOHN_OGBONNA_DE, 4)
+
+
+def _raise(exc):
+    def func(*args):
+        raise exc
+    return func
+
+
+@pytest.mark.parametrize("callable_, exc_type", [
+    ("k1", ZeroDivisionError), ("k2", OverflowError), ("g", ValueError), ("k1", TypeError),
+])
+def test_vectorized_callable_that_raises_is_refused(callable_, exc_type):
+    problem = vectorized_problem(**{callable_: _raise(exc_type("bad"))})
+    with pytest.raises(AssemblyError, match=re.escape(f"{callable_} raised {exc_type.__name__}(")) as exc:
+        solve(problem, Method.NEW_DE, 4)
+    assert isinstance(exc.value.__cause__, exc_type)
+
+
+def test_math_only_kernel_on_a_vectorized_problem_is_refused():
+    problem = vectorized_problem(k1=lambda t, s: math.exp(t * s))
+    with pytest.raises(AssemblyError, match=r"^k1 raised TypeError\(") as exc:
+        solve(problem, Method.NEW_SE, 4)
+    assert isinstance(exc.value.__cause__, TypeError)
+    with pytest.raises(AssemblyError, match=r"^g raised TypeError\("):
+        solve(vectorized_problem(g=math.sqrt), Method.NEW_SE, 4)
+
+
+def test_vectorized_complex_result_is_refused():
+    problem = vectorized_problem(k1=lambda t, s: t * s + 0j)
+    with pytest.raises(AssemblyError, match=r"^k1's result is refused: .*complex128") as exc:
+        solve(problem, Method.NEW_SE, 4)
+    assert isinstance(exc.value.__cause__, TypeError)
+
+
+@pytest.mark.parametrize("result", [np.zeros(3), np.zeros((9, 9, 2))], ids=["short", "3-d"])
+def test_vectorized_result_that_does_not_broadcast_is_refused(result):
+    problem = vectorized_problem(k2=lambda t, s: result)
+    with pytest.raises(AssemblyError, match=r"^k2's result is refused: .*broadcast") as exc:
+        solve(problem, Method.NEW_SE, 4)
+    assert isinstance(exc.value.__cause__, ValueError)
+    with pytest.raises(AssemblyError, match=r"^g's result is refused: .*broadcast"):
+        solve(vectorized_problem(g=lambda t: t[:-1]), Method.NEW_SE, 4)
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_vectorized_results_that_broadcast_match_the_scalar_problem(method):
+    # a row of nodes, a column of points and a constant are taken and broadcast
+    def problem(vectorized):
+        return Problem(iv=UNIT, k1=lambda t, s: s, k2=lambda t, s: t,
+                       g=lambda t: 1.0, alpha=1.0, d_se=3.14, d_de=1.57,
+                       vectorized=vectorized)
+    A, rhs, _ = assemble_new(problem(True), method, 6)
+    A_ref, rhs_ref, _ = assemble_new(problem(False), method, 6)
+    assert np.array_equal(A, A_ref) and np.array_equal(rhs, rhs_ref)
+
+
 def test_sampling_holds_no_mask_beside_its_output():
     # the finiteness check reduces the samples without an n x n bool mask
     problem = builtin(2).problem
@@ -254,7 +330,7 @@ def _recorded(log, problem):
 @pytest.mark.parametrize("method", list(Method))
 def test_callables_get_python_floats_in_row_major_order(method):
     log = []
-    problem = _recorded(log, builtin(2).problem)
+    problem = _recorded(log, dataclasses.replace(builtin(2).problem, vectorized=False))
     N = 8
     n = 2 * N + 1
     solve(problem, method, N)
@@ -268,6 +344,30 @@ def test_callables_get_python_floats_in_row_major_order(method):
     assert [args for name, args in log if name == "g"] == [(t,) for t in coll]
     assert len(log) == 2 * n * n + n
     assert all(type(x) is float for _, args in log for x in args)
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_vectorized_callables_get_one_call_on_broadcast_arrays(method):
+    log = []
+    problem = _recorded(log, builtin(2).problem)
+    N = 8
+    n = 2 * N + 1
+    solve(problem, method, N)
+    pts = grid_for(problem, method, N).points
+    coll = pts.copy()
+    if method is Method.JOHN_OGBONNA_DE:
+        coll[0], coll[-1] = UNIT.a, UNIT.b
+    assert [name for name, _ in log] == ["k1", "k2", "g"]
+    for name, args in log:
+        assert all(isinstance(x, np.ndarray) and x.dtype == np.float64
+                   and not x.flags.writeable for x in args)
+        if name == "g":
+            (t,) = args
+            assert t.shape == (n,) and np.array_equal(t, coll)
+        else:
+            t, s = args
+            assert (t.shape, s.shape) == ((n, 1), (1, n))
+            assert np.array_equal(t.ravel(), coll) and np.array_equal(s.ravel(), pts)
 
 
 def test_quadrature_and_indefinite_oracles_call_with_python_floats():
@@ -286,10 +386,10 @@ def test_every_user_callable_is_called_inside_sample(monkeypatch):
     depth = [0]
     sample = vfie.solver._sample
 
-    def marked(*args):
+    def marked(*args, **kwargs):
         depth[0] += 1
         try:
-            return sample(*args)
+            return sample(*args, **kwargs)
         finally:
             depth[0] -= 1
 
@@ -313,7 +413,9 @@ def test_every_user_callable_is_called_inside_sample(monkeypatch):
     max_error(solve(ex.problem, Method.NEW_DE, 4), exact, 16)
     assert {name for name, _, _ in log} == {"k1", "k2", "g", "u"}
     assert all(within for _, _, within in log)
-    assert all(type(x) is float for _, args, _ in log for x in args)
+    # example 2's k1, k2 and g take arrays; its exact solution takes floats
+    assert all(type(x) is (float if name == "u" else np.ndarray)
+               for name, args, _ in log for x in args)
 
 
 def _closure_residuals(example, grid, ts):
