@@ -92,11 +92,14 @@ class Problem:
     `vectorized=True` each is called once, on read-only float64 arrays:
     k1 and k2 on the points t as shape (m, 1) and the nodes s as shape
     (1, n), g on the points as shape (m,), under np.errstate(all="ignore");
-    the result must be real and broadcast to (m, n) or (m,), so a constant
-    is taken.  Either way a non-finite or non-real value, an
-    ArithmeticError (such as ZeroDivisionError or OverflowError), a
-    TypeError or a ValueError (such as a math domain error), and on
-    arrays a result of another shape, raises AssemblyError.
+    the result must be real, a scalar or of the sample's dimension (2 for
+    k1 and k2, 1 for g), and broadcast to (m, n) or (m,), so a constant is
+    taken.  Either way a non-finite or non-real value, an ArithmeticError
+    (such as ZeroDivisionError or OverflowError), a TypeError or a
+    ValueError (such as a math domain error), and on arrays a result of
+    another dimension or shape, raises AssemblyError.  The field is
+    interim: once sampling chooses the protocol by probing a callable with
+    one array call, it goes.
     """
 
     iv: Interval
@@ -330,8 +333,11 @@ def _sample_arrays(func, name, axes, shape):
     """func called once on the axes as np.ix_ gives them, read-only views
     of shapes (m, 1) and (1, n) for two axes, its result copied into a new
     array of `shape`.  numpy's floating-point warnings are off during the
-    call, so that the finiteness check decides; a dtype `_real` refuses
-    or a shape that does not broadcast to `shape` becomes an AssemblyError."""
+    call, so that the finiteness check decides.  A dtype `_real` refuses,
+    a result that is neither a scalar nor of `shape`'s dimension, and a
+    shape that does not broadcast to `shape` become AssemblyErrors; the
+    dimension rule keeps a length-n vector from spreading across the rows
+    of a square sample as if it followed the nodes."""
     views = np.ix_(*axes)
     for view in views:
         view.flags.writeable = False
@@ -342,7 +348,11 @@ def _sample_arrays(func, name, axes, shape):
         raise AssemblyError(f"{name} raised {exc!r}") from exc
     vals = np.empty(shape)
     try:
-        np.copyto(vals, _real(out))
+        out = _real(out)
+        if out.ndim not in (0, len(shape)):
+            raise ValueError(f"a result of shape {out.shape} cannot broadcast to {shape} "
+                             f"along the axes: it must be a scalar or {len(shape)}-d")
+        np.copyto(vals, out)
     except (TypeError, ValueError) as exc:
         raise AssemblyError(f"{name}'s result is refused: {exc}") from exc
     return vals

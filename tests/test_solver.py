@@ -277,14 +277,22 @@ def test_vectorized_complex_result_is_refused():
     assert isinstance(exc.value.__cause__, TypeError)
 
 
-@pytest.mark.parametrize("result", [np.zeros(3), np.zeros((9, 9, 2))], ids=["short", "3-d"])
-def test_vectorized_result_that_does_not_broadcast_is_refused(result):
-    problem = vectorized_problem(k2=lambda t, s: result)
+@pytest.mark.parametrize("k2", [
+    lambda t, s: np.zeros(3),
+    lambda t, s: np.zeros((9, 9, 2)),
+    # n values, as many as the nodes: numpy would spread them across the
+    # rows, as if the kernel followed s
+    lambda t, s: t.ravel(),
+], ids=["short", "3-d", "1-d-of-n"])
+def test_vectorized_result_that_does_not_broadcast_is_refused(k2):
+    problem = vectorized_problem(k2=k2)
     with pytest.raises(AssemblyError, match=r"^k2's result is refused: .*broadcast") as exc:
         solve(problem, Method.NEW_SE, 4)
     assert isinstance(exc.value.__cause__, ValueError)
     with pytest.raises(AssemblyError, match=r"^g's result is refused: .*broadcast"):
         solve(vectorized_problem(g=lambda t: t[:-1]), Method.NEW_SE, 4)
+    with pytest.raises(AssemblyError, match=r"^g's result is refused: .*broadcast"):
+        solve(vectorized_problem(g=lambda t: t[:, None]), Method.NEW_SE, 4)
 
 
 @pytest.mark.parametrize("method", list(Method))
@@ -395,6 +403,7 @@ def test_every_user_callable_is_called_inside_sample(monkeypatch):
 
     monkeypatch.setattr(vfie.solver, "_sample", marked)
     monkeypatch.setattr(vfie.bench, "_sample", marked)
+
     log = []
 
     def inside(name, func):
@@ -403,19 +412,24 @@ def test_every_user_callable_is_called_inside_sample(monkeypatch):
             return func(*args)
         return record
 
-    ex = builtin(2)
-    problem = dataclasses.replace(ex.problem, k1=inside("k1", ex.problem.k1),
-                                  k2=inside("k2", ex.problem.k2), g=inside("g", ex.problem.g))
-    exact = inside("u", ex.exact)
-    for method in Method:
-        solve(problem, method, 4)
-    self_check(dataclasses.replace(ex, problem=problem, exact=exact))
-    max_error(solve(ex.problem, Method.NEW_DE, 4), exact, 16)
-    assert {name for name, _, _ in log} == {"k1", "k2", "g", "u"}
-    assert all(within for _, _, within in log)
-    # example 2's k1, k2 and g take arrays; its exact solution takes floats
-    assert all(type(x) is (float if name == "u" else np.ndarray)
-               for name, args, _ in log for x in args)
+    # example 2 as built (k1, k2 and g on arrays) and as a scalar problem
+    # (one Python float per argument); its exact solution takes floats in both
+    for vectorized in (True, False):
+        log.clear()
+        ex = builtin(2)
+        base = dataclasses.replace(ex.problem, vectorized=vectorized)
+        problem = dataclasses.replace(base, k1=inside("k1", base.k1),
+                                      k2=inside("k2", base.k2), g=inside("g", base.g))
+        exact = inside("u", ex.exact)
+        for method in Method:
+            solve(problem, method, 4)
+        self_check(dataclasses.replace(ex, problem=problem, exact=exact))
+        max_error(solve(base, Method.NEW_DE, 4), exact, 16)
+        assert {name for name, _, _ in log} == {"k1", "k2", "g", "u"}
+        assert all(within for _, _, within in log)
+        kernel_arg = np.ndarray if vectorized else float
+        assert all(type(x) is (float if name == "u" else kernel_arg)
+                   for name, args, _ in log for x in args)
 
 
 def _closure_residuals(example, grid, ts):
