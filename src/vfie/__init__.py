@@ -6,6 +6,16 @@ of the second kind on a finite interval,
 with tanh (single-exponential) and tanh-sinh (double-exponential) variable
 transformations, two original fixed-mesh variants for comparison, and a
 benchmark harness reproducing their convergence behaviour.
+
+The public names are the `__all__` lists of the modules `transforms`,
+`approx`, `solver` and `bench`, lower-level pieces included: the maps
+`forward`, `inverse` and `derivative`, `select_h`, `build_grid`,
+`approximate` and `evaluate_many`.
+
+All operations are pure and every type is immutable after construction,
+so everything is safe to call concurrently and independent solves can
+run in parallel; the `approx` module docstring says why concurrent
+evaluations of one solution share nothing they write.
 """
 
 from . import approx, bench, solver, transforms

@@ -1,6 +1,15 @@
 """Command-line front end: `vfie bench` and `vfie solve`.
 
-Exit codes: 0 success, 2 usage error, 3 numerical failure, 4 I/O error.
+Exit codes: 0 success, 2 usage error, 3 numerical failure (a singular
+collocation matrix or a failed self-check), 4 I/O error.
+
+A ValueError from the library, `AssemblyError` included, is a usage
+error.  `vfie bench` reads `--n-list` and `--eval-points` through the
+sweep's own rules (each N an integer >= 1, strictly increasing; an
+integer of at least 2 evaluation points), and `vfie solve` refuses an
+`--at` outside [a, b], NaN included, so a bad value exits with code 2
+before any work; `vfie bench` writes its CSV (`emit_csv`) only after
+every sweep has run.
 """
 
 import argparse

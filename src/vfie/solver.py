@@ -69,7 +69,26 @@ class AssemblyError(ValueError):
     """A kernel, the right-hand side or, in `self_check` and `max_error`, the
     exact solution returned a non-finite or non-real value, or an array of
     the wrong shape, or raised an ArithmeticError, TypeError or ValueError,
-    when sampled."""
+    when sampled.
+
+    The message names the callable and, for a non-finite value, the point
+    of the first one in row-major order, e.g. `k1(0.5, 0.9) returned nan`;
+    for an array result, the point of its first non-finite entry.  A
+    scalar call that raises (ZeroDivisionError from 1.0 / t at t = 0,
+    OverflowError from 10.0 ** 400, the math domain error of
+    math.log(0.0)) or returns a value that float() refuses, such as a
+    complex (TypeError), is named at the first such point in the same
+    order, e.g. `g(0.0) raised ZeroDivisionError('float division by
+    zero')`, chained to the original exception.  That point is found by
+    calling again from the start, so only a failing call makes those
+    extra calls.  A vectorized callable that raises is named without a
+    point, e.g. `k1 raised TypeError(...)`, which is how a math.*-only
+    kernel on a vectorized problem is refused; an array result of a dtype
+    `_real` refuses (complex, bool, string, object), of another dimension
+    or of a shape that does not broadcast reads `k1's result is refused:
+    ...`.  It is a ValueError, so `vfie bench` and `vfie solve` exit with
+    code 2 on it, and `vfie bench` writes no CSV.
+    """
 
 
 class SingularMatrixError(RuntimeError):
@@ -86,20 +105,31 @@ class Problem:
     side g, endpoint regularity exponent alpha, and the strip half-widths
     used by the mesh rules of the tanh (d_se) and tanh-sinh (d_de) maps.
 
-    By default k1, k2 and g are called with Python floats, one point per
-    call: k1(t, s) and k2(t, s) once per (collocation point, node) pair in
-    row-major order, g(t) once per collocation point.  With
-    `vectorized=True` each is called once, on read-only float64 arrays:
-    k1 and k2 on the points t as shape (m, 1) and the nodes s as shape
-    (1, n), g on the points as shape (m,), under np.errstate(all="ignore");
-    the result must be real, a scalar or of the sample's dimension (2 for
-    k1 and k2, 1 for g), and broadcast to (m, n) or (m,), so a constant is
-    taken.  Either way a non-finite or non-real value, an ArithmeticError
-    (such as ZeroDivisionError or OverflowError), a TypeError or a
-    ValueError (such as a math domain error), and on arrays a result of
-    another dimension or shape, raises AssemblyError.  The field is
+    By default k1, k2 and g are called with Python floats (elements of the
+    point arrays, taken with tolist()), one point per call: k1(t, s) and
+    k2(t, s) once per (collocation point, node) pair in row-major order
+    (collocation point outer, node inner), g(t) once per collocation point,
+    so 2n^2 + n calls per assembly for n = 2N + 1.  With `vectorized=True`,
+    which the caller declares and nothing probes, each is called once, on
+    read-only float64 arrays: k1 and k2 on the points t as shape (m, 1)
+    and the nodes s as shape (1, n), g on the points as shape (m,), under
+    np.errstate(all="ignore"), so that an overflow or a NaN is refused as
+    a non-finite value rather than turned into a numpy warning; the result
+    must be real, a scalar or of the sample's dimension (2 for k1 and k2,
+    1 for g), and broadcast to (m, n) or (m,), so a constant is taken and a
+    length-n vector from k1 or k2 is refused rather than spread across the
+    rows.  m is n in assembly and 33, the probe points, in `self_check`,
+    which calls k1, k2 and g by the same protocol.  Example 2 of `builtin`
+    is vectorized; example 1 is not.  Either way a non-finite or non-real
+    value, an ArithmeticError (such as ZeroDivisionError or
+    OverflowError), a TypeError or a ValueError (such as a math domain
+    error), and on arrays a result of another dimension or shape, raises
+    AssemblyError, whose docstring gives the messages.  The field is
     interim: once sampling chooses the protocol by probing a callable with
     one array call, it goes.
+
+    alpha outside (0, 1], d_se outside (0, pi) and d_de outside
+    (0, pi/2) raise ValueError.
     """
 
     iv: Interval
@@ -123,7 +153,9 @@ class DiscreteSolution:
     For se-new/de-new the coefficients are the solution values at the grid
     points; the original variants lack that property.  `condition_hint` is
     the LAPACK reciprocal condition estimate of the collocation matrix in
-    the infinity norm.
+    the infinity norm; `solve_linear` says how far its digits reproduce.
+    The solution builds its interpolant once, when it is made, and every
+    `evaluate_solution(_many)` call reuses it.
     """
 
     method: Method
@@ -162,8 +194,13 @@ def grid_for(problem: Problem, method: Method, N: int) -> SincGrid:
     the matching strip half-width from the problem.
 
     An N whose dense system cannot fit in physical memory is refused here,
-    so `solve` refuses it before any kernel call; where the memory size
-    cannot be read, nothing is refused.
+    so `solve` refuses it before any kernel call: assembly plus LU hold at
+    most `_PEAK_ARRAYS`, six, n x n float64 arrays at once, and if those
+    48 n^2 bytes, computed in exact integers, exceed the machine's
+    physical memory, a ValueError names N, n and the estimate (`vfie
+    solve` exits with code 2).  Where the memory size cannot be
+    read (no os.sysconf, or no SC_PHYS_PAGES on the platform), nothing is
+    refused.
     """
     n = 2 * _integer(N, "N", 1) + 1
     need = _PEAK_ARRAYS * 8 * n * n
@@ -217,7 +254,9 @@ def _assemble(problem, method, N):
     nodes.  Those row sums keep the naive loops' product order, which holds
     them within 1 ulp of the loops; a matrix product does not.  They are
     formed first, in one scratch buffer, because V and K then overwrite
-    the k1 and k2 samples.
+    the k1 and k2 samples.  The in-place scaling and subtraction make the
+    same operations in the same order as the whole-array E - V - K, so A
+    is bitwise the same.
     de-johnogbonna collocates its end rows at a and b, where J is 0 and h.
     `grid_for` makes the size refusal before any kernel call.
     """
@@ -266,7 +305,8 @@ def _offset_matrix(N, h):
 
 def _running_integral(h, r):
     """J(j,h)(x) = h (1/2 + Si(pi r)/pi) at the offset r = x/h - j, the
-    running integral of S(j,h) from -inf; r may be an array.  Si(+-inf) =
+    running integral of S(j,h) from -inf, with Si from scipy.special.sici;
+    r may be an array.  Si(+-inf) =
     +-pi/2 gives the limits h and 0 exactly, and the value stays inside
     [-0.1 h, 1.1 h] (the overshoot of Si is Si(pi) ~ 1.852)."""
     return h * (0.5 + sici(math.pi * r)[0] / math.pi)
@@ -365,9 +405,17 @@ def _call(name, args):
 def solve_linear(A, rhs):
     """Solve A c = rhs by LU with partial pivoting (LAPACK's dgesv, which
     leaves A and rhs unchanged).  Returns (c, rcond) where rcond is the
-    LAPACK reciprocal condition estimate taken from the factorization.  An
-    exactly zero pivot raises SingularMatrixError.  A NaN or inf in A or rhs
-    raises ValueError, and so does a finite A whose infinity norm overflows."""
+    LAPACK reciprocal condition estimate (dgecon) taken from the LU factors
+    that dgesv returns.  An exactly zero pivot raises SingularMatrixError.
+    A NaN or inf in A or rhs raises ValueError, and so does a finite A
+    whose infinity norm (largest absolute row sum) overflows.
+
+    c, A and the LU factors are bitwise reproducible for a fixed BLAS
+    thread count, not across thread counts, and the last digits of rcond
+    are not reproducible even for a fixed count, although the LU factors
+    and the norm are: pin the thread count (as perfbench/run.py and
+    tools/output_digest.py do) when comparing outputs bit for bit, and
+    compare rcond to a few ulp."""
     A = _real(A)
     rhs = _real(rhs)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -388,11 +436,14 @@ def solve_linear(A, rhs):
 
 def solve(problem: Problem, method: Method, N: int) -> DiscreteSolution:
     """Assemble and solve the collocation system of any `method` at index
-    N, on the one grid that assembly builds and returns.
+    N, on the one grid that assembly (`assemble_new`) builds and returns.
 
-    A numerically singular system (rcond below 100 eps) is reported
-    through ConditioningWarning rather than raised: invertibility is only
-    guaranteed for N large enough, and sweeps should report, not crash.
+    Assembly builds that grid before any kernel call, so every refusal of
+    the arguments comes before any kernel call, and the solution carries
+    the grid.  A numerically singular system (rcond below 100 eps) is
+    reported through ConditioningWarning rather than raised: invertibility
+    is only guaranteed for N large enough, and sweeps should report, not
+    crash.
     """
     A, rhs, grid = assemble_new(problem, method, N)
     coeffs, rcond = solve_linear(A, rhs)
@@ -407,12 +458,16 @@ def solve(problem: Problem, method: Method, N: int) -> DiscreteSolution:
 
 
 def evaluate_solution(sol: DiscreteSolution, t: float) -> float:
-    """Approximate solution value at one point of [a, b], bitwise the
-    value `evaluate_solution_many` gives on [t], on Python floats."""
+    """Approximate solution value at one point of [a, b], as a float,
+    bitwise the value at t of any `evaluate_solution_many` batch that
+    holds t, computed on Python floats (`approx._evaluate_point`).  An
+    array t, even of one element, raises ValueError naming its shape.
+    `vfie solve --at` prints this value."""
     return _evaluate_point(sol._interp, t)
 
 
 def evaluate_solution_many(sol: DiscreteSolution, ts) -> np.ndarray:
     """Approximate solution values on a scalar or 1-D array of points in
-    [a, b], from the interpolant the solution built once."""
+    [a, b], as a 1-D array, from the interpolant the solution built once;
+    points of any other shape raise ValueError naming the shape."""
     return evaluate_many(sol._interp, ts)

@@ -5,7 +5,13 @@ Jacobian towards the endpoints; the tanh-of-sinh map, with
 double-exponential decay; and the half-argument variant of the latter
 used by the de-johnogbonna baseline.  Mesh-size selection lives here as
 well, since each of the four solver flavours is a (transform, h-rule)
-pair.
+pair.  `forward`, `inverse` and `derivative` take arrays as well as
+scalars; a scalar argument gives a float, bitwise equal to the matching
+array element.
+
+Each argument rule of the package is one helper here, whose docstring
+states it: `_integer` for counts, `_vector` for stored arrays,
+`_check_point` for points in [a, b] and `_real` for real values.
 """
 
 import math
@@ -79,7 +85,11 @@ _TINY = sys.float_info.min
 
 @dataclass(frozen=True)
 class Interval:
-    """A finite interval [a, b] with a < b and a finite length b - a."""
+    """A finite interval [a, b] with a < b and a finite length b - a.
+
+    Infinite or NaN endpoints, a >= b and endpoints whose length b - a
+    overflows, such as [-1e308, 1e308], raise ValueError naming both.
+    """
 
     a: float
     b: float
@@ -129,6 +139,18 @@ def forward(kind: TransformKind, iv: Interval, x):
     b - it otherwise.  Near a the node therefore keeps its relative
     precision instead of rounding onto a; near b it still rounds onto b
     once the distance drops below half an ulp of b.
+
+    For the nodes x = jh on [0, 1]: a node reaches a only when the
+    distance underflows, past |jh| ~ 6.2 for de-new's map and 6.9 for
+    de-johnogbonna's, never in practice for the tanh map (on an interval
+    that does not start at 0, once the distance drops below half an ulp of
+    a); it reaches b past |jh| ~ 37 for the tanh map, 3.2 for de-new's and
+    3.9 for de-johnogbonna's.  Past |jh| ~ 6.1 (de-new) or 6.8
+    (de-johnogbonna) the Jacobian weights underflow to 0 as well
+    (`derivative`).  Sums and solves remain well behaved, since the
+    affected terms vanish, but the nodal values at collided points are
+    represented by a single double, and integrands that blow up at the
+    endpoints can overflow there at large N.
     """
     x = _real(x)
     if kind is TransformKind.SE:
@@ -147,10 +169,14 @@ def inverse(kind: TransformKind, iv: Interval, t):
     The inner argument is formed as log((t - a)/(b - t)), which is the
     tanh inverse rearranged to avoid the cancellation the naive atanh
     form suffers near the endpoints.  Where that quotient is subnormal
-    (its bits partly lost, t = 1e-20 on [0, 1e300]), underflows to 0 or
-    overflows to inf although a < t < b (t = 5e-324 on [0, 1e300]), the
-    log is split into log(t - a) - log(b - t), which is finite and keeps
-    the bits the quotient lost.
+    (its bits partly lost, t = 1e-20 on [0, 1e300]), underflows to 0
+    (t = 5e-324 on [0, 1e300]) or overflows to inf (t = 0 on
+    [-1e300, 1e-300]) although a < t < b, the log is split into
+    log(t - a) - log(b - t), which is finite and keeps the bits the
+    quotient lost: -1435.2156 for the tanh map at t = 5e-324 on
+    [0, 1e300], and at t = 1e-20 there, where the quotient is about 1e-320
+    with some 11 bits left, a log that the quotient's would miss by about
+    1e-4.
     """
     t = _real(t)
     if t.ndim == 0:
@@ -199,7 +225,9 @@ def _inverse_point(kind, iv, t: float) -> float:
 
 
 def _check_point(iv, t: float) -> None:
-    """Refuse one point t outside [a, b], NaN included."""
+    """Refuse one point t outside [a, b], NaN and +-inf included, with one
+    ValueError message for `evaluate_solution(_many)`, `inverse` and
+    `vfie solve --at`."""
     if not iv.a <= t <= iv.b:
         raise ValueError(f"t = {t} lies outside [{iv.a}, {iv.b}]")
 
@@ -223,8 +251,13 @@ def derivative(kind: TransformKind, iv: Interval, x):
 def _real(x):
     """x as float64, as np.asarray(x, dtype=float) gives it, for an integer
     or float dtype only.  Any other raises TypeError: a complex, where numpy
-    would drop the imaginary part with a warning, a string, which numpy
-    would parse as a number, a bool and an object."""
+    would drop the imaginary part with a ComplexWarning, a string such as
+    '0.5', which numpy would parse as a number, a bool such as True, which
+    it would take as 1.0, and an object.  Points, samples and matrices
+    pass through it in `evaluate_solution(_many)`, `evaluate_many`,
+    `forward`/`inverse`/`derivative`, `approximate`, the constructors of
+    `SincGrid`, `GeneralizedInterpolant` and `DiscreteSolution` (through
+    `_vector`) and `solve_linear`."""
     x = np.asarray(x)
     if x.dtype.kind not in "iuf":
         raise TypeError(f"expected real values, got dtype {x.dtype}")
@@ -233,8 +266,12 @@ def _real(x):
 
 def _vector(values, n, what):
     """values as a read-only float64 copy of shape (n,), never the caller's
-    array: a complex dtype raises TypeError, as in `_real`, any other
-    shape ValueError."""
+    array, which stays writeable; a list is taken as well.  A dtype that
+    `_real` refuses raises TypeError, any other shape a ValueError naming
+    `what` and both shapes.  The points and weights of a `SincGrid`, the
+    samples and coefficients of a `GeneralizedInterpolant` or `approximate`
+    and the coefficients of a `DiscreteSolution` are stored through it,
+    with n = 2N + 1."""
     v = _real(values).copy()
     if v.shape != (n,):
         raise ValueError(f"{what} must have shape ({n},), got {v.shape}")
@@ -243,8 +280,11 @@ def _vector(values, n, what):
 
 
 def _integer(value, name, low):
-    """value as a Python int >= low: numpy integers pass, floats are refused
-    even when integral (8.0), and so is a bool."""
+    """value as a Python int >= low: numpy integers pass, and give bitwise
+    the results of Python ints, since the value is kept as a Python int;
+    floats are refused even when integral (8.0), and so is a bool, with a
+    ValueError naming the count.  The counts are N >= 1 and the number of
+    error points, `run_sweep`'s eval_points and `max_error`'s M, >= 2."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < low:

@@ -1,11 +1,12 @@
 """The pair judgement of tools/ab_pairs.py: wins, ties and the gain rule,
-and its JSON record."""
+its JSON record and the post-import set-up time it adds to each run."""
 
 import hashlib
 import json
 import os
 import pathlib
 import shutil
+import time
 
 import pytest
 
@@ -133,3 +134,39 @@ def test_json_holds_every_pair_and_the_judgement_of_every_metric(ab_pairs, monke
     setup = data["metrics"]["setup_s"]
     assert (setup["wins"], setup["losses"], setup["gain"], setup["median_change"]) == (
         0, 0, False, 0.0)
+
+
+def test_a_run_carries_its_post_import_setup_beside_setup_s(ab_pairs, monkeypatch):
+    calls = []
+    monkeypatch.setattr(ab_pairs, "_child", lambda cmd, root, timeout: _RUN)
+    monkeypatch.setattr(ab_pairs, "post_import_setup",
+                        lambda root, workload, seed: calls.append((root, workload, seed)) or 0.125)
+    result = ab_pairs.run("checkout", "eval-dense", 4, 45.0)
+    assert calls == [("checkout", "eval-dense", 4)]
+    assert result["metric_lines"]["post_import_setup_s"] == (0.125, "s")
+    runs = [{"seed": 4, "first": "parent", "parent": result, "change": result}]
+    metrics = [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}]
+    assert "post_import_setup_s (s): median parent 0.125  change 0.125" in ab_pairs.report(
+        metrics, runs)
+
+
+def test_post_import_setup_times_make_alone_after_the_imports(ab_pairs, tmp_path):
+    # a checkout whose import takes 0.5 s and whose set-up takes 0.05 s;
+    # its make records what it was given and what the child had done by then
+    (tmp_path / "src" / "vfie").mkdir(parents=True)
+    (tmp_path / "src" / "vfie" / "__init__.py").write_text("import time\ntime.sleep(0.5)\n")
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "accuracy.py").write_text("class Gate:\n    pass\n")
+    (tmp_path / "perfbench" / "workloads.py").write_text(
+        "import json, os, sys, time\n"
+        "def make(name, seed, gate, out_dir):\n"
+        "    time.sleep(0.05)\n"
+        "    with open('made.json', 'w') as fh:\n"
+        "        json.dump([name, seed, 'vfie' in sys.modules, os.path.isdir(out_dir),\n"
+        "                   os.environ['OPENBLAS_NUM_THREADS']], fh)\n")
+    start = time.perf_counter()
+    seconds = ab_pairs.post_import_setup(str(tmp_path), "sweep", 3)
+    assert time.perf_counter() - start >= 0.5
+    assert 0.05 <= seconds < 0.5
+    made = json.loads((tmp_path / "made.json").read_text())
+    assert made == ["sweep", 3, True, True, "1"]

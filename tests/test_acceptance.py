@@ -1,6 +1,13 @@
 """Acceptance suite: each test prints one pass/fail line.
 
 Run with `pytest -s tests/test_acceptance.py` to see the lines as they go.
+The criteria, in order: the interpolation identity at the nodes, the
+special-function oracles, assembly equal to naive double-loop
+constructions (within 1 ulp per entry), exact-solution recovery, the
+decay-rate regressions, DE-over-SE dominance, residual bounds, the
+sup|J| <= 1.1 h bound of the running-integral basis, the quadrature
+weight-sum limits, and a self-check that the built-in examples'
+right-hand sides match their stated exact solutions.
 """
 
 import math

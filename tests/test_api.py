@@ -1,14 +1,32 @@
+"""The public surface, the repository's layout and its README.
+
+Each test module is named for what it tests: test_transforms.py,
+test_approx.py, test_solver.py, test_bench.py and test_cli.py test the
+module of their name in src/vfie (the boundary hats and the `sinc_S`
+oracle are checked in test_approx.py, J and scipy's Si in test_solver.py,
+and scipy's beta in test_bench.py), test_ab_pairs.py tests
+tools/ab_pairs.py, and test_acceptance.py holds the acceptance criteria.
+This module pins the public names and signatures, that layout, the
+refusal of complex and other non-real input at every entry point, and
+README's Python example and `vfie` commands.  The oracles live in
+conftest.py, and no test module imports another.
+"""
+
 import ast
 import inspect
 import pathlib
+import re
+import shlex
 import warnings
 
 import numpy as np
 import pytest
 
 import vfie
+from vfie import cli
 
 TESTS = pathlib.Path(__file__).parent
+README = TESTS.parent / "README.md"
 
 # The public surface.  A name added or removed here is a deliberate change
 # to the API and belongs in CHANGES.md.
@@ -160,3 +178,35 @@ NOT_NUMBERS = {
 def test_input_that_is_not_integer_or_float_is_refused(call, solution):
     with pytest.raises(TypeError, match="expected real values, got dtype"):
         call(solution)
+
+
+def _readme_blocks(language):
+    """The bodies of README's fenced code blocks in `language`."""
+    text = README.read_text(encoding="utf-8")
+    return re.findall(rf"^```{language}\n(.*?)^```", text, re.M | re.S)
+
+
+def test_readme_python_example_prints_what_its_comments_claim(capsys):
+    (code,) = _readme_blocks("python")
+    claims = re.findall(r"^print\(.*\)\s+# (.*)$", code, re.M)
+    assert len(claims) == 2, claims
+    exec(compile(code, str(README), "exec"), {"__name__": "readme"})
+    value, hint = map(float, capsys.readouterr().out.split())
+    near, below = re.fullmatch(r"~(\S+), error below (\S+)", claims[0]).groups()
+    assert abs(value - float(near)) < float(below)
+    assert claims[1].endswith("in (0, 1]"), claims[1]
+    assert 0.0 < hint <= 1.0
+
+
+def test_readme_vfie_commands_parse():
+    # every `vfie ...` line of README's shell blocks, continuations joined
+    lines = "\n".join(_readme_blocks("sh")).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line, comments=True) for line in lines
+                if line.lstrip().startswith("vfie ")]
+    assert len(commands) >= 2, commands
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {shlex.join(argv)}")

@@ -21,6 +21,14 @@ where a gain comes from.  With --json PATH the same pairs and judgement
 are also written to PATH as JSON (see `record`), with the sha256 of each
 side's src/vfie/*.py, so that the record names the code each side ran
 also when the checkouts carry no git metadata.
+
+After each run, a fresh process in the same checkout imports vfie and
+perfbench's workloads and then times `workloads.make` alone for the same
+workload and seed (`post_import_setup`).  The benchmark's setup_s counts
+from interpreter start, so the import, about 0.5 s, and its spread hide
+a change to set-up below about 0.1 s; this time leaves the import out.
+It is recorded beside setup_s among the run's metric lines, as
+post_import_setup_s, and reported with each side's median.
 """
 
 import argparse
@@ -33,6 +41,21 @@ import subprocess
 import sys
 
 RUN_TIMEOUT_S = 900
+SETUP_TIMEOUT_S = 150
+
+# Run in a fresh process from a checkout's root: the imports first, then
+# the workload's set-up alone, timed, in a scratch output directory.  BLAS
+# is pinned by the environment, as perfbench/run.py pins it.
+_SETUP_CHILD = """
+import json, sys, tempfile, time
+sys.path[:0] = ["src", "perfbench"]
+import vfie, workloads
+from accuracy import Gate
+with tempfile.TemporaryDirectory() as out:
+    start = time.perf_counter()
+    workloads.make(sys.argv[1], int(sys.argv[2]), Gate(), out)
+    print(json.dumps(time.perf_counter() - start))
+"""
 
 
 def parse_args(argv):
@@ -55,14 +78,33 @@ def parse_args(argv):
 
 
 def run(root, workload, seed, seconds):
-    """One untraced benchmark run in `root`, parsed by `parse`."""
+    """One untraced benchmark run in `root`, parsed by `parse`, with the
+    `post_import_setup` of the same workload and seed added to its metric
+    lines as post_import_setup_s."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", repr(seconds), "--trace", "0"]
-    done = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    result = parse(_child(cmd, root, RUN_TIMEOUT_S))
+    result["metric_lines"]["post_import_setup_s"] = (post_import_setup(root, workload, seed), "s")
+    return result
+
+
+def post_import_setup(root, workload, seed):
+    """Seconds that `workloads.make(workload, seed, ...)` takes in a fresh
+    process in `root` that has already imported vfie and the workloads,
+    with one BLAS thread."""
+    cmd = [sys.executable, "-c", _SETUP_CHILD, workload, str(seed)]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    return float(json.loads(_child(cmd, root, SETUP_TIMEOUT_S, env).strip().splitlines()[-1]))
+
+
+def _child(cmd, root, timeout, env=None):
+    """The standard output of `cmd` run in `root`; a failure raises RuntimeError."""
+    done = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=timeout,
+                          env=env)
     if done.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {root} exited {done.returncode}: "
                            f"{done.stderr.strip()[-500:]}")
-    return parse(done.stdout)
+    return done.stdout
 
 
 def parse(stdout):
