@@ -17,13 +17,59 @@ u = x/h, k = rint(u) and r = u - k, which is exact in floating point,
 
 because sin(pi (u - j)) = (-1)^(j+k) sin(pi r).  Reducing the argument
 to r keeps sin(pi u) accurate for large |u|: without it, sin(pi u) at |u|
-in the hundreds loses up to 2.5e-12 on example 2.  Each row of entries is
-summed by `np.add.reduce`, numpy's pairwise sum, in the same order for a
-row of a block as for a lone row, so a value depends on its point alone:
-`evaluate_solution` and every batch of `evaluate_solution_many` that
-holds t give the same bits at t.  Pairwise summation also has the
-smaller error bound, O(eps log n) against O(eps n) for a sum in order
-(Higham, "Accuracy and Stability of Numerical Algorithms", 4.2).
+in the hundreds loses up to 2.5e-12 on example 2.
+
+The sum over j is split at k.  With a_j = (-1)^j c_j 2^-e (the scaling is
+below) and m = k - j, the entries of the near window |m| <= K are summed
+as they are, and the far field is a smooth function of r, because
+1/(u - j) = 1/(m + r) = sum_p (-r)^p/m^(p+1):
+
+    sum_j a_j/(u - j) = sum_{|m|<=K} a_j/(u - j) + sum_{p<P} (-r)^p C_p[k] + R,
+    C_p[k] = sum_{|k-j|>K} a_j/(k - j)^(p+1).
+
+This is the single-level form of the fast algorithms for Cauchy sums
+(Dutt, Gu and Rokhlin, "Fast algorithms for polynomial interpolation,
+integration and differentiation", SINUM 33, 1996): one local expansion
+per integer k replaces the n - (2K + 1) far divides of a point.
+
+What P terms leave of 1/(m + r) is (-r/m)^P/(m + r), largest at
+|r| = 1/2, and |m| >= K + 1 on both sides of k, so
+
+    |R| <= max|a| sum_{m>K} 2^-P m^-P (1/(m - 1/2) + 1/(m + 1/2))
+        <= 2 max|a| 2^-P (K + 1/2)^-P/(P - 1) = 2 max|a| (2K + 1)^-P/(P - 1),
+
+by 1/(m + 1/2) <= 1/(m - 1/2) <= 1/(K + 1/2) and, m^-P being convex,
+sum_{m>K} m^-P <= the integral of x^-P from K + 1/2.  K is 8, and P is
+the least count for which the bound is at most 2^-53 max|a|: P = 13,
+where it is 1.7e-17 max|a|, under a quarter of an ulp of the largest
+|a_j|.  K = 4, 6 and 12 (P = 16, 14 and 11) cost the same within a
+shared host's noise.
+
+Each interpolant builds, once, the zero-padded near windows of a and
+the table C[k, p] for k = -N - K..N + K: row k of the windows of the
+padded a_j, of width 4N + 2K + 1, times the powers (1/m)^(p+1), in one
+BLAS product (0.1 ms at N = 64, 1.0 ms at N = 256, one thread).  A
+table entry is off by at most gamma_(4N + 2K + 1 + 2P) times the sum of
+its terms' magnitudes (Higham, "Accuracy and Stability of Numerical
+Algorithms", 3.1): its powers carry at most 2p + 1 roundings, and its
+product is a dot product in some order.  A point then costs 2K + 1
+entries and P Horner steps whatever N is: a call on 4096 points takes
+about 0.51 ms at every N, where the full rows took 0.37 ms at N = 4,
+1.7 ms at N = 128 and 3.4 ms at N = 256 (best of 25, one thread; the
+table per N is in CHANGES.md).  Only the rows beyond the table,
+|k| > N + K (t = 1e-300 on an SE grid, say), and the rows at u = +-inf
+take the full row of n entries, as every row did before.
+
+A row's entries, each u - j rounded once, are summed by `np.add.reduce`,
+numpy's pairwise sum, in the same order for a row of a block as for a
+lone row, and the Horner sum in -r is added to that, so a value depends
+on its point alone: `evaluate_solution` and every batch of
+`evaluate_solution_many` that holds t give the same bits at t.
+Pairwise summation also has the smaller error bound, O(eps log n)
+against O(eps n) for a sum in order (Higham, 4.2).  The values lie
+within 3.4e-16 of the direct formula (the full rows: 4.4e-16) on 4096
+equispaced, 16384 random and the node-neighbour points, both examples,
+all methods, N = 4..256.
 
 The entry at j = k is c_k/r, and |r| can be as small as 2^-1074 (next to
 the midpoint of [0, 1] it is about 1.4e-16), so the signed coefficients
@@ -38,19 +84,23 @@ unscaled row overflows.  These constants are built once, with the
 interpolant, and so is the 2 x n factor [1; -j]: a block's differences
 u - j are the BLAS product [u, 1] [1; -j], whose two products per entry
 are exact, so its one rounding is that of their sum, bitwise u - j in
-any summation order, on the +-inf rows and at integral u too.  No row
-sum goes through the BLAS.
+any summation order, on the +-inf rows and at integral u too.  In the
+window, u - j = r - o with o = j - k is exact in real arithmetic (r is
+exact), so the product [r, 1] [1; -o] rounds it to the same bits.  No
+row sum goes through the BLAS.
 
 The arrays an interpolant builds are read-only, and each `evaluate_many`
-call works in buffers of its own, among them one block buffer of at
-most 256 rows that every block of the call reuses, so concurrent
-evaluations of one interpolant share nothing they write.
+call works in buffers of its own, reused by every block of the call (at
+most 512 windows or 256 full rows), so concurrent evaluations of one
+interpolant share nothing they write.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import transforms
 from .transforms import Interval, MeshParams, Method, TransformKind, _vector
@@ -63,9 +113,24 @@ __all__ = [
     "evaluate_many",
 ]
 
-# points per block of evaluate_many, whose one buffer per call (256 x 513
-# at N = 256, 1 MB) every block reuses; it bounds memory, not the values
+# points per block of evaluate_many's full rows, whose one buffer per
+# call (256 x 513 at N = 256, 1 MB) every block reuses, and per block of
+# its near windows, whose buffers (512 x 17, 70 KB) stay below glibc's
+# 128 KB mmap threshold and so are not fresh zero-filled pages on every
+# call; both bound memory, not the values
 _BLOCK = 256
+_WINDOW_BLOCK = 512
+# the half-width K of the exact near window, and the number P of terms
+# of the far field: the least P whose remainder bound (module docstring)
+# is at most 2^-53
+_NEAR = 8
+_TERMS = next(P for P in itertools.count(2) if 2 * (2 * _NEAR + 1) ** -P / (P - 1) <= 2**-53)
+# the window's 2 x (2K + 1) factor [1; -o], o = -K..K, so that
+# [r, 1] [1; -o] is r - o
+_OFFSETS = np.arange(-_NEAR, _NEAR + 1, dtype=float)
+_OFFSETS.setflags(write=False)
+_WINDOW = np.stack([np.ones(_OFFSETS.size), -_OFFSETS])
+_WINDOW.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,10 +192,15 @@ class GeneralizedInterpolant:
     boundary_right: float
     coeffs: np.ndarray
     # per-solution constants of evaluate_many: the signed coefficients
-    # (-1)^j c_j times 2^-e, e, and the 2 x n factor [1; -j], j = -N..N
+    # a_j = (-1)^j c_j times 2^-e, e, the 2 x n factor [1; -j], j = -N..N,
+    # and for k = -N - K..N + K the near windows a_(k-K..k+K), zero beyond
+    # -N..N, in row k + N + K, and the far-field table C[k, p] in column
+    # k + N + K of row p < P
     _signed: np.ndarray = field(init=False, repr=False)
     _exponent: int = field(init=False, repr=False)
     _right: np.ndarray = field(init=False, repr=False)
+    _near: np.ndarray = field(init=False, repr=False)
+    _far: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n, N = self.grid.n, self.grid.mesh.N
@@ -141,11 +211,33 @@ class GeneralizedInterpolant:
         signed = np.ldexp(coeffs, -exponent)
         signed[(N + 1) % 2::2] *= -1.0  # j = -N + i is odd for these i
         right = np.stack([np.ones(n), -np.arange(-N, N + 1, dtype=float)])
-        signed.setflags(write=False)
-        right.setflags(write=False)
+        near, far = _tables(signed, N)
+        for value in (signed, right, near, far):
+            value.setflags(write=False)
         for name, value in (("samples", samples), ("coeffs", coeffs), ("_signed", signed),
-                            ("_exponent", exponent), ("_right", right)):
+                            ("_exponent", exponent), ("_right", right), ("_near", near),
+                            ("_far", far)):
             object.__setattr__(self, name, value)
+
+
+def _tables(signed, N):
+    """The near windows and the far-field table C of the signed
+    coefficients a_j, from one matrix: row k + N + K, k = -N - K..N + K,
+    of the windows of the zero-padded a_j holds in column l the a_j at
+    m = k - j = 2N + K - l.  Columns 2N..2N + 2K are the near window of k,
+    and C[k, p] is the row times (1/m)^(p + 1), by repeated products,
+    where |m| > K: one BLAS product for every k and p."""
+    width = 4 * N + 2 * _NEAR + 1
+    pad = 2 * (N + _NEAR)
+    padded = np.zeros(signed.size + 2 * pad)
+    padded[pad:pad + signed.size] = signed
+    windows = sliding_window_view(padded, width).copy()
+    m = (2 * N + _NEAR) - np.arange(width, dtype=float)
+    powers = np.empty((_TERMS, width))
+    powers[0] = 1.0 / np.where(np.abs(m) > _NEAR, m, np.inf)  # 0 in the window
+    for p in range(1, _TERMS):
+        np.multiply(powers[p - 1], powers[0], out=powers[p])
+    return windows[:, 2 * N:2 * (N + _NEAR) + 1].copy(), powers @ windows.T
 
 
 def approximate(grid: SincGrid, samples) -> GeneralizedInterpolant:
@@ -165,9 +257,11 @@ def evaluate_many(interp: GeneralizedInterpolant, ts) -> np.ndarray:
     Points that are bitwise equal to an interior grid point short-circuit
     to the stored sample; the endpoints map to x = -inf/+inf, where the
     cardinal terms vanish and only the boundary hats survive.  Elsewhere
-    the cardinal part is the barycentric sum of the module docstring,
-    its entries formed `_BLOCK` points at a time; where u = x/h is an
-    integer k it is c_k for |k| <= N and 0 beyond.
+    the cardinal part is the barycentric sum of the module docstring: for
+    |k| <= N + K the near window's 2K + 1 entries, `_WINDOW_BLOCK` points
+    at a time, plus Horner in -r over the far-field table; beyond the
+    table and at u = +-inf the full row, `_BLOCK` points at a time.  Where
+    u = x/h is an integer k it is c_k for |k| <= N and 0 beyond.
 
     The work per point after the sums is O(1): the parity of k is read
     from k/2, and only the rows with r = 0 or u = +-inf take c_k, by index.
@@ -188,21 +282,16 @@ def evaluate_many(interp: GeneralizedInterpolant, ts) -> np.ndarray:
         raise ValueError(f"points must be a scalar or a 1-D array, got shape {ts.shape}")
     u = transforms.inverse(grid.kind, grid.iv, ts) / grid.h
     k = np.rint(u)
-    sums = np.empty_like(u)
-    rows = min(u.size, _BLOCK)
-    block = np.empty((rows, grid.n))
-    pairs = np.ones((rows, 2))  # a block's rows [u, 1]
-    # r is NaN on the +-inf rows, and c_k/r is x/0 where r = 0; both
+    # r is NaN on the +-inf rows, and an entry is x/0 where r = 0; both
     # kinds of row are replaced below
     with np.errstate(invalid="ignore", divide="ignore"):
         r = u - k
-        for s in range(0, u.size, _BLOCK):
-            blk = slice(s, s + _BLOCK)
-            m = block[:min(_BLOCK, u.size - s)]
-            pairs[:len(m), 0] = u[blk]
-            np.matmul(pairs[:len(m)], interp._right, out=m)  # u*1 + 1*(-j): u - j, rounded once
-            np.divide(interp._signed, m, out=m)
-            np.add.reduce(m, axis=-1, out=sums[blk])
+        # every row takes the window of k clipped to the table, and the
+        # rows beyond it (the +-inf rows among them) then the full row
+        sums = _window_sums(interp, r, np.clip(k, -N - _NEAR, N + _NEAR))
+        beyond = np.flatnonzero(np.abs(k) > N + _NEAR)
+        if beyond.size:
+            sums[beyond] = _row_sums(interp, u[beyond])
         half = 0.5 * k
         # k is odd where k/2 is not integral, never at k = +-inf; a
         # negation is exact, so where it is taken does not change the bits
@@ -230,6 +319,53 @@ def evaluate_many(interp: GeneralizedInterpolant, ts) -> np.ndarray:
     return out
 
 
+def _window_sums(interp, r, k):
+    """sum_j a_j/(u - j) at u = k + r for k in the table, |k| <= N + K:
+    the near window's entries, each u - j rounded once, summed by
+    `np.add.reduce`, plus the far field by Horner in -r over the table's
+    column of k (whose indices are valid, so the gathers need no check)."""
+    column = (k + (interp.grid.mesh.N + _NEAR)).astype(np.intp)
+    sums = np.empty_like(r)
+    size = min(r.size, _WINDOW_BLOCK)
+    entries = np.empty((size, _OFFSETS.size))
+    near = np.empty_like(entries)
+    pairs = np.ones((size, 2))  # a block's rows [r, 1]
+    for s in range(0, r.size, _WINDOW_BLOCK):
+        blk = slice(s, s + _WINDOW_BLOCK)
+        m = min(_WINDOW_BLOCK, r.size - s)
+        pairs[:m, 0] = r[blk]
+        np.matmul(pairs[:m], _WINDOW, out=entries[:m])  # r*1 + 1*(-o): u - j, rounded once
+        np.take(interp._near, column[blk], axis=0, out=near[:m], mode="clip")
+        np.divide(near[:m], entries[:m], out=entries[:m])
+        np.add.reduce(entries[:m], axis=-1, out=sums[blk])
+    minus_r = -r
+    far = interp._far
+    horner = far[-1].take(column)
+    term = np.empty_like(r)
+    for p in range(_TERMS - 2, -1, -1):
+        horner *= minus_r
+        horner += np.take(far[p], column, out=term, mode="clip")
+    sums += horner
+    return sums
+
+
+def _row_sums(interp, u):
+    """sum_j a_j/(u - j) over the full row of every point, `_BLOCK` rows
+    at a time."""
+    sums = np.empty_like(u)
+    rows = min(u.size, _BLOCK)
+    block = np.empty((rows, interp.grid.n))
+    pairs = np.ones((rows, 2))  # a block's rows [u, 1]
+    for s in range(0, u.size, _BLOCK):
+        blk = slice(s, s + _BLOCK)
+        m = block[:min(_BLOCK, u.size - s)]
+        pairs[:len(m), 0] = u[blk]
+        np.matmul(pairs[:len(m)], interp._right, out=m)  # u*1 + 1*(-j): u - j, rounded once
+        np.divide(interp._signed, m, out=m)
+        np.add.reduce(m, axis=-1, out=sums[blk])
+    return sums
+
+
 def _evaluate_point(interp: GeneralizedInterpolant, t) -> float:
     """`evaluate_many` at one point, bitwise, on Python floats.
 
@@ -238,12 +374,15 @@ def _evaluate_point(interp: GeneralizedInterpolant, t) -> float:
     IEEE result numpy shares is done on Python floats: the domain check,
     the preimage's quotient (`transforms._inverse_point`), u = x/h,
     k = round(u), which rounds half to even like np.rint, r = u - k, the
-    sign, pi r, the division by pi, the scaling by 2^e (math.ldexp, exact
-    like np.ldexp) and the hats.  What might round differently stays
-    numpy's: the log, arcsinh and sine, and the row of entries with its
-    `np.add.reduce`, the pairwise sum a block row gets.  At a and b, u is
-    -inf and +inf, taken without a warning.  The node snap is one
-    `searchsorted` per point, which costs no measurable time here.
+    Horner sum in -r over the table's column of k (a product, then a sum,
+    each rounded once, as numpy's in-place steps are), the sign, pi r,
+    the division by pi, the scaling by 2^e (math.ldexp, exact like
+    np.ldexp) and the hats.  What might round differently stays numpy's:
+    the log, arcsinh and sine, and the row of entries (the near window,
+    or the full row beyond the table) with its `np.add.reduce`, the
+    pairwise sum a block row gets.  At a and b, u is -inf and +inf, taken
+    without a warning.  The node snap is one `searchsorted` per point,
+    which costs no measurable time here.
     """
     grid = interp.grid
     if not isinstance(t, float):
@@ -261,13 +400,22 @@ def _evaluate_point(interp: GeneralizedInterpolant, t) -> float:
     else:
         k = round(u)
         r = u - k
+        N = grid.mesh.N
         if r == 0.0:
-            N = grid.mesh.N
             cardinal = float(interp.coeffs[k + N]) if -N <= k <= N else 0.0
         else:
-            row = interp._right[1] + u  # u + (-j) is u - j, bitwise
-            np.divide(interp._signed, row, out=row)
-            s = float(np.add.reduce(row))
+            if abs(k) <= N + _NEAR:
+                row = r - _OFFSETS  # r - o is u - j, bitwise
+                np.divide(interp._near[k + N + _NEAR], row, out=row)
+                far = interp._far[:, k + N + _NEAR].tolist()
+                horner, minus_r = far[-1], -r
+                for c in reversed(far[:-1]):
+                    horner = horner * minus_r + c
+                s = float(np.add.reduce(row)) + horner
+            else:
+                row = interp._right[1] + u  # u + (-j) is u - j, bitwise
+                np.divide(interp._signed, row, out=row)
+                s = float(np.add.reduce(row))
             scaled = (-s if k % 2 else s) * (float(np.sin(np.pi * r)) / math.pi)
             try:
                 cardinal = math.ldexp(scaled, interp._exponent)

@@ -7,11 +7,13 @@ they do not call the code they check.  `evaluate` is the single-point
 form of `evaluate_many`.  `dense_sinc_evaluate` is the interpolant by the
 direct formula, one np.sinc per (point, node), which `evaluate_many`
 replaced with a barycentric sum.  `subtract_evaluate` is that barycentric
-sum by the same row rule, each row of (-1)^j c_j/(u - j) summed by
-np.add.reduce and times sin(pi r)/pi, but on all points at once, with
-u - j from a broadcast subtraction and the signed coefficients built per
-call and not scaled, and with the epilogue that the O(1) per-point one
-replaced: `k % 2`, `np.interp` and `searchsorted` on every point.
+sum by the same row rule, the near window summed by np.add.reduce plus
+the far field by Horner over the interpolant's table (the full row
+beyond the table), times sin(pi r)/pi, but on all points at once, with
+u - j from a broadcast subtraction, the window's coefficients gathered
+and the signed coefficients built per call, and with the epilogue that
+the O(1) per-point one replaced: `k % 2`, `np.interp` and
+`searchsorted` on every point.
 `expression_assemble` is the collocation system written as whole-array
 products, the form that assembly in place replaced.  `naive_assemble_new`
 and `naive_assemble_original` build it entry by entry from the scalar
@@ -47,6 +49,7 @@ from vfie import (
     inverse,
     select_h,
 )
+from vfie.approx import _NEAR
 from vfie.solver import _offset_matrix, _running_integral
 
 _NODE_TOL = 1e-15
@@ -150,23 +153,36 @@ def dense_sinc_evaluate(interp, ts):
 
 
 def subtract_evaluate(interp, ts):
-    """Interpolant values on a 1-D array of points, by the barycentric sum
-    of `evaluate_many` with u - j from np.subtract on int offsets, all
-    points at once, and no scaling of the coefficients."""
+    """Interpolant values on a 1-D array of points by the row rule of
+    `evaluate_many`, on all points at once: for |k| <= N + K the near
+    window's entries (-1)^j c_j 2^-e/(u - j), j = k - K..k + K, with u - j
+    from np.subtract on u and j and the coefficients zero beyond -N..N,
+    summed by np.add.reduce, plus Horner in -r over the far-field table
+    taken from the interpolant; beyond the table and at u = +-inf, the
+    full row.  The epilogue is the one that the O(1) per-point one
+    replaced: `k % 2`, `np.interp` and `searchsorted` on every point."""
     grid = interp.grid
     ts = np.asarray(ts, dtype=float)
     N = grid.mesh.N
     j = np.arange(-N, N + 1)
+    signed = np.where(j % 2, -1.0, 1.0) * np.ldexp(interp.coeffs, -interp._exponent)
     u = inverse(grid.kind, grid.iv, ts) / grid.h
     k = np.rint(u)
-    signed = interp.coeffs.copy()
-    signed[(N + 1) % 2::2] *= -1.0
+    inside = np.abs(k) <= N + _NEAR
+    ki = np.where(inside, k, 0.0).astype(int)
+    window = ki[:, None] + np.arange(-_NEAR, _NEAR + 1)
+    near = np.where(np.abs(window) <= N, signed[np.clip(window, -N, N) + N], 0.0)
+    far = interp._far[:, ki + N + _NEAR]
     with np.errstate(invalid="ignore", divide="ignore"):
         r = u - k
-        entries = np.subtract(u[:, None], j)
-        np.divide(signed, entries, out=entries)
-        sums = np.add.reduce(entries, axis=-1)
+        near_sums = np.add.reduce(np.divide(near, np.subtract(u[:, None], window)), axis=-1)
+        horner = far[-1]
+        for p in range(far.shape[0] - 2, -1, -1):
+            horner = horner * -r + far[p]
+        row_sums = np.add.reduce(np.divide(signed, np.subtract(u[:, None], j)), axis=-1)
+        sums = np.where(inside, near_sums + horner, row_sums)
         cardinal = np.where(k % 2, -sums, sums) * (np.sin(np.pi * r) / np.pi)
+    cardinal = np.ldexp(cardinal, interp._exponent)
     on_k = np.interp(k, j, interp.coeffs, left=0.0, right=0.0)
     cardinal = np.where((r == 0) | np.isinf(u), on_k, cardinal)
     a, b = grid.iv.a, grid.iv.b

@@ -32,7 +32,7 @@ from vfie import (
     select_h,
     solve,
 )
-from vfie.approx import _BLOCK, _boundary_pair, _evaluate_point
+from vfie.approx import _BLOCK, _NEAR, _TERMS, _boundary_pair, _evaluate_point
 
 UNIT = Interval(0.0, 1.0)
 integral_u = load_tool("integral_u")
@@ -358,6 +358,76 @@ def test_values_are_bitwise_those_of_the_subtract_form(case, interpolants):
                   rng.permutation(np.concatenate([rng.uniform(a, b, 600), [a, b, a, b]])))
     for ts in point_sets:
         assert_bitwise(evaluate_many(interp, ts), subtract_evaluate(interp, ts))
+
+
+def gamma(n):
+    """Higham's gamma_n = n u/(1 - n u), u = 2^-53."""
+    u = 2.0**-53
+    return n * u / (1 - n * u)
+
+
+@pytest.mark.parametrize("N", [4, 64, 256])
+def test_far_field_table_matches_a_30_digit_sum(N, interpolants):
+    # C[k, p] = sum over |k - j| > K of a_j/(k - j)^(p + 1).  Each power
+    # of 1/m carries at most 2p + 1 roundings (1/m, then p products), and
+    # each entry is a dot product of length L = 4N + 2K + 1 summed in some
+    # order, so its error is at most gamma_(L + 2P) times the sum of the
+    # terms' magnitudes (Higham, "Accuracy and Stability of Numerical
+    # Algorithms", 3.1 and Lemma 3.3)
+    interp = interpolants[(2, Method.NEW_DE, N)]
+    assert interp._far.shape == (_TERMS, interp.grid.n + 2 * _NEAR)
+    assert not (interp._far.flags.writeable or interp._near.flags.writeable)
+    a = interp._signed
+    edge = N + _NEAR
+    ks = sorted({-edge, 1 - edge, -N, -1, 0, 1, N, edge - 1, edge,
+                 *np.random.default_rng(N).integers(-edge, edge + 1, 4).tolist()})
+    bound = gamma(4 * N + 2 * _NEAR + 1 + 2 * _TERMS)
+    with mp.workdps(30):
+        for k in ks:
+            far = [j for j in range(-N, N + 1) if abs(k - j) > _NEAR]
+            for p in range(_TERMS):
+                terms = [mp.mpf(float(a[j + N])) / mp.mpf(k - j) ** (p + 1) for j in far]
+                err = abs(mp.mpf(float(interp._far[p, k + edge])) - mp.fsum(terms))
+                assert err <= bound * mp.fsum(abs(t) for t in terms), (k, p, err)
+
+
+def test_window_and_term_count_meet_the_remainder_bound():
+    # past the near window |m| = |k - j| >= K + 1 and |r| <= 1/2, and what
+    # P terms leave of 1/(m + r) is (-r/m)^P/(m + r).  Per unit of max|a_j|
+    # the remainder is largest at |r| = 1/2, where it is the sum below; the
+    # module docstring bounds it by 2 (2K + 1)^-P/(P - 1), which K and P
+    # hold to 2^-53, and which P - 1 terms would not
+    K, P = _NEAR, _TERMS
+    with mp.workdps(30):
+        half = mp.mpf(1) / 2
+        worst = mp.nsum(lambda m: half**P / m**P * (1 / (m - half) + 1 / (m + half)), [K + 1, mp.inf])
+        bound = 2 * mp.mpf(2 * K + 1) ** -P / (P - 1)
+        assert worst <= bound <= mp.mpf(2) ** -53
+        assert 2 * mp.mpf(2 * K + 1) ** (1 - P) / (P - 2) > mp.mpf(2) ** -53
+
+
+def test_points_beyond_the_table_take_the_full_row(rng, interpolants):
+    # on an SE grid, t = 5e-324 and 1e-300 have |k| > N + K, beyond the
+    # far-field table, and so has the point at u = -(N + K + 3/4): their
+    # rows are summed in full, in one call with rows inside the table (the
+    # last one, u = -(N + K + 1/4), among them) and at u = +-inf
+    grid = se_grid(4)
+    f = random_smooth(rng)
+    cases = [approximate(grid, np.array([f(t) for t in grid.points])),
+             interpolants[(1, Method.NEW_SE, 16)], interpolants[(2, Method.SHAMLOO_SE, 128)]]
+    for interp in cases:
+        grid = interp.grid
+        edge = grid.mesh.N + _NEAR
+        tiny = np.array([5e-324, 1e-300, forward(grid.kind, grid.iv, -(edge + 0.75) * grid.h)])
+        k = np.rint(inverse(grid.kind, grid.iv, tiny) / grid.h)
+        assert (k < -edge).all(), k
+        last = forward(grid.kind, grid.iv, -(edge + 0.25) * grid.h)
+        assert np.rint(inverse(grid.kind, grid.iv, last) / grid.h) == -edge
+        ts = np.concatenate([tiny, [grid.iv.a, last, 0.3, 0.7, grid.iv.b]])
+        got = evaluate_many(interp, ts)
+        assert np.max(np.abs(got - dense_sinc_evaluate(interp, ts))) <= 1e-15
+        assert_bitwise(evaluate_many(interp, tiny), got[:3])
+        assert_point_path_is_bitwise(interp, ts.tolist())
 
 
 POINT_CASES = [(example_id, method, N) for example_id in (1, 2) for method in Method
