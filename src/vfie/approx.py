@@ -5,8 +5,12 @@ and interpolation share.  The interpolant augments plain cardinal
 interpolation with the two boundary hats so functions with nonzero
 endpoint values are handled; its cardinal coefficients are the samples
 minus the boundary part, which is what makes it reproduce the samples at
-the nodes.  `approximate` builds it from the samples at the nodes, and
-`evaluate_many` evaluates it on a scalar or a 1-D array of points.
+the nodes.  `approximate` builds it from the samples at the nodes.
+`_evaluate_point` evaluates it at one point, on Python floats, and is the
+complete rule.  `evaluate_many`, on a scalar or a 1-D array of points,
+vectorizes that rule for the regular rows (k in the table below, r not 0,
+the point inside its node bracket) and for the nodes that their bracket
+finds, and hands every other point to it.
 
 The cardinal sum is evaluated in classic barycentric form (Richardson
 and Trefethen, "A sinc function analogue of Chebfun", SISC 33, 2011),
@@ -56,9 +60,9 @@ product is a dot product in some order.  A point then costs 2K + 1
 entries and P Horner steps whatever N is: a call on 4096 points takes
 about 0.51 ms at every N, where the full rows took 0.37 ms at N = 4,
 1.7 ms at N = 128 and 3.4 ms at N = 256 (best of 25, one thread; the
-table per N is in CHANGES.md).  Only the rows beyond the table,
-|k| > N + K (t = 1e-300 on an SE grid, say), and the rows at u = +-inf
-take the full row of n entries, as every row did before.
+table per N is in CHANGES.md).  The rows beyond the table, |k| > N + K
+(t = 1e-300 on an SE grid, say), are left to the point path, which sums
+their full row of n entries, as every row was summed before.
 
 A row's entries, each u - j rounded once, are summed by `np.add.reduce`,
 numpy's pairwise sum, in the same order for a row of a block as for a
@@ -81,18 +85,17 @@ exactly unless a result is subnormal, so the values are those of the
 unscaled sum.  Samples of 1e300 on an N = 16 grid give finite values
 next to 0.5, within 1e-15 x 1e300 of the direct formula, where an
 unscaled row overflows.  These constants are built once, with the
-interpolant, and so is the 2 x n factor [1; -j]: a block's differences
-u - j are the BLAS product [u, 1] [1; -j], whose two products per entry
-are exact, so its one rounding is that of their sum, bitwise u - j in
-any summation order, on the +-inf rows and at integral u too.  In the
-window, u - j = r - o with o = j - k is exact in real arithmetic (r is
-exact), so the product [r, 1] [1; -o] rounds it to the same bits.  No
-row sum goes through the BLAS.
+interpolant.  In the window, u - j = r - o with o = j - k is exact in
+real arithmetic (r is exact), so it is rounded once, to the same bits,
+as the point path's difference r - o and as a block's BLAS product
+[r, 1] [1; -o], whose two products per entry are exact.  Beyond the
+table the point path takes u - j as one difference.  No row sum goes
+through the BLAS.
 
 The arrays an interpolant builds are read-only, and each `evaluate_many`
 call works in buffers of its own, reused by every block of the call (at
-most 512 windows or 256 full rows), so concurrent evaluations of one
-interpolant share nothing they write.
+most 512 windows), so concurrent evaluations of one interpolant share
+nothing they write.
 """
 
 import itertools
@@ -113,12 +116,10 @@ __all__ = [
     "evaluate_many",
 ]
 
-# points per block of evaluate_many's full rows, whose one buffer per
-# call (256 x 513 at N = 256, 1 MB) every block reuses, and per block of
-# its near windows, whose buffers (512 x 17, 70 KB) stay below glibc's
-# 128 KB mmap threshold and so are not fresh zero-filled pages on every
-# call; both bound memory, not the values
-_BLOCK = 256
+# points per block of evaluate_many's near windows, whose buffers
+# (512 x 17, 70 KB) every block of a call reuses and which stay below
+# glibc's 128 KB mmap threshold, and so are not fresh zero-filled pages
+# on every call; it bounds memory, not the values
 _WINDOW_BLOCK = 512
 # the half-width K of the exact near window, and the number P of terms
 # of the far field: the least P whose remainder bound (module docstring)
@@ -191,14 +192,12 @@ class GeneralizedInterpolant:
     boundary_left: float
     boundary_right: float
     coeffs: np.ndarray
-    # per-solution constants of evaluate_many: the signed coefficients
-    # a_j = (-1)^j c_j times 2^-e, e, the 2 x n factor [1; -j], j = -N..N,
-    # and for k = -N - K..N + K the near windows a_(k-K..k+K), zero beyond
-    # -N..N, in row k + N + K, and the far-field table C[k, p] in column
-    # k + N + K of row p < P
+    # per-solution constants of evaluation: the signed coefficients
+    # a_j = (-1)^j c_j times 2^-e, j = -N..N, e, and for k = -N - K..N + K
+    # the near windows a_(k-K..k+K), zero beyond -N..N, in row k + N + K,
+    # and the far-field table C[k, p] in column k + N + K of row p < P
     _signed: np.ndarray = field(init=False, repr=False)
     _exponent: int = field(init=False, repr=False)
-    _right: np.ndarray = field(init=False, repr=False)
     _near: np.ndarray = field(init=False, repr=False)
     _far: np.ndarray = field(init=False, repr=False)
 
@@ -210,13 +209,11 @@ class GeneralizedInterpolant:
         exponent = max(math.frexp(np.abs(coeffs).max())[1] + 51, 0)
         signed = np.ldexp(coeffs, -exponent)
         signed[(N + 1) % 2::2] *= -1.0  # j = -N + i is odd for these i
-        right = np.stack([np.ones(n), -np.arange(-N, N + 1, dtype=float)])
         near, far = _tables(signed, N)
-        for value in (signed, right, near, far):
+        for value in (signed, near, far):
             value.setflags(write=False)
         for name, value in (("samples", samples), ("coeffs", coeffs), ("_signed", signed),
-                            ("_exponent", exponent), ("_right", right), ("_near", near),
-                            ("_far", far)):
+                            ("_exponent", exponent), ("_near", near), ("_far", far)):
             object.__setattr__(self, name, value)
 
 
@@ -254,24 +251,29 @@ def approximate(grid: SincGrid, samples) -> GeneralizedInterpolant:
 def evaluate_many(interp: GeneralizedInterpolant, ts) -> np.ndarray:
     """Interpolant values on a scalar or 1-D array of points in [a, b].
 
-    Points that are bitwise equal to an interior grid point short-circuit
-    to the stored sample; the endpoints map to x = -inf/+inf, where the
-    cardinal terms vanish and only the boundary hats survive.  Elsewhere
-    the cardinal part is the barycentric sum of the module docstring: for
-    |k| <= N + K the near window's 2K + 1 entries, `_WINDOW_BLOCK` points
-    at a time, plus Horner in -r over the far-field table; beyond the
-    table and at u = +-inf the full row, `_BLOCK` points at a time.  Where
-    u = x/h is an integer k it is c_k for |k| <= N and 0 beyond.
+    This is `_evaluate_point` vectorized for the regular rows, and the
+    point path itself for the rest.  A row is regular when its k is in the
+    far-field table, |k| <= N + K, its r is not 0 and its point lies
+    inside its node bracket (below).  Its cardinal part is the barycentric
+    sum of the module docstring: the near window's 2K + 1 entries,
+    `_WINDOW_BLOCK` points at a time, plus Horner in -r over the table;
+    the parity of k is read from k/2.  The boundary hats are added to it.
 
-    The work per point after the sums is O(1): the parity of k is read
-    from k/2, and only the rows with r = 0 or u = +-inf take c_k, by index.
     The node test brackets t by the candidate c = k + N (clipped to
     [1, n - 2]): if points[c - 1] < t < points[c + 1], no node other than
     points[c] can equal t, so t is a node exactly when points[c] == t, and
-    c is then the leftmost such index, the one `searchsorted` gives.  Only
-    the points outside their bracket (the endpoints, duplicated node
-    values, of which example 2's se-new grid at N = 256 has 4, and points
-    near b whose u is off by a node) are looked up with `searchsorted`.
+    c is then the leftmost such index, the one `searchsorted` gives; such
+    a point takes the stored sample.  Every other point that is not
+    regular gets its value from `_evaluate_point`: the endpoints (u =
+    +-inf), an integral u off the nodes, the rows beyond the table (t =
+    1e-300 on an SE grid, say), duplicated node values (example 2's se-new
+    grid at N = 256 has 4) and points near b whose u is off by a node.
+    The sweep's error grids have 186 such points in 294,912, and uniform
+    points at N = 256 none.  Each costs a point query, 5 to 7 us, where a
+    vectorized row costs about 0.1 us: 4096 points all beyond the table of
+    an SE grid take about 22 ms at N = 64 and 29 ms at N = 512 (one BLAS
+    thread on a shared 2-vCPU host).
+
     The result is a 1-D array; points of any other shape raise ValueError
     naming the shape.
     """
@@ -282,40 +284,26 @@ def evaluate_many(interp: GeneralizedInterpolant, ts) -> np.ndarray:
         raise ValueError(f"points must be a scalar or a 1-D array, got shape {ts.shape}")
     u = transforms.inverse(grid.kind, grid.iv, ts) / grid.h
     k = np.rint(u)
-    # r is NaN on the +-inf rows, and an entry is x/0 where r = 0; both
-    # kinds of row are replaced below
+    # r is NaN on the +-inf rows, an entry is x/0 where r = 0, and the rows
+    # beyond the table take the window of k clipped to it: all three kinds
+    # are handed to the point path below
     with np.errstate(invalid="ignore", divide="ignore"):
         r = u - k
-        # every row takes the window of k clipped to the table, and the
-        # rows beyond it (the +-inf rows among them) then the full row
         sums = _window_sums(interp, r, np.clip(k, -N - _NEAR, N + _NEAR))
-        beyond = np.flatnonzero(np.abs(k) > N + _NEAR)
-        if beyond.size:
-            sums[beyond] = _row_sums(interp, u[beyond])
         half = 0.5 * k
-        # k is odd where k/2 is not integral, never at k = +-inf; a
-        # negation is exact, so where it is taken does not change the bits
+        # k is odd where k/2 is not integral; a negation is exact, so
+        # where it is taken does not change the bits
         cardinal = np.where(half != np.floor(half), -sums, sums) * (np.sin(np.pi * r) / np.pi)
         np.ldexp(cardinal, interp._exponent, out=cardinal)
-    # at an integral u only S(k, h) is nonzero; at u = +-inf none is
-    special = np.flatnonzero((r == 0) | np.isinf(u))
-    if special.size:
-        ks = k[special]
-        on_k = interp.coeffs[np.clip(ks, -N, N).astype(np.intp) + N]
-        cardinal[special] = np.where(np.abs(ks) <= N, on_k, 0.0)
     wa, wb = _boundary_pair(grid.iv, ts)
     out = interp.boundary_left * wa + interp.boundary_right * wb + cardinal
     p = grid.points
     c = np.clip(k + (N - 1), 0, grid.n - 3).astype(np.intp)  # the candidate minus 1
     bracketed = (p[:-2][c] < ts) & (ts < p[2:][c])
-    hit = np.flatnonzero(bracketed & (p[1:-1][c] == ts))
+    hit = bracketed & (p[1:-1][c] == ts)
     out[hit] = interp.samples[c[hit] + 1]
-    if not bracketed.all():
-        rest = np.flatnonzero(~bracketed)
-        tr = ts[rest]
-        idx = np.minimum(np.searchsorted(p, tr), grid.n - 1)
-        on = np.flatnonzero((p[idx] == tr) & (tr > grid.iv.a) & (tr < grid.iv.b))
-        out[rest[on]] = interp.samples[idx[on]]
+    irregular = np.flatnonzero(~hit & (~bracketed | (r == 0) | (np.abs(k) > N + _NEAR)))
+    out[irregular] = [_evaluate_point(interp, t) for t in ts[irregular].tolist()]
     return out
 
 
@@ -349,25 +337,15 @@ def _window_sums(interp, r, k):
     return sums
 
 
-def _row_sums(interp, u):
-    """sum_j a_j/(u - j) over the full row of every point, `_BLOCK` rows
-    at a time."""
-    sums = np.empty_like(u)
-    rows = min(u.size, _BLOCK)
-    block = np.empty((rows, interp.grid.n))
-    pairs = np.ones((rows, 2))  # a block's rows [u, 1]
-    for s in range(0, u.size, _BLOCK):
-        blk = slice(s, s + _BLOCK)
-        m = block[:min(_BLOCK, u.size - s)]
-        pairs[:len(m), 0] = u[blk]
-        np.matmul(pairs[:len(m)], interp._right, out=m)  # u*1 + 1*(-j): u - j, rounded once
-        np.divide(interp._signed, m, out=m)
-        np.add.reduce(m, axis=-1, out=sums[blk])
-    return sums
-
-
 def _evaluate_point(interp: GeneralizedInterpolant, t) -> float:
-    """`evaluate_many` at one point, bitwise, on Python floats.
+    """The interpolant at one point, on Python floats: the complete rule.
+
+    `evaluate_many` vectorizes it for its regular rows and bracketed
+    nodes and calls it for every other point, and the tests hold the two
+    equal bit for bit.  At a and b only the hats are left; at an integral
+    u off the nodes the cardinal part is c_k (0 beyond -N..N); a row
+    beyond the table sums its full row of n entries, u - j each rounded
+    once; every other row is the near window plus Horner over the table.
 
     A one-element array would pay numpy's per-call cost some 45 times;
     this path takes about a seventh of that time.  Here every step whose
@@ -413,7 +391,7 @@ def _evaluate_point(interp: GeneralizedInterpolant, t) -> float:
                     horner = horner * minus_r + c
                 s = float(np.add.reduce(row)) + horner
             else:
-                row = interp._right[1] + u  # u + (-j) is u - j, bitwise
+                row = u - np.arange(-N, N + 1, dtype=float)
                 np.divide(interp._signed, row, out=row)
                 s = float(np.add.reduce(row))
             scaled = (-s if k % 2 else s) * (float(np.sin(np.pi * r)) / math.pi)

@@ -1,6 +1,7 @@
 """The pair judgement of tools/ab_pairs.py: wins, ties and the gain rule,
 its JSON record and the post-import set-up time it adds to each run."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -77,6 +78,34 @@ def test_the_report_gives_each_sides_median_of_the_workloads_own_metrics(ab_pair
     lines = ab_pairs.report(metrics, runs)
     assert "point_query_us_p50 (us): median parent 40.0  change 6.0" in lines
     assert not any(line.startswith("wall_s (s): median") for line in lines)
+
+
+def test_no_gain_holds_where_the_change_fails_a_larger_share(ab_pairs):
+    # the change halves every wall time, but fails 3 of its 30488
+    # operations in each of the ten pairs where the parent fails none
+    runs = []
+    for i in range(10):
+        parent, change = ab_pairs.parse(_RUN), ab_pairs.parse(_RUN)
+        change["metrics"]["wall_s"]["value"] = 1.0
+        change["failed"] = 3
+        runs.append({"seed": i, "first": "parent", "parent": parent, "change": change})
+    metrics = [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}]
+    wall = ab_pairs.summarize(metrics, runs)["wall_s"]
+    assert (wall["wins"], wall["gain"]) == (10, False)
+    lines = ab_pairs.report(metrics, runs)
+    assert f"failed share: parent 0.0  change {30 / 304880!r}" in lines
+    verdicts = [line for line in lines if line.startswith("  change wins")]
+    assert len(verdicts) == 1 and "gain not shown" in verdicts[0]
+    args = argparse.Namespace(workload="eval-dense", seconds=45.0, first_seed=0)
+    data = ab_pairs.record(args, {}, metrics, runs)
+    assert data["failed_share"] == {"parent": 0.0, "change": 30 / 304880}
+    assert data["metrics"]["wall_s"]["gain"] is False
+    # an equal or smaller share keeps the gain
+    for r in runs:
+        r["parent"]["failed"] = 3
+    assert ab_pairs.summarize(metrics, runs)["wall_s"]["gain"] is True
+    runs[0]["change"]["failed"] = 0
+    assert ab_pairs.summarize(metrics, runs)["wall_s"]["gain"] is True
 
 
 def test_json_holds_every_pair_and_the_judgement_of_every_metric(ab_pairs, monkeypatch, tmp_path):

@@ -32,7 +32,8 @@ from vfie import (
     select_h,
     solve,
 )
-from vfie.approx import _BLOCK, _NEAR, _TERMS, _boundary_pair, _evaluate_point
+from vfie import approx
+from vfie.approx import _NEAR, _TERMS, _WINDOW_BLOCK, _boundary_pair, _evaluate_point
 
 UNIT = Interval(0.0, 1.0)
 integral_u = load_tool("integral_u")
@@ -272,7 +273,7 @@ def test_grid_arrays_are_read_only():
     with pytest.raises(ValueError):
         grid.weights[0] = 0.0
     interp = approximate(grid, np.zeros(grid.n))
-    for name in ("samples", "coeffs", "_signed", "_right"):
+    for name in ("samples", "coeffs", "_signed"):
         with pytest.raises(ValueError):
             getattr(interp, name)[0] = 1.0
 
@@ -349,7 +350,7 @@ def test_values_are_bitwise_those_of_the_subtract_form(case, interpolants):
     nodal = np.concatenate([grid.points, near_nodes(grid)])
     point_sets = (np.linspace(a, b, 4096), rng.uniform(a, b, 16384), nodal,
                   np.array([a, b]), np.array([]), np.array([0.5 * (a + b)]),
-                  rng.uniform(a, b, 2 * _BLOCK + 37),
+                  rng.uniform(a, b, 2 * 256 + 37),
                   # one call down every branch: nodes (duplicated ones
                   # included) and their neighbours out of order, integral
                   # u off the nodes, and the endpoints amid random points
@@ -358,6 +359,63 @@ def test_values_are_bitwise_those_of_the_subtract_form(case, interpolants):
                   rng.permutation(np.concatenate([rng.uniform(a, b, 600), [a, b, a, b]])))
     for ts in point_sets:
         assert_bitwise(evaluate_many(interp, ts), subtract_evaluate(interp, ts))
+
+
+def counted_hand_offs(monkeypatch):
+    """The points that evaluate_many hands to _evaluate_point from now on,
+    in the order handed; each call is delegated to the unpatched function."""
+    handed = []
+
+    def point(interp, t):
+        handed.append(t)
+        return _evaluate_point(interp, t)
+
+    monkeypatch.setattr(approx, "_evaluate_point", point)
+    return handed
+
+
+@pytest.mark.parametrize("case", [c for c in ORACLE_CASES if c[2] == 256], ids=case_id)
+def test_uniform_interior_points_are_all_vectorized(case, interpolants, monkeypatch):
+    # the bulk traffic's speed rests on none of its rows taking the point path
+    interp = interpolants[case]
+    a, b = interp.grid.iv.a, interp.grid.iv.b
+    handed = counted_hand_offs(monkeypatch)
+    evaluate_many(interp, np.linspace(a, b, 4098)[1:-1])
+    evaluate_many(interp, np.random.default_rng(case[0]).uniform(a, b, 4096))
+    assert handed == []
+
+
+def test_irregular_points_are_handed_to_the_point_path(interpolants, monkeypatch):
+    se = interpolants[(2, Method.NEW_SE, 256)]
+    de = interpolants[(2, Method.NEW_DE, 256)]
+    N = de.grid.mesh.N
+    # an integral u off the nodes, inside its node bracket, so that only
+    # its r = 0 makes it irregular
+    t = integral_u_test_points(de.grid)[0]
+    k = round(inverse(de.grid.kind, de.grid.iv, t) / de.grid.h)
+    assert de.grid.points[k + N - 1] < t < de.grid.points[k + N + 1], (t, k)
+    # t = 1e-300 is beyond the far-field table of the SE grid
+    assert inverse(se.grid.kind, se.grid.iv, 1e-300) / se.grid.h < -(N + _NEAR)
+    # a node value held by two nodes inside (a, b) lies inside no bracket;
+    # this one, near b, has a u in the table that is not integral, so that
+    # only its bracket makes it irregular
+    p = de.grid.points
+    twice = p[1:][(p[1:] == p[:-1]) & (de.grid.iv.a < p[1:]) & (p[1:] < de.grid.iv.b)]
+    assert twice.size == 1 and twice[0] > 0.5, twice
+    u = inverse(de.grid.kind, de.grid.iv, twice[0]) / de.grid.h
+    assert u != round(u) and abs(round(u)) <= N + _NEAR, u
+    cases = [(de, [de.grid.iv.a, de.grid.iv.b]), (de, [t]), (se, [1e-300]), (de, [twice[0]])]
+    for interp, irregular in cases:
+        a, b = interp.grid.iv.a, interp.grid.iv.b
+        regular = np.random.default_rng(5).uniform(a, b, 64)
+        ts = np.concatenate([regular[:40], irregular, regular[40:]])
+        handed = counted_hand_offs(monkeypatch)
+        got = evaluate_many(interp, ts)
+        monkeypatch.undo()
+        assert handed == irregular
+        assert_bitwise(got[40:40 + len(irregular)], [_evaluate_point(interp, s) for s in irregular])
+        assert_bitwise(np.delete(got, range(40, 40 + len(irregular))),
+                       evaluate_many(interp, regular))
 
 
 def gamma(n):
@@ -626,12 +684,12 @@ def test_scalar_point_gives_a_one_element_array(rng):
 def test_call_on_several_blocks_is_the_concatenation_of_block_calls(interpolants):
     interp = interpolants[(2, Method.NEW_DE, 128)]
     rng = np.random.default_rng(3)
-    ts = rng.uniform(0.0, 1.0, 2 * _BLOCK + 37)
+    ts = rng.uniform(0.0, 1.0, 2 * _WINDOW_BLOCK + 37)
     # single points, pieces of sizes that are not multiples of 4, and a
     # last piece of more than one block
     cuts = np.unique(np.concatenate([[0, 1, 2, 5, 6], rng.integers(7, 200, 20), [ts.size]]))
     sizes = np.diff(cuts)
-    assert (sizes == 1).any() and (sizes % 4 != 0).sum() > 5 and sizes[-1] > _BLOCK
+    assert (sizes == 1).any() and (sizes % 4 != 0).sum() > 5 and sizes[-1] > _WINDOW_BLOCK
     parts = [evaluate_many(interp, ts[s:e]) for s, e in zip(cuts[:-1], cuts[1:])]
     assert_bitwise(evaluate_many(interp, ts), np.concatenate(parts))
 
@@ -645,7 +703,7 @@ def test_evaluation_holds_one_block_of_entries(interpolants):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * _BLOCK * interp.grid.n * 8, f"peak {peak} B"
+    assert peak < 2 * 256 * interp.grid.n * 8, f"peak {peak} B"
 
 
 # --- the boundary hats of _boundary_pair, and the oracle sinc_S ----------

@@ -12,15 +12,18 @@ the change first in odd ones, so that a slow phase of a shared host falls
 on both sides alike.  For every end-to-end metric of the change's
 BENCHMARK.json it prints each pair, each side's median and quartiles, and
 the pairs the change won, ties counting for neither side.  A gain holds
-when the change wins at least nine tenths of the pairs and the medians
-differ by more than the distance between the parent's quartiles.  The
-change of the median is set against the metric's regression bound.  The
-workload's own metrics, its "# metric NAME = VALUE UNIT" lines such as
-eval-dense's point_query_us_p50, follow with each side's median, to show
-where a gain comes from.  With --json PATH the same pairs and judgement
-are also written to PATH as JSON (see `record`), with the sha256 of each
-side's src/vfie/*.py, so that the record names the code each side ran
-also when the checkouts carry no git metadata.
+when the change wins at least nine tenths of the pairs, the medians
+differ by more than the distance between the parent's quartiles, and the
+change failed no larger share of its operations than the parent, each
+side's share being its failed over its attempted operations summed over
+the pairs.  Both shares are printed.  The change of the median is set
+against the metric's regression bound.  The workload's own metrics, its
+"# metric NAME = VALUE UNIT" lines such as eval-dense's
+point_query_us_p50, follow with each side's median, to show where a gain
+comes from.  With --json PATH the same pairs and judgement are also
+written to PATH as JSON (see `record`), with the sha256 of each side's
+src/vfie/*.py, so that the record names the code each side ran also when
+the checkouts carry no git metadata.
 
 After each run, a fresh process in the same checkout imports vfie and
 perfbench's workloads and then times `workloads.make` alone for the same
@@ -153,11 +156,19 @@ def judge(parent, change, better):
     return wins, losses, gain, worse
 
 
+def failed_shares(results):
+    """Each side's failed over attempted operations, summed over the pairs."""
+    return {side: sum(r[side]["failed"] for r in results)
+            / sum(r[side]["attempted"] for r in results) for side in ("parent", "change")}
+
+
 def summarize(metrics, results):
     """For every end-to-end metric, by name: its unit, direction and bound,
     each side's quartiles, the change's wins and losses, the gain verdict,
     the change of the median (positive is worse) and whether it is within
-    the bound."""
+    the bound.  No gain holds where the change failed a larger share of
+    its operations than the parent (`failed_shares`)."""
+    shares = failed_shares(results)
     summary = {}
     for metric in metrics:
         name = metric["name"]
@@ -167,7 +178,7 @@ def summarize(metrics, results):
         summary[name] = {
             "unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
             "quartiles": {side: quartiles(v) for side, v in values.items()},
-            "wins": wins, "losses": losses, "gain": gain,
+            "wins": wins, "losses": losses, "gain": gain and shares["change"] <= shares["parent"],
             "median_change": worse, "within_bound": worse <= metric["bound"],
         }
     return summary
@@ -178,6 +189,8 @@ def report(metrics, results):
     lines = []
     fails = [(r["parent"]["failed"], r["change"]["failed"]) for r in results]
     lines.append(f"failed per pair (parent, change): {fails}")
+    shares = failed_shares(results)
+    lines.append(f"failed share: parent {shares['parent']!r}  change {shares['change']!r}")
     for name, s in summarize(metrics, results).items():
         lines.append(f"{name} ({s['unit']}, {s['better']} is better)")
         for r in results:
@@ -201,11 +214,11 @@ def report(metrics, results):
 def record(args, sources, metrics, results):
     """What --json writes: the run's settings, each side's `source_sha256`,
     every pair as run (seed, the side that ran first, each side's parsed
-    result with its end-to-end metrics and "# metric" lines) and the
-    `summarize` of every metric."""
+    result with its end-to-end metrics and "# metric" lines), each side's
+    `failed_shares` and the `summarize` of every metric."""
     return {"workload": args.workload, "seconds": args.seconds,
             "first_seed": args.first_seed, "source_sha256": sources, "pairs": results,
-            "metrics": summarize(metrics, results)}
+            "failed_share": failed_shares(results), "metrics": summarize(metrics, results)}
 
 
 def main(argv=None):
