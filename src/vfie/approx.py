@@ -8,102 +8,92 @@ minus the boundary part, which is what makes it reproduce the samples at
 the nodes.  `approximate` builds it from the samples at the nodes.
 `_evaluate_point` evaluates it at one point, on Python floats, and is the
 complete rule.  `evaluate_many`, on a scalar or a 1-D array of points,
-vectorizes that rule for the regular rows (k in the table below, r not 0,
-the point inside its node bracket) and for the nodes that their bracket
+vectorizes that rule for the regular rows (k in the table below, the
+point inside its node bracket) and for the nodes that their bracket
 finds, and hands every other point to it.
 
-The cardinal sum is evaluated in classic barycentric form (Richardson
-and Trefethen, "A sinc function analogue of Chebfun", SISC 33, 2011),
-which needs one sine per point instead of one per (point, node).  With
-u = x/h, k = rint(u) and r = u - k, which is exact in floating point,
+The cardinal sum is evaluated by one Taylor polynomial per integer cell.
+With u = x/h, k = rint(u) and r = u - k, which is exact in floating point
+and has |r| <= 1/2, the sum is an entire function of r:
 
-    sum_j c_j sinc(u - j) = (-1)^k sin(pi r)/pi sum_j (-1)^j c_j/(u - j),
+    sum_j c_j sinc(u - j) = sum_p r^p sum_j c_j s_p(k - j),
 
-because sin(pi (u - j)) = (-1)^(j+k) sin(pi r).  Reducing the argument
-to r keeps sin(pi u) accurate for large |u|: without it, sin(pi u) at |u|
-in the hundreds loses up to 2.5e-12 on example 2.
+where s_p(m) = sinc^(p)(m)/p! is the p-th Taylor coefficient of sinc at
+m.  Each interpolant builds, once, the table T[k, p] = sum_j c^_j
+s_p(k - j) for k = -N - K..N + K (K = 8) and p < P, with c^_j = c_j 2^-e
+(the scaling is below), and a row's cardinal part is 2^e times the
+Horner sum of its P coefficients in r: no divide and no sine.  As s_0(m)
+is [m = 0], T[k, 0] is c^_k itself, and an integral u off the nodes
+gives c_k (0 beyond -N..N) like any other row.
 
-The sum over j is split at k.  With a_j = (-1)^j c_j 2^-e (the scaling is
-below) and m = k - j, the entries of the near window |m| <= K are summed
-as they are, and the far field is a smooth function of r, because
-1/(u - j) = 1/(m + r) = sum_p (-r)^p/m^(p+1):
+From sinc(x) = 1/2 int_(-1)^1 e^(i pi x t) dt, |sinc^(p)(x)| <= pi^p/(p + 1)
+and, after one integration by parts, <= 2 pi^(p-1)/|x| (Stenger,
+"Numerical Methods Based on Sinc and Analytic Functions", 1993).  With
+|m| = |k - j| <= M = 2N + K, sum_(m=1)^M 1/m <= 1 + ln M and consecutive
+(pi/2)^p/p! falling by at least pi/(2P + 2), what P terms leave is
 
-    sum_j a_j/(u - j) = sum_{|m|<=K} a_j/(u - j) + sum_{p<P} (-r)^p C_p[k] + R,
-    C_p[k] = sum_{|k-j|>K} a_j/(k - j)^(p+1).
+    |R| <= max|c^| sum_(p>=P) 2^-p sum_m |s_p(m)|
+        <= max|c^| (pi/2)^P/P! (1/(P + 1) + 4 (1 + ln M)/pi)/(1 - pi/(2P + 2)).
 
-This is the single-level form of the fast algorithms for Cauchy sums
-(Dutt, Gu and Rokhlin, "Fast algorithms for polynomial interpolation,
-integration and differentiation", SINUM 33, 1996): one local expansion
-per integer k replaces the n - (2K + 1) far divides of a point.
+P is the least count for which this is at most 2^-53 max|c^| on every
+grid whose indices are exact doubles, N < 2^53: P = 23, where it is
+6.6e-17 max|c^| (1.2e-17 at N = 256).  Grids up to N = 8 would do with
+22, and none from N = 16 on.
 
-What P terms leave of 1/(m + r) is (-r/m)^P/(m + r), largest at
-|r| = 1/2, and |m| >= K + 1 on both sides of k, so
+The table is built from w_p(m) = (-1)^m s_p(m), the Taylor coefficients
+of sin(pi r)/(pi (m + r)): as sinc(m + r) = (-1)^m sin(pi r)/(pi (m + r)),
+w_p(m) = sum_(q<p) sigma_(p-q) (-1)^q/m^(q+1), with sigma_l those of
+sin(pi r)/pi.  The sum is a product of powers of -1/m with a constant
+matrix, and stable where p <= pi|m|, its terms growing with l = p - q.
+Where p > pi|m|, which takes |m| <= 7, the constant rows `_NEAR` run
+m w_p + w_(p-1) = sigma_p downwards instead.  Each w_p(m) is then within
+6 u of its value, u = 2^-53 (5.3 u at most for |m| <= 1032).  With the
+signed coefficients a_j = (-1)^j c^_j, T[k, p] = (-1)^k sum_j a_j
+w_p(k - j): one dot product of n nonzero terms, within gamma_(n + 6)
+times the sum of the terms' magnitudes (Higham, "Accuracy and Stability
+of Numerical Algorithms", 3.1).  The sums over j are 32 table rows at a
+time times one Toeplitz matrix of a, so no matrix of all n + 2K rows is
+made: a build takes about 0.04 ms at N = 4, 0.11 ms at N = 64, 0.6 ms at
+N = 256 and 1.7 ms at N = 512 (one BLAS thread; the table per N is in
+CHANGES.md).
 
-    |R| <= max|a| sum_{m>K} 2^-P m^-P (1/(m - 1/2) + 1/(m + 1/2))
-        <= 2 max|a| 2^-P (K + 1/2)^-P/(P - 1) = 2 max|a| (2K + 1)^-P/(P - 1),
+A regular row then costs a gather of P coefficients and P - 1 Horner
+steps whatever N is: a call on 4096 points takes about 0.30 ms at every
+N, where the near window plus a far-field table it replaced took 0.51 to
+0.56 ms, and a point query about 4.1 us against 6.6 us.  The values lie
+within 3.3e-16 of the direct formula (the replaced rule: 4.4e-16) on
+4096 equispaced, 16384 random and the node-neighbour points, both
+examples, all methods, N = 4..256.  Each Horner step is a product, then
+a sum, each rounded once, in the same order for a point of any block as
+for a lone point, so a value depends on its point alone:
+`evaluate_solution` and every batch of `evaluate_solution_many` that
+holds t give the same bits at t.
 
-by 1/(m + 1/2) <= 1/(m - 1/2) <= 1/(K + 1/2) and, m^-P being convex,
-sum_{m>K} m^-P <= the integral of x^-P from K + 1/2.  K is 8, and P is
-the least count for which the bound is at most 2^-53 max|a|: P = 13,
-where it is 1.7e-17 max|a|, under a quarter of an ulp of the largest
-|a_j|.  K = 4, 6 and 12 (P = 16, 14 and 11) cost the same within a
-shared host's noise.
+The rows beyond the table, |k| > N + K (t = 1e-300 on an SE grid, say),
+are left to the point path, which sums their full barycentric row
+(Richardson and Trefethen, "A sinc function analogue of Chebfun", SISC
+33, 2011): (-1)^k sin(pi r)/pi sum_j a_j/(u - j), each u - j rounded
+once and summed by `np.add.reduce`.
 
-Each interpolant builds, once, the zero-padded near windows of a and
-the table C[k, p] for k = -N - K..N + K: row k of the windows of the
-padded a_j, of width 4N + 2K + 1, times the powers (1/m)^(p+1), in one
-BLAS product (0.1 ms at N = 64, 1.0 ms at N = 256, one thread).  A
-table entry is off by at most gamma_(4N + 2K + 1 + 2P) times the sum of
-its terms' magnitudes (Higham, "Accuracy and Stability of Numerical
-Algorithms", 3.1): its powers carry at most 2p + 1 roundings, and its
-product is a dot product in some order.  A point then costs 2K + 1
-entries and P Horner steps whatever N is: a call on 4096 points takes
-about 0.51 ms at every N, where the full rows took 0.37 ms at N = 4,
-1.7 ms at N = 128 and 3.4 ms at N = 256 (best of 25, one thread; the
-table per N is in CHANGES.md).  The rows beyond the table, |k| > N + K
-(t = 1e-300 on an SE grid, say), are left to the point path, which sums
-their full row of n entries, as every row was summed before.
-
-A row's entries, each u - j rounded once, are summed by `np.add.reduce`,
-numpy's pairwise sum, in the same order for a row of a block as for a
-lone row, and the Horner sum in -r is added to that, so a value depends
-on its point alone: `evaluate_solution` and every batch of
-`evaluate_solution_many` that holds t give the same bits at t.
-Pairwise summation also has the smaller error bound, O(eps log n)
-against O(eps n) for a sum in order (Higham, 4.2).  The values lie
-within 3.4e-16 of the direct formula (the full rows: 4.4e-16) on 4096
-equispaced, 16384 random and the node-neighbour points, both examples,
-all methods, N = 4..256.
-
-The entry at j = k is c_k/r, and |r| can be as small as 2^-1074 (next to
-the midpoint of [0, 1] it is about 1.4e-16), so the signed coefficients
-are stored times 2^-e, a power of two that takes the largest below
-2^-51: no entry reaches 2^1023, the other entries of a row stay below
-2^-50, and no sum overflows, for any finite coefficients.  The product
-of a sum and sin(pi r)/pi is scaled back by 2^e; a power of two scales
-exactly unless a result is subnormal, so the values are those of the
-unscaled sum.  Samples of 1e300 on an N = 16 grid give finite values
-next to 0.5, within 1e-15 x 1e300 of the direct formula, where an
-unscaled row overflows.  These constants are built once, with the
-interpolant.  In the window, u - j = r - o with o = j - k is exact in
-real arithmetic (r is exact), so it is rounded once, to the same bits,
-as the point path's difference r - o and as a block's BLAS product
-[r, 1] [1; -o], whose two products per entry are exact.  Beyond the
-table the point path takes u - j as one difference.  No row sum goes
-through the BLAS.
+The coefficients are stored times 2^-e, a power of two that takes the
+largest below 2^-51, so that no table entry, a sum of n terms each at
+most 1.7 max|c^| (|s_p(m)| <= pi^p/((p + 1) p!) <= 1.7), and no Horner
+sum comes near 2^1023, for any finite coefficients.  A value is scaled
+back by 2^e, exactly unless it is subnormal, so the values are those of
+the unscaled sums; a value beyond the doubles is inf on both paths.
 
 The arrays an interpolant builds are read-only, and each `evaluate_many`
 call works in buffers of its own, reused by every block of the call (at
-most 512 windows), so concurrent evaluations of one interpolant share
+most 2048 points), so concurrent evaluations of one interpolant share
 nothing they write.
 """
 
 import itertools
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal, localcontext
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import transforms
 from .transforms import Interval, MeshParams, Method, TransformKind, _vector
@@ -116,22 +106,58 @@ __all__ = [
     "evaluate_many",
 ]
 
-# points per block of evaluate_many's near windows, whose buffers
-# (512 x 17, 70 KB) every block of a call reuses and which stay below
-# glibc's 128 KB mmap threshold, and so are not fresh zero-filled pages
-# on every call; it bounds memory, not the values
-_WINDOW_BLOCK = 512
-# the half-width K of the exact near window, and the number P of terms
-# of the far field: the least P whose remainder bound (module docstring)
-# is at most 2^-53
-_NEAR = 8
-_TERMS = next(P for P in itertools.count(2) if 2 * (2 * _NEAR + 1) ** -P / (P - 1) <= 2**-53)
-# the window's 2 x (2K + 1) factor [1; -o], o = -K..K, so that
-# [r, 1] [1; -o] is r - o
-_OFFSETS = np.arange(-_NEAR, _NEAR + 1, dtype=float)
-_OFFSETS.setflags(write=False)
-_WINDOW = np.stack([np.ones(_OFFSETS.size), -_OFFSETS])
-_WINDOW.setflags(write=False)
+# points per block of evaluate_many, whose gathered table rows
+# (2048 x P x 8 B, 377 KB) every block of a call reuses; it bounds
+# memory, not the values
+_BLOCK = 2048
+# the margin K of the Taylor table, whose rows are k = -N - K..N + K
+_MARGIN = 8
+# table rows per matrix product of the table's build
+_CHUNK = 32
+
+
+def _remainder_bound(P, N):
+    """What P Taylor terms leave of a cardinal sum on 2N + 1 nodes at
+    most, per unit of max|c^_j| (module docstring)."""
+    return ((math.pi / 2) ** P / math.factorial(P) / (1 - math.pi / (2 * P + 2))
+            * (1 / (P + 1) + 4 / math.pi * (1 + math.log(2 * N + _MARGIN))))
+
+
+# the number P of Taylor terms: the least whose bound is at most 2^-53 on
+# every grid whose indices are exact doubles, N < 2^53
+_TERMS = next(P for P in itertools.count(2) if _remainder_bound(P, 2**53) <= 2**-53)
+
+
+def _sine_series(count):
+    """sigma_l = (-1)^((l-1)/2) pi^(l-1)/l! for odd l and 0 for even l,
+    l < count, the Taylor coefficients of sin(pi r)/pi, each rounded once
+    from 40 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        return [float((-1) ** (l // 2) * Decimal("3.141592653589793238462643383279502884197") ** (l - 1)
+                      / math.factorial(l)) if l % 2 else 0.0 for l in range(count)]
+
+
+def _downward_rows(sigma):
+    """w_p(m) = (-1)^m s_p(m) for |m| <= (P - 1)/pi, in row m + that bound,
+    from m w_p + w_(p-1) = sigma_p run downwards from w = 0 past the last
+    sigma_l, and the entries where that is stable, p >= pi|m|."""
+    m = np.arange(-int((_TERMS - 1) / math.pi), int((_TERMS - 1) / math.pi) + 1.0)
+    rows, w = np.empty((m.size, len(sigma))), np.zeros(m.size)
+    for p in range(len(sigma) - 1, 0, -1):
+        w = rows[:, p - 1] = sigma[p] - m * w
+    return rows[:, :_TERMS].copy(), np.arange(_TERMS) >= math.pi * np.abs(m)[:, None]
+
+
+_SIGMA = _sine_series(_TERMS + 64)
+# w_p(m) = -sum_(q<p) sigma_(p-q) x^(q+1), x = -1/m, is the powers x^(q+1)
+# times this matrix, -sigma_(p-q) in row q and column p - 1; the sum is
+# stable where p <= pi|m|, and `_NEAR` holds w_p(m) where it is not
+_FAR = np.array([[-_SIGMA[p - q] if q < p else 0.0 for p in range(1, _TERMS)]
+                 for q in range(_TERMS - 1)])
+_NEAR, _STABLE = _downward_rows(_SIGMA)
+for _constant in (_FAR, _NEAR, _STABLE):
+    _constant.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,14 +218,12 @@ class GeneralizedInterpolant:
     boundary_left: float
     boundary_right: float
     coeffs: np.ndarray
-    # per-solution constants of evaluation: the signed coefficients
-    # a_j = (-1)^j c_j times 2^-e, j = -N..N, e, and for k = -N - K..N + K
-    # the near windows a_(k-K..k+K), zero beyond -N..N, in row k + N + K,
-    # and the far-field table C[k, p] in column k + N + K of row p < P
+    # per-solution constants of evaluation: the scale exponent e, the
+    # signed coefficients a_j = (-1)^j c_j 2^-e, j = -N..N, and the Taylor
+    # table T[k, p] in column k + N + K of row p
     _signed: np.ndarray = field(init=False, repr=False)
     _exponent: int = field(init=False, repr=False)
-    _near: np.ndarray = field(init=False, repr=False)
-    _far: np.ndarray = field(init=False, repr=False)
+    _taylor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n, N = self.grid.n, self.grid.mesh.N
@@ -209,32 +233,39 @@ class GeneralizedInterpolant:
         exponent = max(math.frexp(np.abs(coeffs).max())[1] + 51, 0)
         signed = np.ldexp(coeffs, -exponent)
         signed[(N + 1) % 2::2] *= -1.0  # j = -N + i is odd for these i
-        near, far = _tables(signed, N)
-        for value in (signed, near, far):
-            value.setflags(write=False)
+        signed.setflags(write=False)
         for name, value in (("samples", samples), ("coeffs", coeffs), ("_signed", signed),
-                            ("_exponent", exponent), ("_near", near), ("_far", far)):
+                            ("_exponent", exponent), ("_taylor", _table(signed, N))):
             object.__setattr__(self, name, value)
 
 
-def _tables(signed, N):
-    """The near windows and the far-field table C of the signed
-    coefficients a_j, from one matrix: row k + N + K, k = -N - K..N + K,
-    of the windows of the zero-padded a_j holds in column l the a_j at
-    m = k - j = 2N + K - l.  Columns 2N..2N + 2K are the near window of k,
-    and C[k, p] is the row times (1/m)^(p + 1), by repeated products,
-    where |m| > K: one BLAS product for every k and p."""
-    width = 4 * N + 2 * _NEAR + 1
-    pad = 2 * (N + _NEAR)
-    padded = np.zeros(signed.size + 2 * pad)
-    padded[pad:pad + signed.size] = signed
-    windows = sliding_window_view(padded, width).copy()
-    m = (2 * N + _NEAR) - np.arange(width, dtype=float)
-    powers = np.empty((_TERMS, width))
-    powers[0] = 1.0 / np.where(np.abs(m) > _NEAR, m, np.inf)  # 0 in the window
-    for p in range(1, _TERMS):
-        np.multiply(powers[p - 1], powers[0], out=powers[p])
-    return windows[:, 2 * N:2 * (N + _NEAR) + 1].copy(), powers @ windows.T
+def _table(signed, N):
+    """T[k, p] = sum_j c^_j s_p(k - j), k = -N - K..N + K, p < P, in column
+    k + N + K of row p, from the signed coefficients a_j = (-1)^j c^_j:
+    the P entries of k are (-1)^k sum_j a_j w_(k-j), each w_m a row of the
+    P values w_p(m) (`_FAR`, `_NEAR`).  The sums over j are products of one
+    Toeplitz matrix of a with `_CHUNK` rows of w at a time, so no matrix of
+    all n + 2K rows is made."""
+    n, M, rows = signed.size, 2 * N + _MARGIN, signed.size + 2 * _MARGIN
+    m = np.arange(-M, M + 1.0)
+    x = np.divide(-1.0, m, out=np.zeros_like(m), where=m != 0)
+    w = np.zeros((m.size, _TERMS))  # row m + M is w_m
+    w[:, 1:] = np.multiply.accumulate(np.broadcast_to(x, (_TERMS - 1, m.size)), axis=0).T @ _FAR
+    np.copyto(w[M - _NEAR.shape[0] // 2:M + _NEAR.shape[0] // 2 + 1], _NEAR, where=_STABLE)
+    # row b of the Toeplitz matrix holds a_j, j = N..-N, from column b on:
+    # in a flat array, row b of width n + _CHUNK starts b entries after
+    # row b of width n + _CHUNK - 1
+    flat = np.zeros(_CHUNK * (n + _CHUNK))
+    flat.reshape(_CHUNK, -1)[:, :n] = signed[::-1]
+    toeplitz = flat[:_CHUNK * (n + _CHUNK - 1)].reshape(_CHUNK, -1)
+    table = np.empty((rows, _TERMS))
+    for s in range(0, rows, _CHUNK):
+        q = min(_CHUNK, rows - s)
+        np.matmul(toeplitz[:q, :q + n - 1], w[s:s + q + n - 1], out=table[s:s + q])
+    table[(N + _MARGIN + 1) % 2::2] *= -1.0  # the rows of odd k
+    table = np.ascontiguousarray(table.T)
+    table.setflags(write=False)
+    return table
 
 
 def approximate(grid: SincGrid, samples) -> GeneralizedInterpolant:
@@ -253,11 +284,12 @@ def evaluate_many(interp: GeneralizedInterpolant, ts) -> np.ndarray:
 
     This is `_evaluate_point` vectorized for the regular rows, and the
     point path itself for the rest.  A row is regular when its k is in the
-    far-field table, |k| <= N + K, its r is not 0 and its point lies
-    inside its node bracket (below).  Its cardinal part is the barycentric
-    sum of the module docstring: the near window's 2K + 1 entries,
-    `_WINDOW_BLOCK` points at a time, plus Horner in -r over the table;
-    the parity of k is read from k/2.  The boundary hats are added to it.
+    Taylor table, |k| <= N + K, and its point lies inside its node bracket
+    (below).  Its cardinal part is the Horner sum in r of the module
+    docstring, `_BLOCK` points at a time: one `take` gathers the P
+    coefficients of each point's k, and in-place numpy products and sums
+    run Horner over them; the sum is scaled by 2^e, and the boundary hats
+    are added to it.
 
     The node test brackets t by the candidate c = k + N (clipped to
     [1, n - 2]): if points[c - 1] < t < points[c + 1], no node other than
@@ -265,14 +297,12 @@ def evaluate_many(interp: GeneralizedInterpolant, ts) -> np.ndarray:
     c is then the leftmost such index, the one `searchsorted` gives; such
     a point takes the stored sample.  Every other point that is not
     regular gets its value from `_evaluate_point`: the endpoints (u =
-    +-inf), an integral u off the nodes, the rows beyond the table (t =
-    1e-300 on an SE grid, say), duplicated node values (example 2's se-new
-    grid at N = 256 has 4) and points near b whose u is off by a node.
-    The sweep's error grids have 186 such points in 294,912, and uniform
-    points at N = 256 none.  Each costs a point query, 5 to 7 us, where a
-    vectorized row costs about 0.1 us: 4096 points all beyond the table of
-    an SE grid take about 22 ms at N = 64 and 29 ms at N = 512 (one BLAS
-    thread on a shared 2-vCPU host).
+    +-inf), the rows beyond the table (t = 1e-300 on an SE grid, say),
+    duplicated node values (example 2's se-new grid at N = 256 has 4) and
+    points near b whose u is off by a node.  The sweep's error grids have
+    186 such points in 294,912, and uniform points at N = 256 none.  Each
+    costs a point query, 4 to 7 us, where a vectorized row costs about
+    0.07 us.
 
     The result is a 1-D array; points of any other shape raise ValueError
     naming the shape.
@@ -284,17 +314,13 @@ def evaluate_many(interp: GeneralizedInterpolant, ts) -> np.ndarray:
         raise ValueError(f"points must be a scalar or a 1-D array, got shape {ts.shape}")
     u = transforms.inverse(grid.kind, grid.iv, ts) / grid.h
     k = np.rint(u)
-    # r is NaN on the +-inf rows, an entry is x/0 where r = 0, and the rows
-    # beyond the table take the window of k clipped to it: all three kinds
-    # are handed to the point path below
-    with np.errstate(invalid="ignore", divide="ignore"):
+    # r is NaN at u = +-inf, and the rows beyond the table take the row of
+    # k clipped to it: both kinds are handed to the point path below
+    with np.errstate(invalid="ignore"):
         r = u - k
-        sums = _window_sums(interp, r, np.clip(k, -N - _NEAR, N + _NEAR))
-        half = 0.5 * k
-        # k is odd where k/2 is not integral; a negation is exact, so
-        # where it is taken does not change the bits
-        cardinal = np.where(half != np.floor(half), -sums, sums) * (np.sin(np.pi * r) / np.pi)
-        np.ldexp(cardinal, interp._exponent, out=cardinal)
+    cardinal = _taylor_sums(interp._taylor, (np.clip(k, -N - _MARGIN, N + _MARGIN)
+                                             + (N + _MARGIN)).astype(np.intp), r)
+    np.ldexp(cardinal, interp._exponent, out=cardinal)
     wa, wb = _boundary_pair(grid.iv, ts)
     out = interp.boundary_left * wa + interp.boundary_right * wb + cardinal
     p = grid.points
@@ -302,39 +328,25 @@ def evaluate_many(interp: GeneralizedInterpolant, ts) -> np.ndarray:
     bracketed = (p[:-2][c] < ts) & (ts < p[2:][c])
     hit = bracketed & (p[1:-1][c] == ts)
     out[hit] = interp.samples[c[hit] + 1]
-    irregular = np.flatnonzero(~hit & (~bracketed | (r == 0) | (np.abs(k) > N + _NEAR)))
+    irregular = np.flatnonzero(~hit & (~bracketed | (np.abs(k) > N + _MARGIN)))
     out[irregular] = [_evaluate_point(interp, t) for t in ts[irregular].tolist()]
     return out
 
 
-def _window_sums(interp, r, k):
-    """sum_j a_j/(u - j) at u = k + r for k in the table, |k| <= N + K:
-    the near window's entries, each u - j rounded once, summed by
-    `np.add.reduce`, plus the far field by Horner in -r over the table's
-    column of k (whose indices are valid, so the gathers need no check)."""
-    column = (k + (interp.grid.mesh.N + _NEAR)).astype(np.intp)
-    sums = np.empty_like(r)
-    size = min(r.size, _WINDOW_BLOCK)
-    entries = np.empty((size, _OFFSETS.size))
-    near = np.empty_like(entries)
-    pairs = np.ones((size, 2))  # a block's rows [r, 1]
-    for s in range(0, r.size, _WINDOW_BLOCK):
-        blk = slice(s, s + _WINDOW_BLOCK)
-        m = min(_WINDOW_BLOCK, r.size - s)
-        pairs[:m, 0] = r[blk]
-        np.matmul(pairs[:m], _WINDOW, out=entries[:m])  # r*1 + 1*(-o): u - j, rounded once
-        np.take(interp._near, column[blk], axis=0, out=near[:m], mode="clip")
-        np.divide(near[:m], entries[:m], out=entries[:m])
-        np.add.reduce(entries[:m], axis=-1, out=sums[blk])
-    minus_r = -r
-    far = interp._far
-    horner = far[-1].take(column)
-    term = np.empty_like(r)
-    for p in range(_TERMS - 2, -1, -1):
-        horner *= minus_r
-        horner += np.take(far[p], column, out=term, mode="clip")
-    sums += horner
-    return sums
+def _taylor_sums(table, column, r):
+    """sum_p T[k, p] r^p at each point, by Horner in r over the P
+    coefficients in its column of the table, gathered `_BLOCK` points at
+    a time."""
+    out = np.empty_like(r)
+    coeffs = np.empty((_TERMS, min(r.size, _BLOCK)))
+    for s in range(0, r.size, _BLOCK):
+        horner, x = out[s:s + _BLOCK], r[s:s + _BLOCK]
+        gathered = np.take(table, column[s:s + _BLOCK], axis=1, out=coeffs[:, :x.size], mode="clip")
+        horner[...] = gathered[-1]
+        for row in gathered[-2::-1]:
+            horner *= x
+            horner += row
+    return out
 
 
 def _evaluate_point(interp: GeneralizedInterpolant, t) -> float:
@@ -342,25 +354,24 @@ def _evaluate_point(interp: GeneralizedInterpolant, t) -> float:
 
     `evaluate_many` vectorizes it for its regular rows and bracketed
     nodes and calls it for every other point, and the tests hold the two
-    equal bit for bit.  At a and b only the hats are left; at an integral
-    u off the nodes the cardinal part is c_k (0 beyond -N..N); a row
-    beyond the table sums its full row of n entries, u - j each rounded
-    once; every other row is the near window plus Horner over the table.
+    equal bit for bit.  At a and b only the hats are left; a row in the
+    table is the Horner sum in r over its P coefficients; a row beyond
+    the table sums its full barycentric row of n entries, u - j each
+    rounded once.
 
     A one-element array would pay numpy's per-call cost some 45 times;
     this path takes about a seventh of that time.  Here every step whose
     IEEE result numpy shares is done on Python floats: the domain check,
     the preimage's quotient (`transforms._inverse_point`), u = x/h,
     k = round(u), which rounds half to even like np.rint, r = u - k, the
-    Horner sum in -r over the table's column of k (a product, then a sum,
-    each rounded once, as numpy's in-place steps are), the sign, pi r,
-    the division by pi, the scaling by 2^e (math.ldexp, exact like
-    np.ldexp) and the hats.  What might round differently stays numpy's:
-    the log, arcsinh and sine, and the row of entries (the near window,
-    or the full row beyond the table) with its `np.add.reduce`, the
-    pairwise sum a block row gets.  At a and b, u is -inf and +inf, taken
-    without a warning.  The node snap is one `searchsorted` per point,
-    which costs no measurable time here.
+    Horner sum over the table's column of k (a product, then a sum, each
+    rounded once, as numpy's in-place steps are), the scaling by 2^e
+    (math.ldexp, exact like np.ldexp) and the hats.  What might round
+    differently stays numpy's: the log and arcsinh, and beyond the table
+    the sine and the row of entries with its `np.add.reduce`, the pairwise
+    sum.  At a and b, u is -inf and +inf, taken without a warning.  The
+    node snap is one `searchsorted` per point, which costs no measurable
+    time here.
     """
     grid = interp.grid
     if not isinstance(t, float):
@@ -373,31 +384,25 @@ def _evaluate_point(interp: GeneralizedInterpolant, t) -> float:
         i = grid.points.searchsorted(t)
         if i < grid.n and grid.points[i] == t:
             return float(interp.samples[i])
+    N = grid.mesh.N
     if math.isinf(u):
         cardinal = 0.0
     else:
         k = round(u)
         r = u - k
-        N = grid.mesh.N
-        if r == 0.0:
-            cardinal = float(interp.coeffs[k + N]) if -N <= k <= N else 0.0
+        if abs(k) <= N + _MARGIN:
+            coeffs = interp._taylor[:, k + N + _MARGIN].tolist()
+            s = coeffs.pop()
+            for c in reversed(coeffs):
+                s = s * r + c
         else:
-            if abs(k) <= N + _NEAR:
-                row = r - _OFFSETS  # r - o is u - j, bitwise
-                np.divide(interp._near[k + N + _NEAR], row, out=row)
-                far = interp._far[:, k + N + _NEAR].tolist()
-                horner, minus_r = far[-1], -r
-                for c in reversed(far[:-1]):
-                    horner = horner * minus_r + c
-                s = float(np.add.reduce(row)) + horner
-            else:
-                row = u - np.arange(-N, N + 1, dtype=float)
-                np.divide(interp._signed, row, out=row)
-                s = float(np.add.reduce(row))
-            scaled = (-s if k % 2 else s) * (float(np.sin(np.pi * r)) / math.pi)
-            try:
-                cardinal = math.ldexp(scaled, interp._exponent)
-            except OverflowError:  # the value itself is beyond the doubles
-                cardinal = math.copysign(math.inf, scaled)
+            row = u - np.arange(-N, N + 1, dtype=float)
+            np.divide(interp._signed, row, out=row)
+            s = float(np.add.reduce(row))
+            s = (-s if k % 2 else s) * (float(np.sin(np.pi * r)) / math.pi)
+        try:
+            cardinal = math.ldexp(s, interp._exponent)
+        except OverflowError:  # the value itself is beyond the doubles
+            cardinal = math.copysign(math.inf, s)
     wa, wb = _boundary_pair(grid.iv, t)
     return float(interp.boundary_left * wa + interp.boundary_right * wb + cardinal)

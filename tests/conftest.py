@@ -6,13 +6,12 @@ hats and interval membership.  Tests compare the program against them, so
 they do not call the code they check.  `evaluate` is the single-point
 form of `evaluate_many`.  `dense_sinc_evaluate` is the interpolant by the
 direct formula, one np.sinc per (point, node), which `evaluate_many`
-replaced with a barycentric sum.  `subtract_evaluate` is that barycentric
-sum by the same row rule, the near window summed by np.add.reduce plus
-the far field by Horner over the interpolant's table (the full row
-beyond the table), times sin(pi r)/pi, but on all points at once, with
-u - j from a broadcast subtraction, the window's coefficients gathered
-and the signed coefficients built per call, and with the epilogue that
-the O(1) per-point one replaced: `k % 2`, `np.interp` and
+replaced.  `subtract_evaluate` is the row rule of `evaluate_many` on all
+points at once: each point's P Taylor coefficients gathered from the
+interpolant's table by one fancy index, summed by a Horner loop in r,
+and beyond the table the full barycentric row, with u - j from a
+broadcast subtraction and the signed coefficients built per call, with
+the epilogue that the O(1) per-point one replaced: `k % 2` and
 `searchsorted` on every point.
 `expression_assemble` is the collocation system written as whole-array
 products, the form that assembly in place replaced.  `naive_assemble_new`
@@ -49,7 +48,7 @@ from vfie import (
     inverse,
     select_h,
 )
-from vfie.approx import _NEAR
+from vfie.approx import _MARGIN
 from vfie.solver import _offset_matrix, _running_integral
 
 _NODE_TOL = 1e-15
@@ -154,13 +153,13 @@ def dense_sinc_evaluate(interp, ts):
 
 def subtract_evaluate(interp, ts):
     """Interpolant values on a 1-D array of points by the row rule of
-    `evaluate_many`, on all points at once: for |k| <= N + K the near
-    window's entries (-1)^j c_j 2^-e/(u - j), j = k - K..k + K, with u - j
-    from np.subtract on u and j and the coefficients zero beyond -N..N,
-    summed by np.add.reduce, plus Horner in -r over the far-field table
-    taken from the interpolant; beyond the table and at u = +-inf, the
-    full row.  The epilogue is the one that the O(1) per-point one
-    replaced: `k % 2`, `np.interp` and `searchsorted` on every point."""
+    `evaluate_many`, on all points at once: for |k| <= N + K the row of
+    the Taylor table at k, gathered by fancy indexing, summed by Horner
+    in r = u - k, times 2^e; beyond the table the full row of entries
+    (-1)^j c_j 2^-e/(u - j), with u - j from np.subtract on u and j,
+    summed by np.add.reduce, times (-1)^k sin(pi r)/pi and 2^e; at
+    u = +-inf nothing.  The epilogue is the one that the O(1) per-point
+    one replaced: `k % 2` and `searchsorted` on every point."""
     grid = interp.grid
     ts = np.asarray(ts, dtype=float)
     N = grid.mesh.N
@@ -168,23 +167,19 @@ def subtract_evaluate(interp, ts):
     signed = np.where(j % 2, -1.0, 1.0) * np.ldexp(interp.coeffs, -interp._exponent)
     u = inverse(grid.kind, grid.iv, ts) / grid.h
     k = np.rint(u)
-    inside = np.abs(k) <= N + _NEAR
-    ki = np.where(inside, k, 0.0).astype(int)
-    window = ki[:, None] + np.arange(-_NEAR, _NEAR + 1)
-    near = np.where(np.abs(window) <= N, signed[np.clip(window, -N, N) + N], 0.0)
-    far = interp._far[:, ki + N + _NEAR]
-    with np.errstate(invalid="ignore", divide="ignore"):
+    inside = np.abs(k) <= N + _MARGIN
+    with np.errstate(invalid="ignore"):
         r = u - k
-        near_sums = np.add.reduce(np.divide(near, np.subtract(u[:, None], window)), axis=-1)
-        horner = far[-1]
-        for p in range(far.shape[0] - 2, -1, -1):
-            horner = horner * -r + far[p]
-        row_sums = np.add.reduce(np.divide(signed, np.subtract(u[:, None], j)), axis=-1)
-        sums = np.where(inside, near_sums + horner, row_sums)
-        cardinal = np.where(k % 2, -sums, sums) * (np.sin(np.pi * r) / np.pi)
+    table = interp._taylor[:, np.where(inside, k + N + _MARGIN, 0).astype(int)]
+    horner = table[-1]
+    for p in range(table.shape[0] - 2, -1, -1):
+        horner = horner * r + table[p]
+    beyond = ~inside & np.isfinite(u)
+    rows = np.add.reduce(np.divide(signed, np.subtract(u[beyond, None], j)), axis=-1)
+    sums = np.where(k[beyond] % 2, -rows, rows) * (np.sin(np.pi * r[beyond]) / np.pi)
+    cardinal = np.where(inside, horner, 0.0)
+    cardinal[beyond] = sums
     cardinal = np.ldexp(cardinal, interp._exponent)
-    on_k = np.interp(k, j, interp.coeffs, left=0.0, right=0.0)
-    cardinal = np.where((r == 0) | np.isinf(u), on_k, cardinal)
     a, b = grid.iv.a, grid.iv.b
     out = (interp.boundary_left * ((b - ts) / (b - a))
            + interp.boundary_right * ((ts - a) / (b - a)) + cardinal)

@@ -33,7 +33,7 @@ from vfie import (
     solve,
 )
 from vfie import approx
-from vfie.approx import _NEAR, _TERMS, _WINDOW_BLOCK, _boundary_pair, _evaluate_point
+from vfie.approx import _BLOCK, _MARGIN, _TERMS, _boundary_pair, _evaluate_point, _remainder_bound
 
 UNIT = Interval(0.0, 1.0)
 integral_u = load_tool("integral_u")
@@ -273,7 +273,7 @@ def test_grid_arrays_are_read_only():
     with pytest.raises(ValueError):
         grid.weights[0] = 0.0
     interp = approximate(grid, np.zeros(grid.n))
-    for name in ("samples", "coeffs", "_signed"):
+    for name in ("samples", "coeffs", "_signed", "_taylor"):
         with pytest.raises(ValueError):
             getattr(interp, name)[0] = 1.0
 
@@ -285,7 +285,7 @@ def test_build_grid_rejects_mismatched_strip_width():
             build_grid(UNIT, method, 1.0, 3.14, 8)
 
 
-# --- barycentric evaluation against the direct formula and mpmath ---------
+# --- Taylor-table evaluation against the direct formula and mpmath ------
 
 ORACLE_CASES = [(example_id, method, N) for example_id in (1, 2) for method in Method
                 for N in (16, 128, 256)]
@@ -389,13 +389,18 @@ def test_irregular_points_are_handed_to_the_point_path(interpolants, monkeypatch
     se = interpolants[(2, Method.NEW_SE, 256)]
     de = interpolants[(2, Method.NEW_DE, 256)]
     N = de.grid.mesh.N
-    # an integral u off the nodes, inside its node bracket, so that only
-    # its r = 0 makes it irregular
+    # an integral u off the nodes, inside its node bracket, is a regular
+    # row: its r = 0 leaves T[k, 0] = c_k 2^-e of the Taylor table
     t = integral_u_test_points(de.grid)[0]
     k = round(inverse(de.grid.kind, de.grid.iv, t) / de.grid.h)
     assert de.grid.points[k + N - 1] < t < de.grid.points[k + N + 1], (t, k)
-    # t = 1e-300 is beyond the far-field table of the SE grid
-    assert inverse(se.grid.kind, se.grid.iv, 1e-300) / se.grid.h < -(N + _NEAR)
+    handed = counted_hand_offs(monkeypatch)
+    got = evaluate_many(de, [0.3, t, 0.7])
+    monkeypatch.undo()
+    assert handed == []
+    assert_bitwise(got[1:2], [_evaluate_point(de, t)])
+    # t = 1e-300 is beyond the Taylor table of the SE grid
+    assert inverse(se.grid.kind, se.grid.iv, 1e-300) / se.grid.h < -(N + _MARGIN)
     # a node value held by two nodes inside (a, b) lies inside no bracket;
     # this one, near b, has a u in the table that is not integral, so that
     # only its bracket makes it irregular
@@ -403,8 +408,8 @@ def test_irregular_points_are_handed_to_the_point_path(interpolants, monkeypatch
     twice = p[1:][(p[1:] == p[:-1]) & (de.grid.iv.a < p[1:]) & (p[1:] < de.grid.iv.b)]
     assert twice.size == 1 and twice[0] > 0.5, twice
     u = inverse(de.grid.kind, de.grid.iv, twice[0]) / de.grid.h
-    assert u != round(u) and abs(round(u)) <= N + _NEAR, u
-    cases = [(de, [de.grid.iv.a, de.grid.iv.b]), (de, [t]), (se, [1e-300]), (de, [twice[0]])]
+    assert u != round(u) and abs(round(u)) <= N + _MARGIN, u
+    cases = [(de, [de.grid.iv.a, de.grid.iv.b]), (se, [1e-300]), (de, [twice[0]])]
     for interp, irregular in cases:
         a, b = interp.grid.iv.a, interp.grid.iv.b
         regular = np.random.default_rng(5).uniform(a, b, 64)
@@ -424,49 +429,79 @@ def gamma(n):
     return n * u / (1 - n * u)
 
 
+def mp_taylor_rows(M, P):
+    """w_p(m) = (-1)^m s_p(m), s_p(m) the p-th Taylor coefficient of sinc at
+    m, for |m| <= M and p < P, in 100-digit arithmetic, by the recurrence
+    m w_p + w_(p-1) = sigma_p from w_0(m) = 0 (w_p(0) = sigma_(p+1)),
+    sigma_l the Taylor coefficients of sin(pi r)/pi; upwards it loses at
+    most about P!/pi^P, some 60 digits at P = 43."""
+    with mp.workdps(100):
+        sigma = [(-1) ** (l // 2) * mp.pi ** (l - 1) / mp.factorial(l) if l % 2 else mp.mpf(0)
+                 for l in range(P + 1)]
+        rows = {0: [sigma[p + 1] for p in range(P)]}
+        for m in range(1, M + 1):
+            for sm in (m, -m):
+                w = [mp.mpf(0)] * P
+                for p in range(1, P):
+                    w[p] = (sigma[p] - w[p - 1]) / sm
+                rows[sm] = w
+        return rows
+
+
 @pytest.mark.parametrize("N", [4, 64, 256])
-def test_far_field_table_matches_a_30_digit_sum(N, interpolants):
-    # C[k, p] = sum over |k - j| > K of a_j/(k - j)^(p + 1).  Each power
-    # of 1/m carries at most 2p + 1 roundings (1/m, then p products), and
-    # each entry is a dot product of length L = 4N + 2K + 1 summed in some
-    # order, so its error is at most gamma_(L + 2P) times the sum of the
-    # terms' magnitudes (Higham, "Accuracy and Stability of Numerical
-    # Algorithms", 3.1 and Lemma 3.3)
+def test_taylor_table_matches_a_30_digit_sum(N, interpolants):
+    # T[k, p] = sum_j c^_j s_p(k - j), c^_j = c_j 2^-e.  The build's w_p(m)
+    # are each within 6u of their value, u = 2^-53, which the table of a
+    # single a_(-N) = 1 shows, since its row k is (-1)^k w_(k+N) exactly.
+    # T[k, p] is (-1)^k times a dot product of n nonzero terms
+    # a_j w_p(k - j) in some order, so its error is at most gamma_(n + 6)
+    # times the sum of the terms' magnitudes (Higham, "Accuracy and
+    # Stability of Numerical Algorithms", 3.1 and Lemma 3.3); T[k, 0] is
+    # c^_k itself
     interp = interpolants[(2, Method.NEW_DE, N)]
-    assert interp._far.shape == (_TERMS, interp.grid.n + 2 * _NEAR)
-    assert not (interp._far.flags.writeable or interp._near.flags.writeable)
-    a = interp._signed
-    edge = N + _NEAR
+    n = interp.grid.n
+    assert interp._taylor.shape == (_TERMS, n + 2 * _MARGIN)
+    assert not interp._taylor.flags.writeable
+    scaled = np.ldexp(interp.coeffs, -interp._exponent)
+    assert np.array_equal(interp._taylor[0], np.pad(scaled, _MARGIN))
+    edge = N + _MARGIN
+    rows = mp_taylor_rows(2 * N + _MARGIN, _TERMS)
+    unit = approx._table(np.eye(1, n).ravel(), N)
+    with mp.workdps(30):
+        for i, k in enumerate(range(-edge, edge + 1)):
+            for p, got in enumerate(unit[:, i].tolist()):
+                want = (-1) ** abs(k) * rows[k + N][p]
+                assert abs(got - want) <= 6 * 2.0**-53 * abs(want), (k + N, p, got)
     ks = sorted({-edge, 1 - edge, -N, -1, 0, 1, N, edge - 1, edge,
                  *np.random.default_rng(N).integers(-edge, edge + 1, 4).tolist()})
-    bound = gamma(4 * N + 2 * _NEAR + 1 + 2 * _TERMS)
+    bound = gamma(n + 6)
     with mp.workdps(30):
+        c = [mp.mpf(float(v)) * (-1) ** abs(j) for j, v in zip(range(-N, N + 1), scaled)]
         for k in ks:
-            far = [j for j in range(-N, N + 1) if abs(k - j) > _NEAR]
             for p in range(_TERMS):
-                terms = [mp.mpf(float(a[j + N])) / mp.mpf(k - j) ** (p + 1) for j in far]
-                err = abs(mp.mpf(float(interp._far[p, k + edge])) - mp.fsum(terms))
+                terms = [cj * rows[k - j][p] for j, cj in zip(range(-N, N + 1), c)]
+                want = (-1) ** abs(k) * mp.fsum(terms)
+                err = abs(mp.mpf(float(interp._taylor[p, k + edge])) - want)
                 assert err <= bound * mp.fsum(abs(t) for t in terms), (k, p, err)
 
 
-def test_window_and_term_count_meet_the_remainder_bound():
-    # past the near window |m| = |k - j| >= K + 1 and |r| <= 1/2, and what
-    # P terms leave of 1/(m + r) is (-r/m)^P/(m + r).  Per unit of max|a_j|
-    # the remainder is largest at |r| = 1/2, where it is the sum below; the
-    # module docstring bounds it by 2 (2K + 1)^-P/(P - 1), which K and P
-    # hold to 2^-53, and which P - 1 terms would not
-    K, P = _NEAR, _TERMS
-    with mp.workdps(30):
-        half = mp.mpf(1) / 2
-        worst = mp.nsum(lambda m: half**P / m**P * (1 / (m - half) + 1 / (m + half)), [K + 1, mp.inf])
-        bound = 2 * mp.mpf(2 * K + 1) ** -P / (P - 1)
-        assert worst <= bound <= mp.mpf(2) ** -53
-        assert 2 * mp.mpf(2 * K + 1) ** (1 - P) / (P - 2) > mp.mpf(2) ** -53
+def test_term_count_meets_the_remainder_bound():
+    # what P terms leave of a row at |r| <= 1/2 is at most max|c^_j| times
+    # sum_(p>=P) 2^-p sum_m |s_p(m)|, |m| <= 2N + K, which the module
+    # docstring bounds in closed form; P meets that bound at 2^-53 on
+    # every grid, N < 2^53, and P - 1 meets it on none from N = 16
+    P = _TERMS
+    assert _remainder_bound(P, 2**53) <= 2**-53 < _remainder_bound(P - 1, 16)
+    for N in (4, 64):
+        rows = mp_taylor_rows(2 * N + _MARGIN, P + 20)
+        with mp.workdps(30):
+            tail = mp.fsum(mp.mpf(2) ** -p * abs(w[p]) for w in rows.values() for p in range(P, P + 20))
+            assert tail <= _remainder_bound(P, N) <= mp.mpf(2) ** -53, N
 
 
 def test_points_beyond_the_table_take_the_full_row(rng, interpolants):
     # on an SE grid, t = 5e-324 and 1e-300 have |k| > N + K, beyond the
-    # far-field table, and so has the point at u = -(N + K + 3/4): their
+    # Taylor table, and so has the point at u = -(N + K + 3/4): their
     # rows are summed in full, in one call with rows inside the table (the
     # last one, u = -(N + K + 1/4), among them) and at u = +-inf
     grid = se_grid(4)
@@ -475,7 +510,7 @@ def test_points_beyond_the_table_take_the_full_row(rng, interpolants):
              interpolants[(1, Method.NEW_SE, 16)], interpolants[(2, Method.SHAMLOO_SE, 128)]]
     for interp in cases:
         grid = interp.grid
-        edge = grid.mesh.N + _NEAR
+        edge = grid.mesh.N + _MARGIN
         tiny = np.array([5e-324, 1e-300, forward(grid.kind, grid.iv, -(edge + 0.75) * grid.h)])
         k = np.rint(inverse(grid.kind, grid.iv, tiny) / grid.h)
         assert (k < -edge).all(), k
@@ -549,9 +584,9 @@ def test_quotient_under_and_overflow_give_the_finite_preimage(method):
 
 @pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
 def test_huge_coefficients_give_finite_values_next_to_the_midpoint(method):
-    # next to the midpoint of [0, 1], |u| is about 1e-16, so the row's
-    # entry c_0/u would overflow for samples near 1e300 if the signed
-    # coefficients were not scaled down
+    # samples near 1e300 give finite values next to the midpoint of [0, 1],
+    # within 1e-15 of the direct formula relative to their size, on both
+    # paths, with the coefficients stored scaled down
     d = 3.14 if method.transform is TransformKind.SE else 1.57
     grid = build_grid(UNIT, method, 1.0, d, 16)
     scale = 1e300
@@ -684,26 +719,31 @@ def test_scalar_point_gives_a_one_element_array(rng):
 def test_call_on_several_blocks_is_the_concatenation_of_block_calls(interpolants):
     interp = interpolants[(2, Method.NEW_DE, 128)]
     rng = np.random.default_rng(3)
-    ts = rng.uniform(0.0, 1.0, 2 * _WINDOW_BLOCK + 37)
+    ts = rng.uniform(0.0, 1.0, 2 * _BLOCK + 37)
     # single points, pieces of sizes that are not multiples of 4, and a
     # last piece of more than one block
     cuts = np.unique(np.concatenate([[0, 1, 2, 5, 6], rng.integers(7, 200, 20), [ts.size]]))
     sizes = np.diff(cuts)
-    assert (sizes == 1).any() and (sizes % 4 != 0).sum() > 5 and sizes[-1] > _WINDOW_BLOCK
+    assert (sizes == 1).any() and (sizes % 4 != 0).sum() > 5 and sizes[-1] > _BLOCK
     parts = [evaluate_many(interp, ts[s:e]) for s, e in zip(cuts[:-1], cuts[1:])]
     assert_bitwise(evaluate_many(interp, ts), np.concatenate(parts))
 
 
 def test_evaluation_holds_one_block_of_entries(interpolants):
+    # a call holds the P gathered coefficients of one block of points and
+    # at most eight arrays of its M points at a time (u, k, r, the table
+    # column, the values, the hats and the bracket's gathers; 5 to 7 as
+    # measured), so over four blocks of points the coefficients of all of
+    # them at once would pass the bound by two blocks
     interp = interpolants[(2, Method.NEW_DE, 256)]
-    ts = np.linspace(0.0, 1.0, 4096)
+    ts = np.linspace(0.0, 1.0, 4 * _BLOCK)
     tracemalloc.start()
     try:
         evaluate_many(interp, ts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 256 * interp.grid.n * 8, f"peak {peak} B"
+    assert peak < 8 * (_BLOCK * _TERMS + 8 * ts.size), f"peak {peak} B"
 
 
 # --- the boundary hats of _boundary_pair, and the oracle sinc_S ----------

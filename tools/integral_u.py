@@ -1,7 +1,7 @@
 """Points of (a, b) off the Sinc nodes whose u = x/h is an integer.
 
-There the barycentric sum has r = u - k = 0 and evaluation takes the
-coefficient c_k instead.  `tools/output_digest.py` and the tests of
+There r = u - k = 0, and evaluation gives the coefficient c_k, the Taylor
+table's T[k, 0] times 2^e.  `tools/output_digest.py` and the tests of
 `vfie.approx` both feed such points to evaluation; they take them from
 here.  The preimage function is passed in, so that the digest can use the
 `vfie` of the checkout it digests.
