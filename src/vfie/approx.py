@@ -58,9 +58,11 @@ N = 256 and 1.7 ms at N = 512 (one BLAS thread; the table per N is in
 CHANGES.md).
 
 A regular row then costs a gather of P coefficients and P - 1 Horner
-steps whatever N is: a call on 4096 points takes about 0.30 ms at every
-N, where the near window plus a far-field table it replaced took 0.51 to
-0.56 ms, and a point query about 4.1 us against 6.6 us.  The values lie
+steps whatever N is: a call on 4096 points, one block, takes about
+0.25 ms at every N, where the near window plus a far-field table it
+replaced took 0.51 to 0.56 ms, and a point query about 2.9 us against
+6.6 us (one BLAS thread; `tools/eval_costs.py` prints the costs per N).
+The values lie
 within 3.3e-16 of the direct formula (the replaced rule: 4.4e-16) on
 4096 equispaced, 16384 random and the node-neighbour points, both
 examples, all methods, N = 4..256.  Each Horner step is a product, then
@@ -84,14 +86,14 @@ the unscaled sums; a value beyond the doubles is inf on both paths.
 
 The arrays an interpolant builds are read-only, and each `evaluate_many`
 call works in buffers of its own, reused by every block of the call (at
-most 2048 points), so concurrent evaluations of one interpolant share
+most 4096 points), so concurrent evaluations of one interpolant share
 nothing they write.
 """
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
-from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -107,9 +109,9 @@ __all__ = [
 ]
 
 # points per block of evaluate_many, whose gathered table rows
-# (2048 x P x 8 B, 377 KB) every block of a call reuses; it bounds
-# memory, not the values
-_BLOCK = 2048
+# (4096 x P x 8 B, 754 KB, which fit a 2 MB L2 cache) every block of a
+# call reuses; it bounds memory, not the values
+_BLOCK = 4096
 # the margin K of the Taylor table, whose rows are k = -N - K..N + K
 _MARGIN = 8
 # table rows per matrix product of the table's build
@@ -131,11 +133,11 @@ _TERMS = next(P for P in itertools.count(2) if _remainder_bound(P, 2**53) <= 2**
 def _sine_series(count):
     """sigma_l = (-1)^((l-1)/2) pi^(l-1)/l! for odd l and 0 for even l,
     l < count, the Taylor coefficients of sin(pi r)/pi, each rounded once
-    from 40 digits."""
-    with localcontext() as ctx:
-        ctx.prec = 40
-        return [float((-1) ** (l // 2) * Decimal("3.141592653589793238462643383279502884197") ** (l - 1)
-                      / math.factorial(l)) if l % 2 else 0.0 for l in range(count)]
+    from 40 digits of pi: Python's int/int division rounds the exact
+    quotient of the 40-digit integer's power by 10^(39(l-1)) l!."""
+    pi = 3141592653589793238462643383279502884197  # pi times 10^39
+    return [(-1) ** (l // 2) * pi ** (l - 1) / (10 ** (39 * (l - 1)) * math.factorial(l))
+            if l % 2 else 0.0 for l in range(count)]
 
 
 def _downward_rows(sigma):
@@ -224,18 +226,30 @@ class GeneralizedInterpolant:
     _signed: np.ndarray = field(init=False, repr=False)
     _exponent: int = field(init=False, repr=False)
     _taylor: np.ndarray = field(init=False, repr=False)
+    # per-solution scalars of the point path, as Python floats and ints:
+    # the nodes, a, b, h and N + K (`boundary_left` and `boundary_right`
+    # are stored as Python floats as well)
+    _nodes: tuple = field(init=False, repr=False)
+    _a: float = field(init=False, repr=False)
+    _b: float = field(init=False, repr=False)
+    _h: float = field(init=False, repr=False)
+    _rows: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        n, N = self.grid.n, self.grid.mesh.N
-        samples = _vector(self.samples, n, "samples")
-        coeffs = _vector(self.coeffs, n, "coeffs")
+        grid, N = self.grid, self.grid.mesh.N
+        samples = _vector(self.samples, grid.n, "samples")
+        coeffs = _vector(self.coeffs, grid.n, "coeffs")
         # (-1)^j c_j times 2^-e, which takes the largest below 2^-51
         exponent = max(math.frexp(np.abs(coeffs).max())[1] + 51, 0)
         signed = np.ldexp(coeffs, -exponent)
         signed[(N + 1) % 2::2] *= -1.0  # j = -N + i is odd for these i
         signed.setflags(write=False)
         for name, value in (("samples", samples), ("coeffs", coeffs), ("_signed", signed),
-                            ("_exponent", exponent), ("_taylor", _table(signed, N))):
+                            ("_exponent", exponent), ("_taylor", _table(signed, N)),
+                            ("boundary_left", float(transforms._real(self.boundary_left))),
+                            ("boundary_right", float(transforms._real(self.boundary_right))),
+                            ("_nodes", tuple(grid.points.tolist())), ("_a", float(grid.iv.a)),
+                            ("_b", float(grid.iv.b)), ("_h", float(grid.h)), ("_rows", N + _MARGIN)):
             object.__setattr__(self, name, value)
 
 
@@ -288,11 +302,12 @@ def evaluate_many(interp: GeneralizedInterpolant, ts) -> np.ndarray:
     (below).  Its cardinal part is the Horner sum in r of the module
     docstring, `_BLOCK` points at a time: one `take` gathers the P
     coefficients of each point's k, and in-place numpy products and sums
-    run Horner over them; the sum is scaled by 2^e, and the boundary hats
-    are added to it.
+    run Horner over them; the sum is scaled by 2^e, and the boundary hats,
+    formed in place, are added to it.
 
     The node test brackets t by the candidate c = k + N (clipped to
-    [1, n - 2]): if points[c - 1] < t < points[c + 1], no node other than
+    [1, n - 2]; c - 1 is the clipped table column less K + 1): if
+    points[c - 1] < t < points[c + 1], no node other than
     points[c] can equal t, so t is a node exactly when points[c] == t, and
     c is then the leftmost such index, the one `searchsorted` gives; such
     a point takes the stored sample.  Every other point that is not
@@ -301,34 +316,38 @@ def evaluate_many(interp: GeneralizedInterpolant, ts) -> np.ndarray:
     duplicated node values (example 2's se-new grid at N = 256 has 4) and
     points near b whose u is off by a node.  The sweep's error grids have
     186 such points in 294,912, and uniform points at N = 256 none.  Each
-    costs a point query, 4 to 7 us, where a vectorized row costs about
-    0.07 us.
+    costs a point query, 1 to 6 us at N = 256 (an endpoint or a node the
+    least, a row beyond the table the most), where a vectorized row costs
+    about 0.06 us.
 
     The result is a 1-D array; points of any other shape raise ValueError
     naming the shape.
     """
     grid = interp.grid
-    N = grid.mesh.N
     ts = np.atleast_1d(transforms._real(ts))
     if ts.ndim > 1:
         raise ValueError(f"points must be a scalar or a 1-D array, got shape {ts.shape}")
-    u = transforms.inverse(grid.kind, grid.iv, ts) / grid.h
+    u = transforms.inverse(grid.kind, grid.iv, ts) / interp._h
     k = np.rint(u)
     # r is NaN at u = +-inf, and the rows beyond the table take the row of
     # k clipped to it: both kinds are handed to the point path below
     with np.errstate(invalid="ignore"):
-        r = u - k
-    cardinal = _taylor_sums(interp._taylor, (np.clip(k, -N - _MARGIN, N + _MARGIN)
-                                             + (N + _MARGIN)).astype(np.intp), r)
-    np.ldexp(cardinal, interp._exponent, out=cardinal)
+        r = np.subtract(u, k, out=u)
+    rows = interp._rows
+    column = (np.clip(k, -rows, rows) + rows).astype(np.intp)
+    out = _taylor_sums(interp._taylor, column, r)
+    np.ldexp(out, interp._exponent, out=out)
     wa, wb = _boundary_pair(grid.iv, ts)
-    out = interp.boundary_left * wa + interp.boundary_right * wb + cardinal
+    wa *= interp.boundary_left
+    wb *= interp.boundary_right
+    wa += wb
+    out += wa
     p = grid.points
-    c = np.clip(k + (N - 1), 0, grid.n - 3).astype(np.intp)  # the candidate minus 1
+    c = np.clip(column - (_MARGIN + 1), 0, grid.n - 3)  # the candidate minus 1, k + N - 1
     bracketed = (p[:-2][c] < ts) & (ts < p[2:][c])
     hit = bracketed & (p[1:-1][c] == ts)
     out[hit] = interp.samples[c[hit] + 1]
-    irregular = np.flatnonzero(~hit & (~bracketed | (np.abs(k) > N + _MARGIN)))
+    irregular = np.flatnonzero(~hit & (~bracketed | (np.abs(k) > rows)))
     out[irregular] = [_evaluate_point(interp, t) for t in ts[irregular].tolist()]
     return out
 
@@ -360,7 +379,7 @@ def _evaluate_point(interp: GeneralizedInterpolant, t) -> float:
     rounded once.
 
     A one-element array would pay numpy's per-call cost some 45 times;
-    this path takes about a seventh of that time.  Here every step whose
+    this path takes about a thirtieth of that time.  Here every step whose
     IEEE result numpy shares is done on Python floats: the domain check,
     the preimage's quotient (`transforms._inverse_point`), u = x/h,
     k = round(u), which rounds half to even like np.rint, r = u - k, the
@@ -369,34 +388,38 @@ def _evaluate_point(interp: GeneralizedInterpolant, t) -> float:
     (math.ldexp, exact like np.ldexp) and the hats.  What might round
     differently stays numpy's: the log and arcsinh, and beyond the table
     the sine and the row of entries with its `np.add.reduce`, the pairwise
-    sum.  At a and b, u is -inf and +inf, taken without a warning.  The
-    node snap is one `searchsorted` per point, which costs no measurable
-    time here.
+    sum.  At a and b, u is -inf and +inf, taken without a warning.
+
+    The scalars it reads are built once per interpolant, as Python floats
+    and ints: the nodes as a tuple, a, b, h, N + K and the boundary
+    values.  The node snap is `bisect.bisect_left` on that tuple, the
+    leftmost index of a node equal to t, as `searchsorted` gives it, where
+    `searchsorted` on the array with a numpy compare took about 0.46 us of
+    a query.  The scale is applied by math.ldexp to the stored e, since
+    2^e itself is beyond the doubles from max|c| >= 2^973 (e > 1023).
     """
-    grid = interp.grid
     if not isinstance(t, float):
         t = transforms._real(t)
         if t.ndim:
             raise ValueError(f"t must be a scalar, got shape {t.shape}")
     t = float(t)
-    u = transforms._inverse_point(grid.kind, grid.iv, t) / grid.h
-    if grid.iv.a < t < grid.iv.b:
-        i = grid.points.searchsorted(t)
-        if i < grid.n and grid.points[i] == t:
+    grid = interp.grid
+    u = transforms._inverse_point(grid.kind, grid.iv, t) / interp._h
+    if interp._a < t < interp._b:
+        nodes = interp._nodes
+        i = bisect.bisect_left(nodes, t)
+        if i < len(nodes) and nodes[i] == t:
             return float(interp.samples[i])
-    N = grid.mesh.N
-    if math.isinf(u):
-        cardinal = 0.0
-    else:
         k = round(u)
         r = u - k
-        if abs(k) <= N + _MARGIN:
-            coeffs = interp._taylor[:, k + N + _MARGIN].tolist()
+        rows = interp._rows
+        if -rows <= k <= rows:
+            coeffs = interp._taylor[:, k + rows].tolist()
             s = coeffs.pop()
             for c in reversed(coeffs):
                 s = s * r + c
         else:
-            row = u - np.arange(-N, N + 1, dtype=float)
+            row = u - np.arange(-grid.mesh.N, grid.mesh.N + 1, dtype=float)
             np.divide(interp._signed, row, out=row)
             s = float(np.add.reduce(row))
             s = (-s if k % 2 else s) * (float(np.sin(np.pi * r)) / math.pi)
@@ -404,5 +427,7 @@ def _evaluate_point(interp: GeneralizedInterpolant, t) -> float:
             cardinal = math.ldexp(s, interp._exponent)
         except OverflowError:  # the value itself is beyond the doubles
             cardinal = math.copysign(math.inf, s)
+    else:  # at a and b, u is -inf and +inf, and only the hats are left
+        cardinal = 0.0
     wa, wb = _boundary_pair(grid.iv, t)
-    return float(interp.boundary_left * wa + interp.boundary_right * wb + cardinal)
+    return interp.boundary_left * wa + interp.boundary_right * wb + cardinal

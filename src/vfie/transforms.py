@@ -205,20 +205,21 @@ def _inverse_point(kind, iv, t: float) -> float:
     The arithmetic is done on Python floats, which round like numpy's; the
     log and arcsinh stay numpy's, whose bits Python's math module need not
     match.  The preimage is -inf at t = a and +inf at t = b (where Python's
-    division would raise), taken without the log's divide warning.  Where
-    the quotient (t - a)/(b - t) is subnormal, 0 or inf in between, the
-    log is split as in the array path.
+    division would raise), taken without the log's divide warning, and
+    `_check_point` refuses every other t outside (a, b); a point inside
+    does not call it.  Where the quotient (t - a)/(b - t) is subnormal, 0
+    or inf in between, the log is split as in the array path.
     """
-    _check_point(iv, t)
     a, b = iv.a, iv.b
-    if t == a or t == b:
-        r = -math.inf if t == a else math.inf
-    else:
+    if a < t < b:
         q = (t - a) / (b - t)
         if q < _TINY or q == math.inf:
             r = float(np.log(t - a)) - float(np.log(b - t))
         else:
             r = float(np.log(q))
+    else:
+        _check_point(iv, t)
+        r = -math.inf if t == a else math.inf
     if kind is not TransformKind.SE:
         r = float(np.arcsinh(0.5 * r / _DE_SCALE[kind]))
     return r
@@ -257,7 +258,8 @@ def _real(x):
     pass through it in `evaluate_solution(_many)`, `evaluate_many`,
     `forward`/`inverse`/`derivative`, `approximate`, the constructors of
     `SincGrid`, `GeneralizedInterpolant` and `DiscreteSolution` (through
-    `_vector`) and `solve_linear`."""
+    `_vector`, and for the boundary values of `GeneralizedInterpolant`
+    directly) and `solve_linear`."""
     x = np.asarray(x)
     if x.dtype.kind not in "iuf":
         raise TypeError(f"expected real values, got dtype {x.dtype}")

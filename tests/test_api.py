@@ -136,6 +136,9 @@ COMPLEX_INPUT = {
     "GeneralizedInterpolant samples": lambda sol: vfie.GeneralizedInterpolant(
         grid=sol.grid, samples=sol.coeffs + 1j, boundary_left=0.0, boundary_right=0.0,
         coeffs=sol.coeffs),
+    "GeneralizedInterpolant boundary_right": lambda sol: vfie.GeneralizedInterpolant(
+        grid=sol.grid, samples=sol.coeffs, boundary_left=0.0, boundary_right=1j,
+        coeffs=sol.coeffs),
     "SincGrid points": lambda sol: vfie.SincGrid(
         kind=sol.grid.kind, iv=sol.grid.iv, mesh=sol.grid.mesh, points=sol.grid.points + 1j,
         weights=sol.grid.weights),
@@ -170,6 +173,9 @@ NOT_NUMBERS = {
     "SincGrid points": lambda sol: vfie.SincGrid(
         kind=sol.grid.kind, iv=sol.grid.iv, mesh=sol.grid.mesh,
         points=[str(t) for t in sol.grid.points.tolist()], weights=sol.grid.weights),
+    "GeneralizedInterpolant boundary_left": lambda sol: vfie.GeneralizedInterpolant(
+        grid=sol.grid, samples=sol.coeffs, boundary_left="0.5", boundary_right=0.0,
+        coeffs=sol.coeffs),
     "solve_linear bool A": lambda sol: vfie.solve_linear(np.eye(2, dtype=bool), np.ones(2)),
 }
 

@@ -1,5 +1,8 @@
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -499,6 +502,21 @@ def test_term_count_meets_the_remainder_bound():
             assert tail <= _remainder_bound(P, N) <= mp.mpf(2) ** -53, N
 
 
+def test_sine_series_is_rounded_once_without_decimal():
+    # sigma_l = (-1)^((l-1)/2) pi^(l-1)/l! for odd l is the double nearest
+    # its 60-digit value, and importing vfie leaves decimal out (numpy and
+    # scipy do not import it either)
+    with mp.workdps(60):
+        want = [float((-1) ** (l // 2) * mp.pi ** (l - 1) / mp.factorial(l)) if l % 2 else 0.0
+                for l in range(len(approx._SIGMA))]
+    assert approx._SIGMA == want
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", "import sys, vfie; print('decimal' in sys.modules)"],
+                          capture_output=True, text=True, env=env, timeout=120, check=True)
+    assert done.stdout.split() == ["False"]
+
+
 def test_points_beyond_the_table_take_the_full_row(rng, interpolants):
     # on an SE grid, t = 5e-324 and 1e-300 have |k| > N + K, beyond the
     # Taylor table, and so has the point at u = -(N + K + 3/4): their
@@ -552,6 +570,28 @@ def test_one_point_path_is_bitwise_that_of_a_one_element_array(case, interpolant
                          [a, b, 0.5 * (a + b), 5e-324, 1e-300, np.nextafter(b, a)],
                          rng.uniform(a, b, 500)])
     assert_point_path_is_bitwise(interp, ts.tolist())
+
+
+@pytest.mark.parametrize("case", [(2, Method.NEW_SE, 256), (2, Method.NEW_DE, 128)], ids=case_id)
+def test_point_path_gives_each_node_the_sample_of_the_leftmost_equal_node(case, interpolants):
+    # se-new's grid has 4 nodes inside (a, b) that repeat the value before
+    # them, with samples of their own; de-new's puts 68 nodes on b and 11
+    # on a.  A node inside (a, b) takes the sample at the leftmost index of
+    # its value, the one searchsorted gives, and a node on a or b the
+    # boundary value there, as a and b themselves do.  The point path is
+    # checked on its own, since evaluate_many hands repeated values to it.
+    interp = interpolants[case]
+    p = interp.grid.points
+    a, b = interp.grid.iv.a, interp.grid.iv.b
+    inside = (p > a) & (p < b)
+    repeats = inside[1:] & (p[1:] == p[:-1])
+    assert repeats.sum() == (4 if case[1] is Method.NEW_SE else 0)
+    assert (interp.samples[1:][repeats] != interp.samples[:-1][repeats]).all()
+    if case[1] is Method.NEW_DE:
+        assert ((p == b).sum(), (p == a).sum()) == (68, 11)
+    want = np.where(inside, interp.samples[np.searchsorted(p, p)],
+                    np.where(p == a, interp.boundary_left, interp.boundary_right))
+    assert_bitwise([_evaluate_point(interp, t) for t in p.tolist()], want)
 
 
 @pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)

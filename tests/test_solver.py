@@ -903,6 +903,24 @@ def test_evaluate_solution_refuses_an_array_naming_its_shape():
     assert evaluate_solution(sol, np.array(0.5)) == evaluate_solution(sol, 0.5)
 
 
+def test_evaluate_solution_takes_any_real_scalar_as_its_float():
+    # only a float (np.float64 among them) skips `_real`: integers, other
+    # numpy scalars and 0-d arrays give the bits of the equal float, and a
+    # bool or a string is refused as `_real` refuses it
+    sol = solve(builtin(1).problem, Method.NEW_DE, 16)
+    single = np.float32(0.7)
+    for t, equal in ((0, 0.0), (1, 1.0), (np.int64(1), 1.0), (single, float(single)),
+                     (np.array(single), float(single)), (np.float64(0.3), 0.3),
+                     (np.array(0.3), 0.3)):
+        got, want = evaluate_solution(sol, t), evaluate_solution(sol, equal)
+        assert type(got) is float, t
+        bits = np.array([got, want]).view(np.int64)
+        assert bits[0] == bits[1], (t, got, want)
+    for t in (True, np.bool_(False), "0.5", np.array("0.5")):
+        with pytest.raises(TypeError, match="expected real values, got dtype"):
+            evaluate_solution(sol, t)
+
+
 @pytest.mark.parametrize("alpha, d_se, d_de, culprit", [
     (0.0, 3.14, 1.57, "alpha"), (1.5, 3.14, 1.57, "alpha"),
     (1.0, 0.0, 1.57, "se transform"), (1.0, math.pi, 1.57, "se transform"),
