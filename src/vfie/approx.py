@@ -7,10 +7,10 @@ endpoint values are handled; its cardinal coefficients are the samples
 minus the boundary part, which is what makes it reproduce the samples at
 the nodes.  `approximate` builds it from the samples at the nodes.
 `_evaluate_point` evaluates it at one point, on Python floats, and is the
-complete rule.  `evaluate_many`, on a scalar or a 1-D array of points,
-vectorizes that rule for the regular rows (k in the table below, the
-point inside its node bracket) and for the nodes that their bracket
-finds, and hands every other point to it.
+complete rule, the one owner of its special cases.  `evaluate_many`, on a
+scalar or a 1-D array of points, vectorizes that rule for the regular
+rows only (k in the table below, the point strictly inside its node
+bracket and off the nodes) and hands every other point to it.
 
 The cardinal sum is evaluated by one Taylor polynomial per integer cell.
 With u = x/h, k = rint(u) and r = u - k, which is exact in floating point
@@ -53,21 +53,15 @@ w_p(k - j): one dot product of n nonzero terms, within gamma_(n + 6)
 times the sum of the terms' magnitudes (Higham, "Accuracy and Stability
 of Numerical Algorithms", 3.1).  The sums over j are 32 table rows at a
 time times one Toeplitz matrix of a, so no matrix of all n + 2K rows is
-made: a build takes about 0.04 ms at N = 4, 0.11 ms at N = 64, 0.6 ms at
-N = 256 and 1.7 ms at N = 512 (one BLAS thread; the table per N is in
-CHANGES.md).
+made.
 
 A regular row then costs a gather of P coefficients and P - 1 Horner
-steps whatever N is: a call on 4096 points, one block, takes about
-0.25 ms at every N, where the near window plus a far-field table it
-replaced took 0.51 to 0.56 ms, and a point query about 2.9 us against
-6.6 us (one BLAS thread; `tools/eval_costs.py` prints the costs per N).
-The values lie
-within 3.3e-16 of the direct formula (the replaced rule: 4.4e-16) on
-4096 equispaced, 16384 random and the node-neighbour points, both
-examples, all methods, N = 4..256.  Each Horner step is a product, then
-a sum, each rounded once, in the same order for a point of any block as
-for a lone point, so a value depends on its point alone:
+steps whatever N is (`tools/eval_costs.py` prints the costs of a build,
+a call and a point query per N).  The values lie within 3.3e-16 of the
+direct formula on 4096 equispaced, 16384 random and the node-neighbour
+points, both examples, all methods, N = 4..256.  Each Horner step is a
+product, then a sum, each rounded once, in the same order for a point
+of any block as for a lone point, so a value depends on its point alone:
 `evaluate_solution` and every batch of `evaluate_solution_many` that
 holds t give the same bits at t.
 
@@ -134,10 +128,14 @@ def _sine_series(count):
     """sigma_l = (-1)^((l-1)/2) pi^(l-1)/l! for odd l and 0 for even l,
     l < count, the Taylor coefficients of sin(pi r)/pi, each rounded once
     from 40 digits of pi: Python's int/int division rounds the exact
-    quotient of the 40-digit integer's power by 10^(39(l-1)) l!."""
+    quotient of the 40-digit integer's signed power by 10^(39(l-1)) l!,
+    both kept as running products from one odd l to the next."""
     pi = 3141592653589793238462643383279502884197  # pi times 10^39
-    return [(-1) ** (l // 2) * pi ** (l - 1) / (10 ** (39 * (l - 1)) * math.factorial(l))
-            if l % 2 else 0.0 for l in range(count)]
+    sigma, num, den = [0.0] * count, 1, 1
+    for l in range(1, count, 2):
+        sigma[l] = num / den
+        num, den = -pi * pi * num, 10**78 * (l + 1) * (l + 2) * den
+    return sigma
 
 
 def _downward_rows(sigma):
@@ -298,27 +296,23 @@ def evaluate_many(interp: GeneralizedInterpolant, ts) -> np.ndarray:
 
     This is `_evaluate_point` vectorized for the regular rows, and the
     point path itself for the rest.  A row is regular when its k is in the
-    Taylor table, |k| <= N + K, and its point lies inside its node bracket
-    (below).  Its cardinal part is the Horner sum in r of the module
-    docstring, `_BLOCK` points at a time: one `take` gathers the P
+    Taylor table, |k| <= N + K, and its point t lies strictly inside the
+    bracket of its candidate node c = k + N (clipped to [1, n - 2]; c - 1
+    is the clipped table column less K + 1) and is not that node:
+    points[c - 1] < t < points[c + 1] and t != points[c], so that no
+    node equals t.  Its cardinal part is the Horner sum in r of the
+    module docstring, `_BLOCK` points at a time: one `take` gathers the P
     coefficients of each point's k, and in-place numpy products and sums
     run Horner over them; the sum is scaled by 2^e, and the boundary hats,
     formed in place, are added to it.
 
-    The node test brackets t by the candidate c = k + N (clipped to
-    [1, n - 2]; c - 1 is the clipped table column less K + 1): if
-    points[c - 1] < t < points[c + 1], no node other than
-    points[c] can equal t, so t is a node exactly when points[c] == t, and
-    c is then the leftmost such index, the one `searchsorted` gives; such
-    a point takes the stored sample.  Every other point that is not
-    regular gets its value from `_evaluate_point`: the endpoints (u =
-    +-inf), the rows beyond the table (t = 1e-300 on an SE grid, say),
-    duplicated node values (example 2's se-new grid at N = 256 has 4) and
-    points near b whose u is off by a node.  The sweep's error grids have
-    186 such points in 294,912, and uniform points at N = 256 none.  Each
-    costs a point query, 1 to 6 us at N = 256 (an endpoint or a node the
-    least, a row beyond the table the most), where a vectorized row costs
-    about 0.06 us.
+    Every other point is handed to `_evaluate_point`, one call each in
+    index order: the endpoints (u = +-inf), the nodes, the rows beyond
+    the table (t = 1e-300 on an SE grid, say), duplicated node values
+    (example 2's se-new grid at N = 256 has 4) and points near b whose u
+    is off by a node.  The sweep's error grids have 186 such points in
+    294,912, and uniform points at N = 256 none; a call made only of nodes
+    takes the point path once per node.
 
     The result is a 1-D array; points of any other shape raise ValueError
     naming the shape.
@@ -344,10 +338,8 @@ def evaluate_many(interp: GeneralizedInterpolant, ts) -> np.ndarray:
     out += wa
     p = grid.points
     c = np.clip(column - (_MARGIN + 1), 0, grid.n - 3)  # the candidate minus 1, k + N - 1
-    bracketed = (p[:-2][c] < ts) & (ts < p[2:][c])
-    hit = bracketed & (p[1:-1][c] == ts)
-    out[hit] = interp.samples[c[hit] + 1]
-    irregular = np.flatnonzero(~hit & (~bracketed | (np.abs(k) > rows)))
+    regular = (p[:-2][c] < ts) & (ts < p[2:][c]) & (p[1:-1][c] != ts) & (np.abs(k) <= rows)
+    irregular = np.flatnonzero(~regular)
     out[irregular] = [_evaluate_point(interp, t) for t in ts[irregular].tolist()]
     return out
 
@@ -369,19 +361,21 @@ def _taylor_sums(table, column, r):
 
 
 def _evaluate_point(interp: GeneralizedInterpolant, t) -> float:
-    """The interpolant at one point, on Python floats: the complete rule.
+    """The interpolant at one point, on Python floats: the complete rule,
+    and the one owner of its special cases.
 
-    `evaluate_many` vectorizes it for its regular rows and bracketed
-    nodes and calls it for every other point, and the tests hold the two
-    equal bit for bit.  At a and b only the hats are left; a row in the
-    table is the Horner sum in r over its P coefficients; a row beyond
-    the table sums its full barycentric row of n entries, u - j each
-    rounded once.
+    `evaluate_many` vectorizes it for its regular rows and calls it for
+    every other point, and the tests hold the two equal bit for bit.  At
+    a and b only the hats are left, so a node lying on a or b takes the
+    boundary value.  A node inside (a, b) takes its sample: the node snap
+    is `bisect.bisect_left` on the nodes, the leftmost index of a node
+    equal to t, as `searchsorted` gives it.  A row in the table is the
+    Horner sum in r over its P coefficients; a row beyond the table sums
+    its full barycentric row of n entries, u - j each rounded once.
 
-    A one-element array would pay numpy's per-call cost some 45 times;
-    this path takes about a thirtieth of that time.  Here every step whose
-    IEEE result numpy shares is done on Python floats: the domain check,
-    the preimage's quotient (`transforms._inverse_point`), u = x/h,
+    Every step whose IEEE result numpy shares is done on Python floats,
+    which spares a point numpy's per-call overhead: the domain check, the
+    preimage's quotient (`transforms._inverse_point`), u = x/h,
     k = round(u), which rounds half to even like np.rint, r = u - k, the
     Horner sum over the table's column of k (a product, then a sum, each
     rounded once, as numpy's in-place steps are), the scaling by 2^e
@@ -392,10 +386,7 @@ def _evaluate_point(interp: GeneralizedInterpolant, t) -> float:
 
     The scalars it reads are built once per interpolant, as Python floats
     and ints: the nodes as a tuple, a, b, h, N + K and the boundary
-    values.  The node snap is `bisect.bisect_left` on that tuple, the
-    leftmost index of a node equal to t, as `searchsorted` gives it, where
-    `searchsorted` on the array with a numpy compare took about 0.46 us of
-    a query.  The scale is applied by math.ldexp to the stored e, since
+    values.  The scale is applied by math.ldexp to the stored e, since
     2^e itself is beyond the doubles from max|c| >= 2^973 (e > 1023).
     """
     if not isinstance(t, float):

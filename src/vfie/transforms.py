@@ -87,18 +87,21 @@ _TINY = sys.float_info.min
 class Interval:
     """A finite interval [a, b] with a < b and a finite length b - a.
 
-    Infinite or NaN endpoints, a >= b and endpoints whose length b - a
-    overflows, such as [-1e308, 1e308], raise ValueError naming both.
+    Endpoints that `_real` refuses (a bool, a string, a complex) raise
+    TypeError.  Infinite or NaN endpoints, a >= b and endpoints whose
+    length b - a overflows, such as [-1e308, 1e308], raise ValueError
+    naming both.
     """
 
     a: float
     b: float
 
     def __post_init__(self):
+        a, b = float(_real(self.a)), float(_real(self.b))
         # b - a is not finite for an infinite or NaN endpoint either
-        if not math.isfinite(self.b - self.a):
+        if not math.isfinite(b - a):
             raise ValueError(f"interval endpoints and length must be finite, got [{self.a}, {self.b}]")
-        if not self.a < self.b:
+        if not a < b:
             raise ValueError(f"interval needs a < b, got [{self.a}, {self.b}]")
 
     @property
@@ -113,15 +116,19 @@ def strip_limit(kind: TransformKind) -> float:
 
 @dataclass(frozen=True)
 class MeshParams:
-    """Mesh data: truncation index N and mesh size h."""
+    """Mesh data: truncation index N and mesh size h.
+
+    N goes through `_integer`; an h that `_real` refuses raises TypeError,
+    and an h that is not positive and finite ValueError.
+    """
 
     N: int
     h: float
 
     def __post_init__(self):
         object.__setattr__(self, "N", _integer(self.N, "N", 1))
-        if not self.h > 0.0:
-            raise ValueError(f"h must be positive, got {self.h}")
+        if not 0.0 < _real(self.h) < math.inf:
+            raise ValueError(f"h must be positive and finite, got {self.h}")
 
     @property
     def n(self) -> int:
@@ -168,7 +175,36 @@ def inverse(kind: TransformKind, iv: Interval, t):
 
     The inner argument is formed as log((t - a)/(b - t)), which is the
     tanh inverse rearranged to avoid the cancellation the naive atanh
-    form suffers near the endpoints.  Where that quotient is subnormal
+    form suffers near the endpoints.  On an array, this is vectorized for
+    the points whose quotient is a normal double, q >= the smallest
+    normal and q < inf; every other point goes to `_inverse_point`, in
+    index order, which owns the special cases: the endpoints, a point
+    outside [a, b] or NaN, which it refuses, and a quotient that lost
+    bits.
+    """
+    t = _real(t)
+    if t.ndim == 0:
+        return _inverse_point(kind, iv, float(t))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        q = (t - iv.a) / (iv.b - t)
+        r = np.log(q)
+    if kind is not TransformKind.SE:
+        r = np.arcsinh(0.5 * r / _DE_SCALE[kind])
+    special = np.flatnonzero(~((q >= _TINY) & (q < np.inf)))
+    r[special] = [_inverse_point(kind, iv, x) for x in t[special].tolist()]
+    return r
+
+
+def _inverse_point(kind, iv, t: float) -> float:
+    """`inverse` at one Python float, bitwise equal to the array path, and
+    the one owner of its special cases.
+
+    The arithmetic is done on Python floats, which round like numpy's; the
+    log and arcsinh stay numpy's, whose bits Python's math module need not
+    match.  The preimage is -inf at t = a and +inf at t = b (where Python's
+    division would raise), taken without the log's divide warning, and
+    `_check_point` refuses every other t outside (a, b); a point inside
+    does not call it.  Where the quotient (t - a)/(b - t) is subnormal
     (its bits partly lost, t = 1e-20 on [0, 1e300]), underflows to 0
     (t = 5e-324 on [0, 1e300]) or overflows to inf (t = 0 on
     [-1e300, 1e-300]) although a < t < b, the log is split into
@@ -178,45 +214,11 @@ def inverse(kind: TransformKind, iv: Interval, t):
     with some 11 bits left, a log that the quotient's would miss by about
     1e-4.
     """
-    t = _real(t)
-    if t.ndim == 0:
-        return _inverse_point(kind, iv, float(t))
-    inside = (t >= iv.a) & (t <= iv.b)
-    if not inside.all():
-        _check_point(iv, t[~inside][0])  # raises for the first point outside
-    with np.errstate(divide="ignore", over="ignore"):
-        q = (t - iv.a) / (iv.b - t)
-        r = np.log(q)
-    # q is 0 or inf at the endpoints; inside (a, b) it is subnormal, 0 or
-    # inf only where it has lost bits to underflow or has overflowed
-    edge = np.flatnonzero((q < _TINY) | (q == np.inf))
-    if edge.size:
-        te = t[edge]
-        wide = (te > iv.a) & (te < iv.b)
-        r[edge[wide]] = np.log(te[wide] - iv.a) - np.log(iv.b - te[wide])
-    if kind is not TransformKind.SE:
-        r = np.arcsinh(0.5 * r / _DE_SCALE[kind])
-    return r
-
-
-def _inverse_point(kind, iv, t: float) -> float:
-    """`inverse` at one Python float, bitwise equal to the array path.
-
-    The arithmetic is done on Python floats, which round like numpy's; the
-    log and arcsinh stay numpy's, whose bits Python's math module need not
-    match.  The preimage is -inf at t = a and +inf at t = b (where Python's
-    division would raise), taken without the log's divide warning, and
-    `_check_point` refuses every other t outside (a, b); a point inside
-    does not call it.  Where the quotient (t - a)/(b - t) is subnormal, 0
-    or inf in between, the log is split as in the array path.
-    """
     a, b = iv.a, iv.b
     if a < t < b:
         q = (t - a) / (b - t)
-        if q < _TINY or q == math.inf:
-            r = float(np.log(t - a)) - float(np.log(b - t))
-        else:
-            r = float(np.log(q))
+        r = (float(np.log(q)) if _TINY <= q < math.inf
+             else float(np.log(t - a)) - float(np.log(b - t)))
     else:
         _check_point(iv, t)
         r = -math.inf if t == a else math.inf
@@ -254,8 +256,10 @@ def _real(x):
     or float dtype only.  Any other raises TypeError: a complex, where numpy
     would drop the imaginary part with a ComplexWarning, a string such as
     '0.5', which numpy would parse as a number, a bool such as True, which
-    it would take as 1.0, and an object.  Points, samples and matrices
-    pass through it in `evaluate_solution(_many)`, `evaluate_many`,
+    it would take as 1.0, and an object.  The scalar parameters pass
+    through it in `Interval`, `MeshParams` and `_check_mesh_args` (alpha
+    and d of `select_h` and `Problem`), and points, samples and matrices
+    in `evaluate_solution(_many)`, `evaluate_many`,
     `forward`/`inverse`/`derivative`, `approximate`, the constructors of
     `SincGrid`, `GeneralizedInterpolant` and `DiscreteSolution` (through
     `_vector`, and for the boundary values of `GeneralizedInterpolant`
@@ -322,9 +326,11 @@ def select_h(method: Method, alpha: float, d: float, N: int) -> float:
 
 
 def _check_mesh_args(kind, alpha, d):
-    """The one alpha/d check: alpha in (0, 1] and d in (0, strip_limit(kind))."""
-    if not 0.0 < alpha <= 1.0:
+    """The one alpha/d check: alpha in (0, 1] and d in (0, strip_limit(kind)),
+    each a value that `_real` takes (a bool, a string or a complex raises
+    its TypeError)."""
+    if not 0.0 < _real(alpha) <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     limit = strip_limit(kind)
-    if not 0.0 < d < limit:
+    if not 0.0 < _real(d) < limit:
         raise ValueError(f"d must lie in (0, {limit:g}) for the {kind.value} transform, got {d}")

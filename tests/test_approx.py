@@ -412,7 +412,15 @@ def test_irregular_points_are_handed_to_the_point_path(interpolants, monkeypatch
     assert twice.size == 1 and twice[0] > 0.5, twice
     u = inverse(de.grid.kind, de.grid.iv, twice[0]) / de.grid.h
     assert u != round(u) and abs(round(u)) <= N + _MARGIN, u
-    cases = [(de, [de.grid.iv.a, de.grid.iv.b]), (se, [1e-300]), (de, [twice[0]])]
+    # an interior node inside its bracket, with its u in the table, is
+    # handed off as well, and takes its sample: the point path's node snap
+    # is the only one
+    i = N + 10
+    node = p[i]
+    assert p[i - 1] < node < p[i + 1], i
+    assert round(inverse(de.grid.kind, de.grid.iv, node) / de.grid.h) == i - N
+    assert_bitwise([_evaluate_point(de, node)], de.samples[i:i + 1])
+    cases = [(de, [de.grid.iv.a, de.grid.iv.b]), (se, [1e-300]), (de, [twice[0]]), (de, [node])]
     for interp, irregular in cases:
         a, b = interp.grid.iv.a, interp.grid.iv.b
         regular = np.random.default_rng(5).uniform(a, b, 64)

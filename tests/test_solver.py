@@ -933,6 +933,17 @@ def test_problem_rejects_alpha_and_strip_widths_outside_their_ranges(alpha, d_se
         Problem(iv=UNIT, k1=zero, k2=zero, g=lambda t: t, alpha=alpha, d_se=d_se, d_de=d_de)
 
 
+@pytest.mark.parametrize("alpha, d_se, d_de", [
+    (True, 3.14, 1.57), ("1", 3.14, 1.57), (1.0, 3.14 + 0j, 1.57), (1.0, 3.14, True),
+])
+def test_problem_refuses_alpha_and_strip_widths_that_are_not_real(alpha, d_se, d_de):
+    # True would pass as 1 and "1" would die in a comparison; both go
+    # through _real, as a complex does
+    zero = lambda t, s: 0.0
+    with pytest.raises(TypeError, match="expected real values, got dtype"):
+        Problem(iv=UNIT, k1=zero, k2=zero, g=lambda t: t, alpha=alpha, d_se=d_se, d_de=d_de)
+
+
 def test_problem_accepts_strip_widths_just_inside_the_limits():
     problem = zero_kernel_problem(g=lambda t: t)
     assert (problem.alpha, problem.d_se, problem.d_de) == (1.0, 3.14, 1.57)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import contains
+from vfie import transforms
 from vfie import (
     Interval,
     MeshParams,
@@ -36,6 +37,11 @@ def test_interval_validation():
     with pytest.raises(ValueError):
         Interval(0.0, math.inf)
     assert Interval(-1.0, 2.0).length == 3.0
+    # the endpoints go through _real, which refuses a bool (False and True
+    # would be taken as 0 and 1), a string and a complex
+    for a, b in ((False, True), (0.0, True), ("0", 1.0), (0.0, 1j)):
+        with pytest.raises(TypeError, match="expected real values, got dtype"):
+            Interval(a, b)
 
 
 def test_interval_refuses_an_overflowing_length():
@@ -68,6 +74,12 @@ def test_mesh_params_validation():
         MeshParams(N=0, h=0.5)
     with pytest.raises(ValueError):
         MeshParams(N=4, h=-0.5)
+    for h in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=re.escape(f"h must be positive and finite, got {h}")):
+            MeshParams(N=4, h=h)
+    for h in (True, "0.5", 0.5j):
+        with pytest.raises(TypeError, match="expected real values, got dtype"):
+            MeshParams(N=4, h=h)
     # alpha and d are checked by select_h, against the method's transform
     with pytest.raises(ValueError):
         select_h(Method.NEW_SE, 1.5, 1.0, 4)
@@ -79,6 +91,10 @@ def test_mesh_params_validation():
     with pytest.raises(ValueError):
         select_h(Method.JOHN_OGBONNA_DE, 1.0, 1.6, 4)
     select_h(Method.NEW_DE, 1.0, 1.57, 4)
+    # alpha and d go through _real, in the same check
+    for alpha, d in ((True, 1.0), (1.0, True), ("1", 1.0), (1.0, "1"), (1.0 + 0j, 1.0)):
+        with pytest.raises(TypeError, match="expected real values, got dtype"):
+            select_h(Method.NEW_SE, alpha, d, 4)
 
 
 def test_strip_limits():
@@ -179,6 +195,54 @@ def test_array_calls_equal_scalar_calls(kind):
         assert all(type(v) is float for v in scalar)
         assert np.array_equal(got, np.array(scalar)), func.__name__
         assert np.array_equal(func(kind, iv, np.repeat(args, 2)[::2]), got)
+
+
+# points inside (a, b) whose quotient (t - a)/(b - t) has lost bits: it is
+# 0 at 5e-324 and subnormal at 1e-20 on [0, 1e300], and inf at 0.0 on
+# [-1e300, 1e-300]
+LOST_BITS = {(0.0, 1e300): [5e-324, 1e-20], (-1e300, 1e-300): [0.0]}
+
+
+def counted_inverse_hand_offs(monkeypatch):
+    """The points that inverse hands to _inverse_point from now on, in the
+    order handed; each call is delegated to the unpatched function."""
+    handed, point = [], transforms._inverse_point
+
+    def counted(kind, iv, t):
+        handed.append(t)
+        return point(kind, iv, t)
+
+    monkeypatch.setattr(transforms, "_inverse_point", counted)
+    return handed
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (-3.0, 7.5), (0.0, 1e300), (-1e300, 1e-300)])
+def test_inverse_hands_the_special_points_to_the_point_rule(kind, a, b, monkeypatch):
+    iv = Interval(a, b)
+    special = [a, b] + LOST_BITS.get((a, b), [])
+    with np.errstate(divide="ignore", over="ignore"):
+        q = (np.array(special) - a) / (b - np.array(special))
+    assert not ((q >= np.finfo(float).tiny) & (q < math.inf)).any(), q
+    regular = np.random.default_rng(11).uniform(a, b, 200)
+    handed = counted_inverse_hand_offs(monkeypatch)
+    want = inverse(kind, iv, regular)
+    assert handed == []
+    # the special points among the regular ones, at the indices `at`
+    ts = np.insert(regular, [40 * (n + 1) for n in range(len(special))], special)
+    at = [40 * (n + 1) + n for n in range(len(special))]
+    got = inverse(kind, iv, ts)
+    assert handed == special
+    # [a, outside, nan] is refused at the point outside, which is named
+    handed.clear()
+    outside = b + (b - a)
+    with pytest.raises(ValueError, match=re.escape(f"t = {outside} lies outside [{a}, {b}]")):
+        inverse(kind, iv, np.array([a, outside, math.nan]))
+    assert handed == [a, outside]
+    monkeypatch.undo()
+    scalar = np.array([inverse(kind, iv, t) for t in special])
+    assert np.array_equal(got[at].view(np.int64), scalar.view(np.int64))
+    assert np.array_equal(np.delete(got, at).view(np.int64), want.view(np.int64))
 
 
 def test_transforms_propagate_nan():
