@@ -12,10 +12,14 @@ The public names are the `__all__` lists of the modules `transforms`,
 `forward`, `inverse` and `derivative`, `select_h`, `build_grid`,
 `approximate` and `evaluate_many`.
 
-All operations are pure and every type is immutable after construction,
-so everything is safe to call concurrently and independent solves can
-run in parallel; the `approx` module docstring says why concurrent
-evaluations of one solution share nothing they write.
+All operations are pure and every type is immutable after construction
+but for one memo: a solution's interpolant keeps the columns of its
+Taylor table that point queries have read, as Python floats.  Each slot
+of it is written once, with a value computed only from read-only data,
+so a racing writer stores an equal list.  Everything is therefore safe
+to call concurrently and independent solves can run in parallel; the
+`approx` module docstring says what concurrent evaluations of one
+solution write.
 """
 
 from . import approx, bench, solver, transforms

@@ -8,9 +8,9 @@ minus the boundary part, which is what makes it reproduce the samples at
 the nodes.  `approximate` builds it from the samples at the nodes.
 `_evaluate_point` evaluates it at one point, on Python floats, and is the
 complete rule, the one owner of its special cases.  `evaluate_many`, on a
-scalar or a 1-D array of points, vectorizes that rule for the regular
-rows only (k in the table below, the point strictly inside its node
-bracket and off the nodes) and hands every other point to it.
+1-D array of points, vectorizes that rule for the regular rows only (k
+in the table below, the point strictly inside its node bracket and off
+the nodes) and hands every other point, and a scalar, to it.
 
 The cardinal sum is evaluated by one Taylor polynomial per integer cell.
 With u = x/h, k = rint(u) and r = u - k, which is exact in floating point
@@ -80,8 +80,12 @@ the unscaled sums; a value beyond the doubles is inf on both paths.
 
 The arrays an interpolant builds are read-only, and each `evaluate_many`
 call works in buffers of its own, reused by every block of the call (at
-most 4096 points), so concurrent evaluations of one interpolant share
-nothing they write.
+most 4096 points).  The one thing concurrent evaluations of one
+interpolant write in common is the point path's memo of table columns
+as Python floats (`_evaluate_point`): each slot is written once, from
+None to a list computed from the read-only table alone, so a racing
+writer stores an equal list, and a reader sees either None, and computes
+the list itself, or a complete list.
 """
 
 import bisect
@@ -232,6 +236,9 @@ class GeneralizedInterpolant:
     _b: float = field(init=False, repr=False)
     _h: float = field(init=False, repr=False)
     _rows: int = field(init=False, repr=False)
+    # the point path's memo: slot k + N + K holds None until a point query
+    # first reads cell k, then T[k, P-1], ..., T[k, 0] as Python floats
+    _columns: list = field(init=False, repr=False)
 
     def __post_init__(self):
         grid, N = self.grid, self.grid.mesh.N
@@ -247,7 +254,8 @@ class GeneralizedInterpolant:
                             ("boundary_left", float(transforms._real(self.boundary_left))),
                             ("boundary_right", float(transforms._real(self.boundary_right))),
                             ("_nodes", tuple(grid.points.tolist())), ("_a", float(grid.iv.a)),
-                            ("_b", float(grid.iv.b)), ("_h", float(grid.h)), ("_rows", N + _MARGIN)):
+                            ("_b", float(grid.iv.b)), ("_h", float(grid.h)), ("_rows", N + _MARGIN),
+                            ("_columns", [None] * (2 * (N + _MARGIN) + 1))):
             object.__setattr__(self, name, value)
 
 
@@ -295,12 +303,13 @@ def evaluate_many(interp: GeneralizedInterpolant, ts) -> np.ndarray:
     """Interpolant values on a scalar or 1-D array of points in [a, b].
 
     This is `_evaluate_point` vectorized for the regular rows, and the
-    point path itself for the rest.  A row is regular when its k is in the
-    Taylor table, |k| <= N + K, and its point t lies strictly inside the
-    bracket of its candidate node c = k + N (clipped to [1, n - 2]; c - 1
-    is the clipped table column less K + 1) and is not that node:
-    points[c - 1] < t < points[c + 1] and t != points[c], so that no
-    node equals t.  Its cardinal part is the Horner sum in r of the
+    point path itself for the rest; a scalar is handed to it whole, and
+    its value returned as a one-element array.  A row is regular when its
+    k is in the Taylor table, |k| <= N + K, and its point t lies strictly
+    inside the bracket of its candidate node c = k + N (clipped to
+    [1, n - 2]; c - 1 is the clipped table column less K + 1) and is not
+    that node: points[c - 1] < t < points[c + 1] and t != points[c], so
+    that no node equals t.  Its cardinal part is the Horner sum in r of the
     module docstring, `_BLOCK` points at a time: one `take` gathers the P
     coefficients of each point's k, and in-place numpy products and sums
     run Horner over them; the sum is scaled by 2^e, and the boundary hats,
@@ -318,7 +327,9 @@ def evaluate_many(interp: GeneralizedInterpolant, ts) -> np.ndarray:
     naming the shape.
     """
     grid = interp.grid
-    ts = np.atleast_1d(transforms._real(ts))
+    ts = transforms._real(ts)
+    if ts.ndim == 0:
+        return np.array([_evaluate_point(interp, float(ts))])
     if ts.ndim > 1:
         raise ValueError(f"points must be a scalar or a 1-D array, got shape {ts.shape}")
     u = transforms.inverse(grid.kind, grid.iv, ts) / interp._h
@@ -377,7 +388,7 @@ def _evaluate_point(interp: GeneralizedInterpolant, t) -> float:
     which spares a point numpy's per-call overhead: the domain check, the
     preimage's quotient (`transforms._inverse_point`), u = x/h,
     k = round(u), which rounds half to even like np.rint, r = u - k, the
-    Horner sum over the table's column of k (a product, then a sum, each
+    Horner sum over the P coefficients of k (a product, then a sum, each
     rounded once, as numpy's in-place steps are), the scaling by 2^e
     (math.ldexp, exact like np.ldexp) and the hats.  What might round
     differently stays numpy's: the log and arcsinh, and beyond the table
@@ -386,8 +397,15 @@ def _evaluate_point(interp: GeneralizedInterpolant, t) -> float:
 
     The scalars it reads are built once per interpolant, as Python floats
     and ints: the nodes as a tuple, a, b, h, N + K and the boundary
-    values.  The scale is applied by math.ldexp to the stored e, since
-    2^e itself is beyond the doubles from max|c| >= 2^973 (e > 1023).
+    values.  The coefficients of cell k are read from the memo `_columns`,
+    slot k + N + K, highest power first; the first query of the cell fills
+    the slot with `_taylor[::-1, k + N + K].tolist()`, and every later one
+    runs Horner straight over the stored list.  A slot is filled when a
+    query first reaches its cell, not at the build: converting the whole
+    table would cost every solution, most of which are never queried a
+    point at a time (the sweep's are not).  The scale
+    is applied by math.ldexp to the stored e, since 2^e itself is beyond
+    the doubles from max|c| >= 2^973 (e > 1023).
     """
     if not isinstance(t, float):
         t = transforms._real(t)
@@ -405,9 +423,12 @@ def _evaluate_point(interp: GeneralizedInterpolant, t) -> float:
         r = u - k
         rows = interp._rows
         if -rows <= k <= rows:
-            coeffs = interp._taylor[:, k + rows].tolist()
-            s = coeffs.pop()
-            for c in reversed(coeffs):
+            column = interp._columns[k + rows]
+            if column is None:
+                column = interp._columns[k + rows] = interp._taylor[::-1, k + rows].tolist()
+            coeffs = iter(column)
+            s = next(coeffs)
+            for c in coeffs:
                 s = s * r + c
         else:
             row = u - np.arange(-grid.mesh.N, grid.mesh.N + 1, dtype=float)

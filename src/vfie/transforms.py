@@ -88,16 +88,16 @@ class Interval:
     """A finite interval [a, b] with a < b and a finite length b - a.
 
     Endpoints that `_real` refuses (a bool, a string, a complex) raise
-    TypeError.  Infinite or NaN endpoints, a >= b and endpoints whose
-    length b - a overflows, such as [-1e308, 1e308], raise ValueError
-    naming both.
+    TypeError naming the endpoint.  Infinite or NaN endpoints, a >= b and
+    endpoints whose length b - a overflows, such as [-1e308, 1e308], raise
+    ValueError naming both.
     """
 
     a: float
     b: float
 
     def __post_init__(self):
-        a, b = float(_real(self.a)), float(_real(self.b))
+        a, b = float(_real(self.a, "endpoint a")), float(_real(self.b, "endpoint b"))
         # b - a is not finite for an infinite or NaN endpoint either
         if not math.isfinite(b - a):
             raise ValueError(f"interval endpoints and length must be finite, got [{self.a}, {self.b}]")
@@ -118,8 +118,8 @@ def strip_limit(kind: TransformKind) -> float:
 class MeshParams:
     """Mesh data: truncation index N and mesh size h.
 
-    N goes through `_integer`; an h that `_real` refuses raises TypeError,
-    and an h that is not positive and finite ValueError.
+    N goes through `_integer`; an h that `_real` refuses raises TypeError
+    naming h, and an h that is not positive and finite ValueError.
     """
 
     N: int
@@ -127,7 +127,7 @@ class MeshParams:
 
     def __post_init__(self):
         object.__setattr__(self, "N", _integer(self.N, "N", 1))
-        if not 0.0 < _real(self.h) < math.inf:
+        if not 0.0 < _real(self.h, "h") < math.inf:
             raise ValueError(f"h must be positive and finite, got {self.h}")
 
     @property
@@ -251,22 +251,24 @@ def derivative(kind: TransformKind, iv: Interval, x):
         return _scalar_or_array(w * 0.5 * c * np.cosh(ax) / (ch * ch))
 
 
-def _real(x):
+def _real(x, what="values"):
     """x as float64, as np.asarray(x, dtype=float) gives it, for an integer
-    or float dtype only.  Any other raises TypeError: a complex, where numpy
-    would drop the imaginary part with a ComplexWarning, a string such as
-    '0.5', which numpy would parse as a number, a bool such as True, which
-    it would take as 1.0, and an object.  The scalar parameters pass
-    through it in `Interval`, `MeshParams` and `_check_mesh_args` (alpha
-    and d of `select_h` and `Problem`), and points, samples and matrices
-    in `evaluate_solution(_many)`, `evaluate_many`,
+    or float dtype only.  Any other raises TypeError naming `what`: a
+    complex, where numpy would drop the imaginary part with a
+    ComplexWarning, a string such as '0.5', which numpy would parse as a
+    number, a bool such as True, which it would take as 1.0, and an object.
+    The scalar parameters pass through it under their own names in
+    `Interval` (endpoint a and b), `MeshParams` (h) and
+    `_check_mesh_args` (alpha and d of `select_h` and `Problem`), and
+    points, samples and matrices, as "values", in
+    `evaluate_solution(_many)`, `evaluate_many`,
     `forward`/`inverse`/`derivative`, `approximate`, the constructors of
     `SincGrid`, `GeneralizedInterpolant` and `DiscreteSolution` (through
     `_vector`, and for the boundary values of `GeneralizedInterpolant`
     directly) and `solve_linear`."""
     x = np.asarray(x)
     if x.dtype.kind not in "iuf":
-        raise TypeError(f"expected real values, got dtype {x.dtype}")
+        raise TypeError(f"expected real {what}, got dtype {x.dtype}")
     return x.astype(float, copy=False)
 
 
@@ -328,9 +330,9 @@ def select_h(method: Method, alpha: float, d: float, N: int) -> float:
 def _check_mesh_args(kind, alpha, d):
     """The one alpha/d check: alpha in (0, 1] and d in (0, strip_limit(kind)),
     each a value that `_real` takes (a bool, a string or a complex raises
-    its TypeError)."""
-    if not 0.0 < _real(alpha) <= 1.0:
+    its TypeError, naming alpha, or d and the transform)."""
+    if not 0.0 < _real(alpha, "alpha") <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     limit = strip_limit(kind)
-    if not 0.0 < _real(d) < limit:
+    if not 0.0 < _real(d, f"d for the {kind.value} transform") < limit:
         raise ValueError(f"d must lie in (0, {limit:g}) for the {kind.value} transform, got {d}")

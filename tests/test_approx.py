@@ -3,8 +3,10 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -568,6 +570,16 @@ def assert_point_path_is_bitwise(interp, ts):
         assert_bitwise([_evaluate_point(interp, t)], evaluate_many(interp, np.array([t])))
 
 
+def fresh_copy(interp):
+    """An interpolant of the same data as interp, whose point path's memo
+    of table columns is still empty."""
+    copy = GeneralizedInterpolant(grid=interp.grid, samples=interp.samples,
+                                  boundary_left=interp.boundary_left,
+                                  boundary_right=interp.boundary_right, coeffs=interp.coeffs)
+    assert copy._columns == [None] * (2 * (interp.grid.mesh.N + _MARGIN) + 1)
+    return copy
+
+
 @pytest.mark.parametrize("case", POINT_CASES, ids=case_id)
 def test_one_point_path_is_bitwise_that_of_a_one_element_array(case, interpolants):
     interp = interpolants[case]
@@ -578,6 +590,48 @@ def test_one_point_path_is_bitwise_that_of_a_one_element_array(case, interpolant
                          [a, b, 0.5 * (a + b), 5e-324, 1e-300, np.nextafter(b, a)],
                          rng.uniform(a, b, 500)])
     assert_point_path_is_bitwise(interp, ts.tolist())
+    # on a fresh copy, the first query of each cell fills its slot of the
+    # memo (cold) and the next ones read it (warm): both have the bits of
+    # evaluate_many, and each filled slot is bitwise its table column,
+    # highest power first
+    fresh = fresh_copy(interp)
+    cold = [_evaluate_point(fresh, t) for t in ts.tolist()]
+    warm = [_evaluate_point(fresh, t) for t in ts.tolist()]
+    assert_bitwise(cold, evaluate_many(interp, ts))
+    assert_bitwise(warm, cold)
+    filled = [i for i, column in enumerate(fresh._columns) if column is not None]
+    assert filled
+    for i in filled:
+        assert type(fresh._columns[i]) is list
+        assert_bitwise(fresh._columns[i], fresh._taylor[::-1, i])
+
+
+def test_threads_querying_one_fresh_interpolant_get_the_serial_bits(interpolants):
+    # four threads race to fill the memo of one fresh interpolant, each
+    # querying the same points in an order of its own, with the thread
+    # switch interval cut to make them interleave often
+    interp = interpolants[(2, Method.NEW_DE, 256)]
+    rng = np.random.default_rng(17)
+    ts = rng.uniform(0.0, 1.0, 2000).tolist()
+    serial = [_evaluate_point(interp, t) for t in ts]
+    fresh = fresh_copy(interp)
+    orders = [rng.permutation(len(ts)) for _ in range(4)]
+    start = threading.Barrier(len(orders))
+
+    def query(order):
+        start.wait()
+        return [_evaluate_point(fresh, ts[i]) for i in order]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(len(orders)) as pool:
+            results = list(pool.map(query, orders))
+    finally:
+        sys.setswitchinterval(interval)
+    for order, got in zip(orders, results):
+        assert_bitwise(got, np.array(serial)[order])
+    assert [_evaluate_point(fresh, t) for t in ts] == serial
 
 
 @pytest.mark.parametrize("case", [(2, Method.NEW_SE, 256), (2, Method.NEW_DE, 128)], ids=case_id)
@@ -753,14 +807,18 @@ def test_points_beyond_the_outermost_nodes_near_both_endpoints(rng):
         assert evaluate_many(interp, t)[0] == hats(interp, t)
 
 
-def test_scalar_point_gives_a_one_element_array(rng):
+def test_scalar_point_gives_a_one_element_array(rng, monkeypatch):
     grid = de_grid(16)
     f = random_smooth(rng)
     interp = approximate(grid, np.array([f(t) for t in grid.points]))
-    for t in (0.0, 0.3, grid.points[7], 1.0):
+    for t in (0.0, 0.3, grid.points[7], 1.0, np.float64(0.6), np.array(0.45), 1):
+        # a scalar is handed to the point path whole, as a float
+        handed = counted_hand_offs(monkeypatch)
         got = evaluate_many(interp, t)
+        monkeypatch.undo()
+        assert handed == [float(t)] and type(handed[0]) is float
         assert got.shape == (1,)
-        assert np.array_equal(got, evaluate_many(interp, np.array([t])))
+        assert_bitwise(got, evaluate_many(interp, np.array([t])))
         assert abs(got[0] - dense_sinc_evaluate(interp, [t])[0]) <= 1e-15
 
 

@@ -938,9 +938,12 @@ def test_problem_rejects_alpha_and_strip_widths_outside_their_ranges(alpha, d_se
 ])
 def test_problem_refuses_alpha_and_strip_widths_that_are_not_real(alpha, d_se, d_de):
     # True would pass as 1 and "1" would die in a comparison; both go
-    # through _real, as a complex does
+    # through _real, as a complex does, and the refusal names the one
+    # value that is not a float
+    name = ("alpha" if not isinstance(alpha, float) else
+            "d for the se transform" if not isinstance(d_se, float) else "d for the de transform")
     zero = lambda t, s: 0.0
-    with pytest.raises(TypeError, match="expected real values, got dtype"):
+    with pytest.raises(TypeError, match=f"expected real {name}, got dtype"):
         Problem(iv=UNIT, k1=zero, k2=zero, g=lambda t: t, alpha=alpha, d_se=d_se, d_de=d_de)
 
 

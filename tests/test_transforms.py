@@ -38,9 +38,10 @@ def test_interval_validation():
         Interval(0.0, math.inf)
     assert Interval(-1.0, 2.0).length == 3.0
     # the endpoints go through _real, which refuses a bool (False and True
-    # would be taken as 0 and 1), a string and a complex
-    for a, b in ((False, True), (0.0, True), ("0", 1.0), (0.0, 1j)):
-        with pytest.raises(TypeError, match="expected real values, got dtype"):
+    # would be taken as 0 and 1), a string and a complex, naming the
+    # endpoint (a first, when both are refused)
+    for a, b, name in ((False, True, "a"), (0.0, True, "b"), ("0", 1.0, "a"), (0.0, 1j, "b")):
+        with pytest.raises(TypeError, match=f"expected real endpoint {name}, got dtype"):
             Interval(a, b)
 
 
@@ -78,7 +79,7 @@ def test_mesh_params_validation():
         with pytest.raises(ValueError, match=re.escape(f"h must be positive and finite, got {h}")):
             MeshParams(N=4, h=h)
     for h in (True, "0.5", 0.5j):
-        with pytest.raises(TypeError, match="expected real values, got dtype"):
+        with pytest.raises(TypeError, match="expected real h, got dtype"):
             MeshParams(N=4, h=h)
     # alpha and d are checked by select_h, against the method's transform
     with pytest.raises(ValueError):
@@ -91,10 +92,14 @@ def test_mesh_params_validation():
     with pytest.raises(ValueError):
         select_h(Method.JOHN_OGBONNA_DE, 1.0, 1.6, 4)
     select_h(Method.NEW_DE, 1.0, 1.57, 4)
-    # alpha and d go through _real, in the same check
-    for alpha, d in ((True, 1.0), (1.0, True), ("1", 1.0), (1.0, "1"), (1.0 + 0j, 1.0)):
-        with pytest.raises(TypeError, match="expected real values, got dtype"):
+    # alpha and d go through _real, in the same check, which names them
+    for alpha, d, name in ((True, 1.0, "alpha"), (1.0, True, "d for the se transform"),
+                           ("1", 1.0, "alpha"), (1.0, "1", "d for the se transform"),
+                           (1.0 + 0j, 1.0, "alpha")):
+        with pytest.raises(TypeError, match=f"expected real {name}, got dtype"):
             select_h(Method.NEW_SE, alpha, d, 4)
+    with pytest.raises(TypeError, match="expected real d for the jo-de transform, got dtype"):
+        select_h(Method.JOHN_OGBONNA_DE, 1.0, "1", 4)
 
 
 def test_strip_limits():

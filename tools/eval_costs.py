@@ -4,11 +4,15 @@
 
 ROOT is the source checkout whose ./src is imported (default: the one
 holding this script), so that two checkouts can be set side by side.
-For each N, example 2 is solved once by de-new, and three costs are
+For each N, example 2 is solved once by de-new, and four costs are
 timed: the interpolant build (`approximate` on the grid and the nodal
 values, best of 15), one `evaluate_solution_many` call on 4096 seeded
-random points (best of 25) and one `evaluate_solution` point query (a
-pass over 200 seeded random points, per point, best of 9).  The rounds
+random points (best of 25), one `evaluate_solution` point query (a pass
+over 200 seeded random points, per point, best of 9) and one cold query,
+the first query of a cell on a fresh solution, which fills that cell's
+slot of the point path's memo (a pass over the first of the 200 points
+in each cell, per point, best of 9, each pass on a solution made afresh
+from the same coefficients, untimed).  The rounds
 run over every N in turn, --repeats times, and each cost keeps its
 lowest time over the rounds, so that a slow phase of a shared host falls
 on all N alike.  The result is a Markdown table, one row per N.
@@ -40,11 +44,36 @@ def best_time(f, count):
     return best
 
 
+def first_in_each_cell(vfie, grid, queries):
+    """The first of the queries in each cell k = rint(x/h) of the grid."""
+    cells = np.rint(vfie.inverse(grid.kind, grid.iv, np.array(queries)) / grid.h).tolist()
+    first = {}
+    for k, t in zip(cells, queries):
+        first.setdefault(k, t)
+    return list(first.values())
+
+
+def best_cold_time(vfie, sol, queries, count):
+    """The lowest of `count` wall times of a pass over the queries on a
+    solution made afresh, untimed, from the coefficients of `sol`."""
+    best = float("inf")
+    for _ in range(count):
+        fresh = vfie.DiscreteSolution(method=sol.method, grid=sol.grid, coeffs=sol.coeffs,
+                                      condition_hint=sol.condition_hint)
+        start = time.perf_counter()
+        for t in queries:
+            vfie.evaluate_solution(fresh, t)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
 def costs(vfie, sol, rng):
-    """(build ms, call ms, query us) of one round for the solution `sol`."""
+    """(build ms, call ms, query us, cold query us) of one round for the
+    solution `sol`."""
     iv = sol.grid.iv
     calls = rng.uniform(iv.a, iv.b, CALL_POINTS)
     queries = rng.uniform(iv.a, iv.b, QUERY_POINTS).tolist()
+    cold = first_in_each_cell(vfie, sol.grid, queries)
 
     def query_pass():
         for t in queries:
@@ -52,15 +81,16 @@ def costs(vfie, sol, rng):
 
     return (best_time(lambda: vfie.approximate(sol.grid, sol.coeffs), 15) * 1e3,
             best_time(lambda: vfie.evaluate_solution_many(sol, calls), 25) * 1e3,
-            best_time(query_pass, 9) / QUERY_POINTS * 1e6)
+            best_time(query_pass, 9) / QUERY_POINTS * 1e6,
+            best_cold_time(vfie, sol, cold, 9) / len(cold) * 1e6)
 
 
 def table(vfie, n_list, repeats):
-    """{N: (build ms, call ms, query us)}, each the lowest over `repeats`
-    rounds over every N."""
+    """{N: (build ms, call ms, query us, cold query us)}, each the lowest
+    over `repeats` rounds over every N."""
     problem = vfie.builtin(2).problem
     solutions = {N: vfie.solve(problem, vfie.Method.NEW_DE, N) for N in n_list}
-    best = {N: (float("inf"),) * 3 for N in n_list}
+    best = {N: (float("inf"),) * 4 for N in n_list}
     for _ in range(repeats):
         for N in n_list:
             row = costs(vfie, solutions[N], np.random.default_rng(N))
@@ -93,10 +123,10 @@ def main(argv=None):
     import vfie
 
     print(f"vfie from {os.path.dirname(vfie.__file__)}", file=sys.stderr)
-    print("| N | build, ms | call, ms | query, us |")
-    print("|---|---|---|---|")
-    for N, (build, call, query) in table(vfie, args.n_list, args.repeats).items():
-        print(f"| {N} | {build:.3f} | {call:.3f} | {query:.2f} |")
+    print("| N | build, ms | call, ms | query, us | cold query, us |")
+    print("|---|---|---|---|---|")
+    for N, (build, call, query, cold) in table(vfie, args.n_list, args.repeats).items():
+        print(f"| {N} | {build:.3f} | {call:.3f} | {query:.2f} | {cold:.2f} |")
     return 0
 
 
