@@ -228,13 +228,10 @@ class GeneralizedInterpolant:
     _signed: np.ndarray = field(init=False, repr=False)
     _exponent: int = field(init=False, repr=False)
     _taylor: np.ndarray = field(init=False, repr=False)
-    # per-solution scalars of the point path, as Python floats and ints:
-    # the nodes, a, b, h and N + K (`boundary_left` and `boundary_right`
-    # are stored as Python floats as well)
+    # per-solution values of the point path, as Python floats and ints: the
+    # nodes and N + K (the boundary values are stored as Python floats by
+    # `transforms._scalar`, as are a, b and h of the grid)
     _nodes: tuple = field(init=False, repr=False)
-    _a: float = field(init=False, repr=False)
-    _b: float = field(init=False, repr=False)
-    _h: float = field(init=False, repr=False)
     _rows: int = field(init=False, repr=False)
     # the point path's memo: slot k + N + K holds None until a point query
     # first reads cell k, then T[k, P-1], ..., T[k, 0] as Python floats
@@ -251,12 +248,11 @@ class GeneralizedInterpolant:
         signed.setflags(write=False)
         for name, value in (("samples", samples), ("coeffs", coeffs), ("_signed", signed),
                             ("_exponent", exponent), ("_taylor", _table(signed, N)),
-                            ("boundary_left", float(transforms._real(self.boundary_left))),
-                            ("boundary_right", float(transforms._real(self.boundary_right))),
-                            ("_nodes", tuple(grid.points.tolist())), ("_a", float(grid.iv.a)),
-                            ("_b", float(grid.iv.b)), ("_h", float(grid.h)), ("_rows", N + _MARGIN),
+                            ("_nodes", tuple(grid.points.tolist())), ("_rows", N + _MARGIN),
                             ("_columns", [None] * (2 * (N + _MARGIN) + 1))):
             object.__setattr__(self, name, value)
+        for name in ("boundary_left", "boundary_right"):
+            object.__setattr__(self, name, transforms._scalar(getattr(self, name), name))
 
 
 def _table(signed, N):
@@ -291,8 +287,7 @@ def _table(signed, N):
 def approximate(grid: SincGrid, samples) -> GeneralizedInterpolant:
     """Interpolant through `samples` taken at the grid points."""
     samples = _vector(samples, grid.n, "samples")
-    bl = float(samples[0])
-    br = float(samples[-1])
+    bl, br = samples[0], samples[-1]
     wa, wb = _boundary_pair(grid.iv, grid.points)
     coeffs = samples - bl * wa - br * wb
     return GeneralizedInterpolant(grid=grid, samples=samples,
@@ -332,7 +327,7 @@ def evaluate_many(interp: GeneralizedInterpolant, ts) -> np.ndarray:
         return np.array([_evaluate_point(interp, float(ts))])
     if ts.ndim > 1:
         raise ValueError(f"points must be a scalar or a 1-D array, got shape {ts.shape}")
-    u = transforms.inverse(grid.kind, grid.iv, ts) / interp._h
+    u = transforms.inverse(grid.kind, grid.iv, ts) / grid.mesh.h
     k = np.rint(u)
     # r is NaN at u = +-inf, and the rows beyond the table take the row of
     # k clipped to it: both kinds are handed to the point path below
@@ -395,9 +390,12 @@ def _evaluate_point(interp: GeneralizedInterpolant, t) -> float:
     the sine and the row of entries with its `np.add.reduce`, the pairwise
     sum.  At a and b, u is -inf and +inf, taken without a warning.
 
-    The scalars it reads are built once per interpolant, as Python floats
-    and ints: the nodes as a tuple, a, b, h, N + K and the boundary
-    values.  The coefficients of cell k are read from the memo `_columns`,
+    t is taken as a Python float: a float as it is (a subclass such as
+    np.float64 converted), any other value through `transforms._scalar`,
+    which refuses it by the name t.  The scalars it reads are Python
+    floats and ints: a, b and h of the grid and the boundary values, as
+    `_scalar` stored them, and the nodes as a tuple and N + K, built once
+    per interpolant.  The coefficients of cell k are read from the memo `_columns`,
     slot k + N + K, highest power first; the first query of the cell fills
     the slot with `_taylor[::-1, k + N + K].tolist()`, and every later one
     runs Horner straight over the stored list.  A slot is filled when a
@@ -407,14 +405,10 @@ def _evaluate_point(interp: GeneralizedInterpolant, t) -> float:
     is applied by math.ldexp to the stored e, since 2^e itself is beyond
     the doubles from max|c| >= 2^973 (e > 1023).
     """
-    if not isinstance(t, float):
-        t = transforms._real(t)
-        if t.ndim:
-            raise ValueError(f"t must be a scalar, got shape {t.shape}")
-    t = float(t)
-    grid = interp.grid
-    u = transforms._inverse_point(grid.kind, grid.iv, t) / interp._h
-    if interp._a < t < interp._b:
+    t = float(t) if isinstance(t, float) else transforms._scalar(t, "t")
+    grid, iv = interp.grid, interp.grid.iv
+    u = transforms._inverse_point(grid.kind, iv, t) / grid.mesh.h
+    if iv.a < t < iv.b:
         nodes = interp._nodes
         i = bisect.bisect_left(nodes, t)
         if i < len(nodes) and nodes[i] == t:
@@ -441,5 +435,5 @@ def _evaluate_point(interp: GeneralizedInterpolant, t) -> float:
             cardinal = math.copysign(math.inf, s)
     else:  # at a and b, u is -inf and +inf, and only the hats are left
         cardinal = 0.0
-    wa, wb = _boundary_pair(grid.iv, t)
+    wa, wb = _boundary_pair(iv, t)
     return interp.boundary_left * wa + interp.boundary_right * wb + cardinal

@@ -128,8 +128,9 @@ class Problem:
     interim: once sampling chooses the protocol by probing a callable with
     one array call, it goes.
 
-    alpha outside (0, 1], d_se outside (0, pi) and d_de outside
-    (0, pi/2) raise ValueError.
+    alpha, d_se and d_de are stored as Python floats
+    (`transforms._check_mesh_args`); alpha outside (0, 1], d_se outside
+    (0, pi) and d_de outside (0, pi/2) raise ValueError.
     """
 
     iv: Interval
@@ -142,8 +143,10 @@ class Problem:
     vectorized: bool = False
 
     def __post_init__(self):
-        _check_mesh_args(TransformKind.SE, self.alpha, self.d_se)
-        _check_mesh_args(TransformKind.DE, self.alpha, self.d_de)
+        alpha, d_se = _check_mesh_args(TransformKind.SE, self.alpha, self.d_se)
+        _, d_de = _check_mesh_args(TransformKind.DE, alpha, self.d_de)
+        for name, value in (("alpha", alpha), ("d_se", d_se), ("d_de", d_de)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,7 +188,7 @@ def _interpolant(method, grid, c):
     cardinal[[0, -1]] = 0.0
     wa, wb = _boundary_pair(grid.iv, grid.points)
     return GeneralizedInterpolant(grid=grid, samples=c[0] * wa + c[-1] * wb + cardinal,
-                                  boundary_left=float(c[0]), boundary_right=float(c[-1]),
+                                  boundary_left=c[0], boundary_right=c[-1],
                                   coeffs=cardinal)
 
 

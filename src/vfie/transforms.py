@@ -11,7 +11,8 @@ array element.
 
 Each argument rule of the package is one helper here, whose docstring
 states it: `_integer` for counts, `_vector` for stored arrays,
-`_check_point` for points in [a, b] and `_real` for real values.
+`_check_point` for points in [a, b], `_real` for real values and
+`_scalar` for real scalar parameters, which are stored as Python floats.
 """
 
 import math
@@ -87,8 +88,9 @@ _TINY = sys.float_info.min
 class Interval:
     """A finite interval [a, b] with a < b and a finite length b - a.
 
-    Endpoints that `_real` refuses (a bool, a string, a complex) raise
-    TypeError naming the endpoint.  Infinite or NaN endpoints, a >= b and
+    The endpoints are stored as Python floats (`_scalar`): one that it
+    refuses raises TypeError (a bool, a string, a complex) or ValueError
+    (an array) naming the endpoint.  Infinite or NaN endpoints, a >= b and
     endpoints whose length b - a overflows, such as [-1e308, 1e308], raise
     ValueError naming both.
     """
@@ -97,11 +99,12 @@ class Interval:
     b: float
 
     def __post_init__(self):
-        a, b = float(_real(self.a, "endpoint a")), float(_real(self.b, "endpoint b"))
+        for name in ("a", "b"):
+            object.__setattr__(self, name, _scalar(getattr(self, name), f"endpoint {name}"))
         # b - a is not finite for an infinite or NaN endpoint either
-        if not math.isfinite(b - a):
+        if not math.isfinite(self.b - self.a):
             raise ValueError(f"interval endpoints and length must be finite, got [{self.a}, {self.b}]")
-        if not a < b:
+        if not self.a < self.b:
             raise ValueError(f"interval needs a < b, got [{self.a}, {self.b}]")
 
     @property
@@ -118,8 +121,9 @@ def strip_limit(kind: TransformKind) -> float:
 class MeshParams:
     """Mesh data: truncation index N and mesh size h.
 
-    N goes through `_integer`; an h that `_real` refuses raises TypeError
-    naming h, and an h that is not positive and finite ValueError.
+    N goes through `_integer`, and h is stored as a Python float
+    (`_scalar`): an h that it refuses raises TypeError or ValueError naming
+    h, and an h that is not positive and finite ValueError.
     """
 
     N: int
@@ -127,7 +131,8 @@ class MeshParams:
 
     def __post_init__(self):
         object.__setattr__(self, "N", _integer(self.N, "N", 1))
-        if not 0.0 < _real(self.h, "h") < math.inf:
+        object.__setattr__(self, "h", _scalar(self.h, "h"))
+        if not 0.0 < self.h < math.inf:
             raise ValueError(f"h must be positive and finite, got {self.h}")
 
     @property
@@ -257,19 +262,33 @@ def _real(x, what="values"):
     complex, where numpy would drop the imaginary part with a
     ComplexWarning, a string such as '0.5', which numpy would parse as a
     number, a bool such as True, which it would take as 1.0, and an object.
-    The scalar parameters pass through it under their own names in
-    `Interval` (endpoint a and b), `MeshParams` (h) and
-    `_check_mesh_args` (alpha and d of `select_h` and `Problem`), and
-    points, samples and matrices, as "values", in
-    `evaluate_solution(_many)`, `evaluate_many`,
+    The scalar parameters pass through it by `_scalar`, under their own
+    names, and points, samples and matrices, as "values", in
+    `evaluate_solution_many`, `evaluate_many`,
     `forward`/`inverse`/`derivative`, `approximate`, the constructors of
     `SincGrid`, `GeneralizedInterpolant` and `DiscreteSolution` (through
-    `_vector`, and for the boundary values of `GeneralizedInterpolant`
-    directly) and `solve_linear`."""
+    `_vector`) and `solve_linear`."""
     x = np.asarray(x)
     if x.dtype.kind not in "iuf":
         raise TypeError(f"expected real {what}, got dtype {x.dtype}")
     return x.astype(float, copy=False)
+
+
+def _scalar(x, what):
+    """x as a Python float, for a 0-d value of a dtype that `_real` takes:
+    a dtype it refuses raises its TypeError, and any other shape a
+    ValueError, each naming `what`.  Every real scalar parameter is
+    stored through it once, so each consumer reads a Python float: the
+    endpoints of `Interval`, h of `MeshParams`, alpha and d in
+    `_check_mesh_args` (for `select_h` and `Problem`), the boundary values
+    of `GeneralizedInterpolant` and the point t of `evaluate_solution`
+    (`approx._evaluate_point`).  An np.float32 endpoint is thereby
+    widened once, as its float, and computes no value in single
+    precision."""
+    x = _real(x, what)
+    if x.ndim:
+        raise ValueError(f"{what} must be a scalar, got shape {x.shape}")
+    return float(x)
 
 
 def _vector(values, n, what):
@@ -314,7 +333,7 @@ def select_h(method: Method, alpha: float, d: float, N: int) -> float:
     transform, the fixed ones included.
     """
     N = _integer(N, "N", 1)
-    _check_mesh_args(method.transform, alpha, d)
+    alpha, d = _check_mesh_args(method.transform, alpha, d)
     if method is Method.NEW_SE:
         return math.sqrt(math.pi * d / (alpha * N))
     if method is Method.NEW_DE:
@@ -329,10 +348,14 @@ def select_h(method: Method, alpha: float, d: float, N: int) -> float:
 
 def _check_mesh_args(kind, alpha, d):
     """The one alpha/d check: alpha in (0, 1] and d in (0, strip_limit(kind)),
-    each a value that `_real` takes (a bool, a string or a complex raises
-    its TypeError, naming alpha, or d and the transform)."""
-    if not 0.0 < _real(alpha, "alpha") <= 1.0:
+    each a value that `_scalar` takes (a bool, a string, a complex or an
+    array raises its error, naming alpha, or d and the transform).
+    Returns alpha and d as Python floats."""
+    alpha = _scalar(alpha, "alpha")
+    if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     limit = strip_limit(kind)
-    if not 0.0 < _real(d, f"d for the {kind.value} transform") < limit:
+    d = _scalar(d, f"d for the {kind.value} transform")
+    if not 0.0 < d < limit:
         raise ValueError(f"d must lie in (0, {limit:g}) for the {kind.value} transform, got {d}")
+    return alpha, d

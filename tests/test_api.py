@@ -7,12 +7,14 @@ oracle are checked in test_approx.py, J and scipy's Si in test_solver.py,
 and scipy's beta in test_bench.py), test_ab_pairs.py tests
 tools/ab_pairs.py, and test_acceptance.py holds the acceptance criteria.
 This module pins the public names and signatures, that layout, the
-refusal of complex and other non-real input at every entry point, and
-README's Python example and `vfie` commands.  The oracles live in
-conftest.py, and no test module imports another.
+refusal of complex and other non-real input at every entry point and of
+an array for every scalar parameter, and README's Python example and
+`vfie` commands.  The oracles live in conftest.py, and no test module
+imports another.
 """
 
 import ast
+import dataclasses
 import inspect
 import pathlib
 import re
@@ -161,28 +163,58 @@ def test_complex_input_is_refused_without_a_warning(call, solution):
 
 
 # The same entry points given strings, which numpy would parse as numbers,
-# bools, which it would take as 0 and 1, or objects
+# bools, which it would take as 0 and 1, or objects, each with the name its
+# refusal gives the input: a scalar parameter's own, else "values"
 NOT_NUMBERS = {
-    "evaluate_solution string": lambda sol: vfie.evaluate_solution(sol, "0.5"),
-    "evaluate_solution bool": lambda sol: vfie.evaluate_solution(sol, True),
-    "evaluate_solution_many strings": lambda sol: vfie.evaluate_solution_many(sol, ["0.5", "0.25"]),
-    "evaluate_solution_many bools": lambda sol: vfie.evaluate_solution_many(sol, [True, False]),
-    "inverse string": lambda sol: vfie.inverse(vfie.TransformKind.SE, UNIT, "0.5"),
-    "inverse objects": lambda sol: vfie.inverse(vfie.TransformKind.SE, UNIT,
-                                                np.array([0.5, 0.25], dtype=object)),
-    "SincGrid points": lambda sol: vfie.SincGrid(
+    "evaluate_solution string": (lambda sol: vfie.evaluate_solution(sol, "0.5"), "t"),
+    "evaluate_solution bool": (lambda sol: vfie.evaluate_solution(sol, True), "t"),
+    "evaluate_solution_many strings": (
+        lambda sol: vfie.evaluate_solution_many(sol, ["0.5", "0.25"]), "values"),
+    "evaluate_solution_many bools": (
+        lambda sol: vfie.evaluate_solution_many(sol, [True, False]), "values"),
+    "inverse string": (lambda sol: vfie.inverse(vfie.TransformKind.SE, UNIT, "0.5"), "values"),
+    "inverse objects": (lambda sol: vfie.inverse(vfie.TransformKind.SE, UNIT,
+                                                 np.array([0.5, 0.25], dtype=object)), "values"),
+    "SincGrid points": (lambda sol: vfie.SincGrid(
         kind=sol.grid.kind, iv=sol.grid.iv, mesh=sol.grid.mesh,
-        points=[str(t) for t in sol.grid.points.tolist()], weights=sol.grid.weights),
-    "GeneralizedInterpolant boundary_left": lambda sol: vfie.GeneralizedInterpolant(
+        points=[str(t) for t in sol.grid.points.tolist()], weights=sol.grid.weights), "values"),
+    "GeneralizedInterpolant boundary_left": (lambda sol: vfie.GeneralizedInterpolant(
         grid=sol.grid, samples=sol.coeffs, boundary_left="0.5", boundary_right=0.0,
-        coeffs=sol.coeffs),
-    "solve_linear bool A": lambda sol: vfie.solve_linear(np.eye(2, dtype=bool), np.ones(2)),
+        coeffs=sol.coeffs), "boundary_left"),
+    "solve_linear bool A": (
+        lambda sol: vfie.solve_linear(np.eye(2, dtype=bool), np.ones(2)), "values"),
 }
 
 
-@pytest.mark.parametrize("call", NOT_NUMBERS.values(), ids=NOT_NUMBERS.keys())
-def test_input_that_is_not_integer_or_float_is_refused(call, solution):
-    with pytest.raises(TypeError, match="expected real values, got dtype"):
+@pytest.mark.parametrize("call, what", NOT_NUMBERS.values(), ids=NOT_NUMBERS.keys())
+def test_input_that_is_not_integer_or_float_is_refused(call, what, solution):
+    with pytest.raises(TypeError, match=f"expected real {what}, got dtype"):
+        call(solution)
+
+
+# Every scalar parameter given an array, even of one element: each is
+# refused by name, where numpy would store the array or refuse it without
+# naming it
+ONE = np.array([0.5])
+NOT_SCALARS = {
+    "Interval a": (lambda sol: vfie.Interval(ONE - 0.5, 1.0), "endpoint a"),
+    "Interval b": (lambda sol: vfie.Interval(0.0, ONE + 0.5), "endpoint b"),
+    "MeshParams h": (lambda sol: vfie.MeshParams(4, ONE), "h"),
+    "select_h alpha": (lambda sol: vfie.select_h(vfie.Method.NEW_SE, ONE, 3.14, 4), "alpha"),
+    "select_h d": (lambda sol: vfie.select_h(vfie.Method.NEW_DE, 1.0, ONE, 4),
+                   "d for the de transform"),
+    "Problem alpha": (
+        lambda sol: dataclasses.replace(vfie.builtin(1).problem, alpha=ONE), "alpha"),
+    "GeneralizedInterpolant boundary_right": (lambda sol: vfie.GeneralizedInterpolant(
+        grid=sol.grid, samples=sol.coeffs, boundary_left=0.0, boundary_right=ONE,
+        coeffs=sol.coeffs), "boundary_right"),
+    "evaluate_solution": (lambda sol: vfie.evaluate_solution(sol, ONE), "t"),
+}
+
+
+@pytest.mark.parametrize("call, what", NOT_SCALARS.values(), ids=NOT_SCALARS.keys())
+def test_array_for_a_scalar_parameter_is_refused_by_name(call, what, solution):
+    with pytest.raises(ValueError, match=re.escape(f"{what} must be a scalar, got shape (1,)")):
         call(solution)
 
 

@@ -904,27 +904,58 @@ def test_evaluate_solution_refuses_an_array_naming_its_shape():
 
 
 def test_evaluate_solution_takes_any_real_scalar_as_its_float():
-    # only a float (np.float64 among them) skips `_real`: integers, other
+    # only a float (np.float64 among them) skips `_scalar`: integers, other
     # numpy scalars and 0-d arrays give the bits of the equal float, and a
-    # bool or a string is refused as `_real` refuses it
+    # bool or a string is refused as `_scalar` refuses it, naming t
     sol = solve(builtin(1).problem, Method.NEW_DE, 16)
-    single = np.float32(0.7)
+    single, half = np.float32(0.7), np.float16(0.3)
     for t, equal in ((0, 0.0), (1, 1.0), (np.int64(1), 1.0), (single, float(single)),
-                     (np.array(single), float(single)), (np.float64(0.3), 0.3),
-                     (np.array(0.3), 0.3)):
+                     (np.array(single), float(single)), (half, float(half)),
+                     (np.float64(0.3), 0.3), (np.array(0.3), 0.3)):
         got, want = evaluate_solution(sol, t), evaluate_solution(sol, equal)
         assert type(got) is float, t
         bits = np.array([got, want]).view(np.int64)
         assert bits[0] == bits[1], (t, got, want)
     for t in (True, np.bool_(False), "0.5", np.array("0.5")):
-        with pytest.raises(TypeError, match="expected real values, got dtype"):
+        with pytest.raises(TypeError, match="expected real t, got dtype"):
             evaluate_solution(sol, t)
+
+
+@pytest.mark.parametrize("endpoint", [np.float32, np.float16, np.float64, int, np.int64],
+                         ids=lambda endpoint: endpoint.__name__)
+def test_endpoints_of_any_real_type_give_the_bits_of_their_floats(endpoint):
+    # the endpoints are stored as Python floats, so example 2 on [0, 1]
+    # given as float32 (or float16, or integers) computes nothing in single
+    # precision: its grid, its coefficients and both evaluation paths give
+    # the bits of Interval(0.0, 1.0), and a point query returns a float
+    iv = Interval(endpoint(0), endpoint(1))
+    assert type(iv.a) is float and type(iv.b) is float
+    example = builtin(2).problem
+    problem = dataclasses.replace(example, iv=iv)
+    ts = np.concatenate([np.linspace(0.0, 1.0, 257), np.random.default_rng(7).random(200)])
+    for method in (Method.NEW_DE, Method.NEW_SE):
+        got, want = solve(problem, method, 64), solve(example, method, 64)
+        assert type(got.grid.mesh.h) is float, method
+        for name in ("points", "weights"):
+            assert np.array_equal(getattr(got.grid, name).view(np.int64),
+                                  getattr(want.grid, name).view(np.int64)), (method, name)
+        assert np.array_equal(got.coeffs.view(np.int64), want.coeffs.view(np.int64)), method
+        point = [evaluate_solution(got, t) for t in ts.tolist()]
+        assert all(type(value) is float for value in point), method
+        many = evaluate_solution_many(got, ts)
+        expected = evaluate_solution_many(want, ts).view(np.int64)
+        assert np.array_equal(np.array(point).view(np.int64), expected), method
+        assert np.array_equal(many.view(np.int64), expected), method
 
 
 @pytest.mark.parametrize("alpha, d_se, d_de, culprit", [
     (0.0, 3.14, 1.57, "alpha"), (1.5, 3.14, 1.57, "alpha"),
     (1.0, 0.0, 1.57, "se transform"), (1.0, math.pi, 1.57, "se transform"),
     (1.0, 3.14, 0.0, "de transform"), (1.0, 3.14, math.pi / 2, "de transform"),
+    # an array, even of one element, is refused by `_scalar`, naming the value
+    (np.array([0.5]), 3.14, 1.57, "alpha must be a scalar"),
+    (1.0, np.array([3.14]), 1.57, "d for the se transform must be a scalar"),
+    (1.0, 3.14, np.array([[1.57]]), "d for the de transform must be a scalar"),
 ])
 def test_problem_rejects_alpha_and_strip_widths_outside_their_ranges(alpha, d_se, d_de,
                                                                      culprit):
@@ -950,6 +981,12 @@ def test_problem_refuses_alpha_and_strip_widths_that_are_not_real(alpha, d_se, d
 def test_problem_accepts_strip_widths_just_inside_the_limits():
     problem = zero_kernel_problem(g=lambda t: t)
     assert (problem.alpha, problem.d_se, problem.d_de) == (1.0, 3.14, 1.57)
+    # they are stored as Python floats, whatever real scalar was given
+    zero = lambda t, s: 0.0
+    problem = Problem(iv=UNIT, k1=zero, k2=zero, g=lambda t: t, alpha=np.float32(0.5),
+                      d_se=np.array(3), d_de=np.float16(1.5))
+    assert (problem.alpha, problem.d_se, problem.d_de) == (0.5, 3.0, 1.5)
+    assert all(type(v) is float for v in (problem.alpha, problem.d_se, problem.d_de))
 
 
 def test_solve_refuses_n_whose_dense_system_cannot_fit():

@@ -43,6 +43,17 @@ def test_interval_validation():
     for a, b, name in ((False, True, "a"), (0.0, True, "b"), ("0", 1.0, "a"), (0.0, 1j, "b")):
         with pytest.raises(TypeError, match=f"expected real endpoint {name}, got dtype"):
             Interval(a, b)
+    # an array endpoint, even of one element, is refused by name as well
+    for a, b, name, shape in ((np.array([0.0]), 1.0, "a", (1,)),
+                              (0.0, np.ones((1, 1)), "b", (1, 1))):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"endpoint {name} must be a scalar, got shape {shape}")):
+            Interval(a, b)
+    # any real scalar is stored as its Python float, the bits of its value
+    for a, b in ((np.float32(0.1), np.float16(2.5)), (np.int64(-3), 2), (np.array(-1), 1.0)):
+        iv = Interval(a, b)
+        assert type(iv.a) is float and type(iv.b) is float
+        assert (iv.a, iv.b) == (float(a), float(b))
 
 
 def test_interval_refuses_an_overflowing_length():
@@ -81,6 +92,11 @@ def test_mesh_params_validation():
     for h in (True, "0.5", 0.5j):
         with pytest.raises(TypeError, match="expected real h, got dtype"):
             MeshParams(N=4, h=h)
+    with pytest.raises(ValueError, match=re.escape("h must be a scalar, got shape (1,)")):
+        MeshParams(N=4, h=np.array([0.1]))
+    for h in (np.float32(0.1), np.int64(1), np.array(0.5)):
+        mesh = MeshParams(N=4, h=h)
+        assert type(mesh.h) is float and mesh.h == float(h)
     # alpha and d are checked by select_h, against the method's transform
     with pytest.raises(ValueError):
         select_h(Method.NEW_SE, 1.5, 1.0, 4)
@@ -100,6 +116,11 @@ def test_mesh_params_validation():
             select_h(Method.NEW_SE, alpha, d, 4)
     with pytest.raises(TypeError, match="expected real d for the jo-de transform, got dtype"):
         select_h(Method.JOHN_OGBONNA_DE, 1.0, "1", 4)
+    # and an array, even of one element, raises ValueError naming it
+    for alpha, d, name in ((np.array([1.0]), 1.0, "alpha"),
+                           (1.0, np.array([1.0]), "d for the se transform")):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be a scalar, got shape (1,)")):
+            select_h(Method.NEW_SE, alpha, d, 4)
 
 
 def test_strip_limits():
@@ -289,6 +310,19 @@ def test_select_h_values():
         0.3446807892914208, rel=1e-15)
     assert select_h(Method.JOHN_OGBONNA_DE, 1.0, 1.57, 10) == pytest.approx(
         math.log(math.pi * 10.0) / 10.0, rel=1e-15)
+    # alpha and d of any real type give bitwise the h of their float values,
+    # the rule computed in double: float32 arguments would otherwise round
+    # se-new's in single precision (0.5552195831170624 against
+    # 0.5552195866793982 at N = 64)
+    for method in Method:
+        d = 3.14 if method.transform is TransformKind.SE else 1.57
+        for alpha, width in ((np.float32(0.5), np.float32(d)), (np.float16(0.5), np.float64(d)),
+                             (np.int64(1), np.array(d))):
+            got = select_h(method, alpha, width, 64)
+            want = select_h(method, float(alpha), float(width), 64)
+            assert type(got) is float
+            bits = np.array([got, want]).view(np.int64)
+            assert bits[0] == bits[1], (method, alpha, width, got, want)
 
 
 def test_select_h_domain():
