@@ -40,20 +40,21 @@ grid whose indices are exact doubles, N < 2^53: P = 23, where it is
 6.6e-17 max|c^| (1.2e-17 at N = 256).  Grids up to N = 8 would do with
 22, and none from N = 16 on.
 
-The table is built from w_p(m) = (-1)^m s_p(m), the Taylor coefficients
-of sin(pi r)/(pi (m + r)): as sinc(m + r) = (-1)^m sin(pi r)/(pi (m + r)),
-w_p(m) = sum_(q<p) sigma_(p-q) (-1)^q/m^(q+1), with sigma_l those of
-sin(pi r)/pi.  The sum is a product of powers of -1/m with a constant
-matrix, and stable where p <= pi|m|, its terms growing with l = p - q.
-Where p > pi|m|, which takes |m| <= 7, the constant rows `_NEAR` run
-m w_p + w_(p-1) = sigma_p downwards instead.  Each w_p(m) is then within
-6 u of its value, u = 2^-53 (5.3 u at most for |m| <= 1032).  With the
-signed coefficients a_j = (-1)^j c^_j, T[k, p] = (-1)^k sum_j a_j
-w_p(k - j): one dot product of n nonzero terms, within gamma_(n + 6)
-times the sum of the terms' magnitudes (Higham, "Accuracy and Stability
-of Numerical Algorithms", 3.1).  The sums over j are 32 table rows at a
-time times one Toeplitz matrix of a, so no matrix of all n + 2K rows is
-made.
+The table is built from s_p(m) = (-1)^m w_p(m), with w_p(m) the Taylor
+coefficients of sin(pi r)/(pi (m + r)): as sinc(m + r) = (-1)^m sin(pi
+r)/(pi (m + r)), w_p(m) = sum_(q<p) sigma_(p-q) (-1)^q/m^(q+1), with
+sigma_l those of sin(pi r)/pi.  The sum is a product of powers of -1/m
+with a constant matrix, and stable where p <= pi|m|, its terms growing
+with l = p - q.  Where p > pi|m|, which takes |m| <= 7, the constant
+rows `_NEAR` run m w_p + w_(p-1) = sigma_p downwards instead.  Each
+w_p(m) is then within 6 u of its value, u = 2^-53 (5.3 u at most for
+|m| <= 1032), and s_p(m) is w_p(m) with the sign of the rows of odd m
+flipped in place, exactly (`_far_rows` for any run of consecutive m;
+`_NEAR` holds its rows signed).  T[k, p] = sum_j c^_j s_p(k - j) is then
+one dot product of n nonzero terms, within gamma_(n + 6) times the sum
+of the terms' magnitudes (Higham, "Accuracy and Stability of Numerical
+Algorithms", 3.1).  The sums over j are 32 table rows at a time times
+one Toeplitz matrix of c^, so no matrix of all n + 2K rows is made.
 
 A regular row then costs a gather of P coefficients and P - 1 Horner
 steps whatever N is (`tools/eval_costs.py` prints the costs of a build,
@@ -65,11 +66,14 @@ of any block as for a lone point, so a value depends on its point alone:
 `evaluate_solution` and every batch of `evaluate_solution_many` that
 holds t give the same bits at t.
 
-The rows beyond the table, |k| > N + K (t = 1e-300 on an SE grid, say),
-are left to the point path, which sums their full barycentric row
-(Richardson and Trefethen, "A sinc function analogue of Chebfun", SISC
-33, 2011): (-1)^k sin(pi r)/pi sum_j a_j/(u - j), each u - j rounded
-once and summed by `np.add.reduce`.
+Every interior off-node row is such a polynomial in r.  A row beyond
+the table, |k| > N + K (t = 1e-300 on an SE grid, say), differs only in
+that its column is not stored: the point path builds it per query by the
+table's own rule, c^ times the rows s_(k-j) of `_far_rows`, j = -N..N,
+and sums it by the same Horner loop.  It is stable without `_NEAR`, as
+every |k - j| >= K + 1 = 9 > (P - 1)/pi, and the remainder bound above
+holds with M the largest |k - j|, so for any M < 2^54: the P terms leave
+at most 2^-53 max|c^| there too.
 
 The coefficients are stored times 2^-e, a power of two that takes the
 largest below 2^-51, so that no table entry, a sum of n terms each at
@@ -143,20 +147,21 @@ def _sine_series(count):
 
 
 def _downward_rows(sigma):
-    """w_p(m) = (-1)^m s_p(m) for |m| <= (P - 1)/pi, in row m + that bound,
-    from m w_p + w_(p-1) = sigma_p run downwards from w = 0 past the last
-    sigma_l, and the entries where that is stable, p >= pi|m|."""
+    """s_p(m) = (-1)^m w_p(m) for |m| <= (P - 1)/pi, in row m + that bound,
+    from m s_p + s_(p-1) = (-1)^m sigma_p, the recurrence of w_p times
+    (-1)^m, run downwards from s = 0 past the last sigma_l, and the
+    entries where that is stable, p >= pi|m|."""
     m = np.arange(-int((_TERMS - 1) / math.pi), int((_TERMS - 1) / math.pi) + 1.0)
-    rows, w = np.empty((m.size, len(sigma))), np.zeros(m.size)
+    rows, s, sign = np.empty((m.size, len(sigma))), np.zeros(m.size), (-1.0) ** m
     for p in range(len(sigma) - 1, 0, -1):
-        w = rows[:, p - 1] = sigma[p] - m * w
+        s = rows[:, p - 1] = sign * sigma[p] - m * s
     return rows[:, :_TERMS].copy(), np.arange(_TERMS) >= math.pi * np.abs(m)[:, None]
 
 
 _SIGMA = _sine_series(_TERMS + 64)
 # w_p(m) = -sum_(q<p) sigma_(p-q) x^(q+1), x = -1/m, is the powers x^(q+1)
 # times this matrix, -sigma_(p-q) in row q and column p - 1; the sum is
-# stable where p <= pi|m|, and `_NEAR` holds w_p(m) where it is not
+# stable where p <= pi|m|, and `_NEAR` holds s_p(m) where it is not
 _FAR = np.array([[-_SIGMA[p - q] if q < p else 0.0 for p in range(1, _TERMS)]
                  for q in range(_TERMS - 1)])
 _NEAR, _STABLE = _downward_rows(_SIGMA)
@@ -222,10 +227,9 @@ class GeneralizedInterpolant:
     boundary_left: float
     boundary_right: float
     coeffs: np.ndarray
-    # per-solution constants of evaluation: the scale exponent e, the
-    # signed coefficients a_j = (-1)^j c_j 2^-e, j = -N..N, and the Taylor
-    # table T[k, p] in column k + N + K of row p
-    _signed: np.ndarray = field(init=False, repr=False)
+    # per-solution constants of evaluation: the scale exponent e and the
+    # Taylor table T[k, p] of the scaled coefficients c_j 2^-e, j = -N..N,
+    # in column k + N + K of row p
     _exponent: int = field(init=False, repr=False)
     _taylor: np.ndarray = field(init=False, repr=False)
     # per-solution values of the point path, as Python floats and ints: the
@@ -241,13 +245,10 @@ class GeneralizedInterpolant:
         grid, N = self.grid, self.grid.mesh.N
         samples = _vector(self.samples, grid.n, "samples")
         coeffs = _vector(self.coeffs, grid.n, "coeffs")
-        # (-1)^j c_j times 2^-e, which takes the largest below 2^-51
+        # c_j times 2^-e, which takes the largest below 2^-51
         exponent = max(math.frexp(np.abs(coeffs).max())[1] + 51, 0)
-        signed = np.ldexp(coeffs, -exponent)
-        signed[(N + 1) % 2::2] *= -1.0  # j = -N + i is odd for these i
-        signed.setflags(write=False)
-        for name, value in (("samples", samples), ("coeffs", coeffs), ("_signed", signed),
-                            ("_exponent", exponent), ("_taylor", _table(signed, N)),
+        for name, value in (("samples", samples), ("coeffs", coeffs), ("_exponent", exponent),
+                            ("_taylor", _table(np.ldexp(coeffs, -exponent), N)),
                             ("_nodes", tuple(grid.points.tolist())), ("_rows", N + _MARGIN),
                             ("_columns", [None] * (2 * (N + _MARGIN) + 1))):
             object.__setattr__(self, name, value)
@@ -255,30 +256,38 @@ class GeneralizedInterpolant:
             object.__setattr__(self, name, transforms._scalar(getattr(self, name), name))
 
 
-def _table(signed, N):
-    """T[k, p] = sum_j c^_j s_p(k - j), k = -N - K..N + K, p < P, in column
-    k + N + K of row p, from the signed coefficients a_j = (-1)^j c^_j:
-    the P entries of k are (-1)^k sum_j a_j w_(k-j), each w_m a row of the
-    P values w_p(m) (`_FAR`, `_NEAR`).  The sums over j are products of one
-    Toeplitz matrix of a with `_CHUNK` rows of w at a time, so no matrix of
-    all n + 2K rows is made."""
-    n, M, rows = signed.size, 2 * N + _MARGIN, signed.size + 2 * _MARGIN
-    m = np.arange(-M, M + 1.0)
+def _far_rows(m):
+    """s_p(m) = (-1)^m w_p(m), p < P, in row i for the i-th of a run of
+    consecutive integers m (floats), by the sum of powers of -1/m (`_FAR`),
+    each row of odd m negated in place; the row of m = 0 is 0.  It is
+    stable where p <= pi|m|, so in full for |m| > (P - 1)/pi."""
     x = np.divide(-1.0, m, out=np.zeros_like(m), where=m != 0)
-    w = np.zeros((m.size, _TERMS))  # row m + M is w_m
-    w[:, 1:] = np.multiply.accumulate(np.broadcast_to(x, (_TERMS - 1, m.size)), axis=0).T @ _FAR
-    np.copyto(w[M - _NEAR.shape[0] // 2:M + _NEAR.shape[0] // 2 + 1], _NEAR, where=_STABLE)
-    # row b of the Toeplitz matrix holds a_j, j = N..-N, from column b on:
+    rows = np.zeros((m.size, _TERMS))
+    rows[:, 1:] = np.multiply.accumulate(np.broadcast_to(x, (_TERMS - 1, m.size)), axis=0).T @ _FAR
+    rows[int(m[0] + 1) % 2::2] *= -1.0  # the rows of odd m
+    return rows
+
+
+def _table(scaled, N):
+    """T[k, p] = sum_j c^_j s_p(k - j), k = -N - K..N + K, p < P, in column
+    k + N + K of row p, from the scaled coefficients c^_j, each s_m a row
+    of the P values s_p(m) (`_far_rows`, and `_NEAR` where that is not
+    stable).  The sums over j are products of one Toeplitz matrix of c^
+    with `_CHUNK` rows of s at a time, so no matrix of all n + 2K rows is
+    made."""
+    n, M, rows = scaled.size, 2 * N + _MARGIN, scaled.size + 2 * _MARGIN
+    s = _far_rows(np.arange(-M, M + 1.0))  # row m + M is s_m
+    np.copyto(s[M - _NEAR.shape[0] // 2:M + _NEAR.shape[0] // 2 + 1], _NEAR, where=_STABLE)
+    # row b of the Toeplitz matrix holds c^_j, j = N..-N, from column b on:
     # in a flat array, row b of width n + _CHUNK starts b entries after
     # row b of width n + _CHUNK - 1
     flat = np.zeros(_CHUNK * (n + _CHUNK))
-    flat.reshape(_CHUNK, -1)[:, :n] = signed[::-1]
+    flat.reshape(_CHUNK, -1)[:, :n] = scaled[::-1]
     toeplitz = flat[:_CHUNK * (n + _CHUNK - 1)].reshape(_CHUNK, -1)
     table = np.empty((rows, _TERMS))
-    for s in range(0, rows, _CHUNK):
-        q = min(_CHUNK, rows - s)
-        np.matmul(toeplitz[:q, :q + n - 1], w[s:s + q + n - 1], out=table[s:s + q])
-    table[(N + _MARGIN + 1) % 2::2] *= -1.0  # the rows of odd k
+    for i in range(0, rows, _CHUNK):
+        q = min(_CHUNK, rows - i)
+        np.matmul(toeplitz[:q, :q + n - 1], s[i:i + q + n - 1], out=table[i:i + q])
     table = np.ascontiguousarray(table.T)
     table.setflags(write=False)
     return table
@@ -312,7 +321,8 @@ def evaluate_many(interp: GeneralizedInterpolant, ts) -> np.ndarray:
 
     Every other point is handed to `_evaluate_point`, one call each in
     index order: the endpoints (u = +-inf), the nodes, the rows beyond
-    the table (t = 1e-300 on an SE grid, say), duplicated node values
+    the table (t = 1e-300 on an SE grid, say), whose column the point
+    path builds per query by the table's rule, duplicated node values
     (example 2's se-new grid at N = 256 has 4) and points near b whose u
     is off by a node.  The sweep's error grids have 186 such points in
     294,912, and uniform points at N = 256 none; a call made only of nodes
@@ -375,9 +385,11 @@ def _evaluate_point(interp: GeneralizedInterpolant, t) -> float:
     a and b only the hats are left, so a node lying on a or b takes the
     boundary value.  A node inside (a, b) takes its sample: the node snap
     is `bisect.bisect_left` on the nodes, the leftmost index of a node
-    equal to t, as `searchsorted` gives it.  A row in the table is the
-    Horner sum in r over its P coefficients; a row beyond the table sums
-    its full barycentric row of n entries, u - j each rounded once.
+    equal to t, as `searchsorted` gives it.  Every other row is the
+    Horner sum in r over the P coefficients of its column: the table's
+    column of k, or beyond the table, |k| > N + K, the column that the
+    table's rule gives k, c^ times `_far_rows` of m = k - j, j = -N..N,
+    built per query (module docstring).
 
     Every step whose IEEE result numpy shares is done on Python floats,
     which spares a point numpy's per-call overhead: the domain check, the
@@ -387,23 +399,24 @@ def _evaluate_point(interp: GeneralizedInterpolant, t) -> float:
     rounded once, as numpy's in-place steps are), the scaling by 2^e
     (math.ldexp, exact like np.ldexp) and the hats.  What might round
     differently stays numpy's: the log and arcsinh, and beyond the table
-    the sine and the row of entries with its `np.add.reduce`, the pairwise
-    sum.  At a and b, u is -inf and +inf, taken without a warning.
+    the column's rows and their dot product with c^.  At a and b, u is
+    -inf and +inf, taken without a warning.
 
     t is taken as a Python float: a float as it is (a subclass such as
     np.float64 converted), any other value through `transforms._scalar`,
     which refuses it by the name t.  The scalars it reads are Python
     floats and ints: a, b and h of the grid and the boundary values, as
     `_scalar` stored them, and the nodes as a tuple and N + K, built once
-    per interpolant.  The coefficients of cell k are read from the memo `_columns`,
-    slot k + N + K, highest power first; the first query of the cell fills
-    the slot with `_taylor[::-1, k + N + K].tolist()`, and every later one
-    runs Horner straight over the stored list.  A slot is filled when a
-    query first reaches its cell, not at the build: converting the whole
-    table would cost every solution, most of which are never queried a
-    point at a time (the sweep's are not).  The scale
-    is applied by math.ldexp to the stored e, since 2^e itself is beyond
-    the doubles from max|c| >= 2^973 (e > 1023).
+    per interpolant.  The coefficients of a cell k in the table are read
+    from the memo `_columns`, slot k + N + K, highest power first; the
+    first query of the cell fills the slot with
+    `_taylor[::-1, k + N + K].tolist()`, and every later one runs Horner
+    straight over the stored list.  A slot is filled when a query first
+    reaches its cell, not at the build: converting the whole table would
+    cost every solution, most of which are never queried a point at a
+    time (the sweep's are not).  A column beyond the table is not kept.
+    The scale is applied by math.ldexp to the stored e, since 2^e itself
+    is beyond the doubles from max|c| >= 2^973 (e > 1023).
     """
     t = float(t) if isinstance(t, float) else transforms._scalar(t, "t")
     grid, iv = interp.grid, interp.grid.iv
@@ -420,15 +433,13 @@ def _evaluate_point(interp: GeneralizedInterpolant, t) -> float:
             column = interp._columns[k + rows]
             if column is None:
                 column = interp._columns[k + rows] = interp._taylor[::-1, k + rows].tolist()
-            coeffs = iter(column)
-            s = next(coeffs)
-            for c in coeffs:
-                s = s * r + c
-        else:
-            row = u - np.arange(-grid.mesh.N, grid.mesh.N + 1, dtype=float)
-            np.divide(interp._signed, row, out=row)
-            s = float(np.add.reduce(row))
-            s = (-s if k % 2 else s) * (float(np.sin(np.pi * r)) / math.pi)
+        else:  # beyond the table: its column by the table's rule, |k - j| > K
+            m = k - np.arange(-grid.mesh.N, grid.mesh.N + 1.0)
+            column = (np.ldexp(interp.coeffs, -interp._exponent) @ _far_rows(m))[::-1].tolist()
+        coeffs = iter(column)
+        s = next(coeffs)
+        for c in coeffs:
+            s = s * r + c
         try:
             cardinal = math.ldexp(s, interp._exponent)
         except OverflowError:  # the value itself is beyond the doubles

@@ -130,7 +130,11 @@ class Problem:
 
     alpha, d_se and d_de are stored as Python floats
     (`transforms._check_mesh_args`); alpha outside (0, 1], d_se outside
-    (0, pi) and d_de outside (0, pi/2) raise ValueError.
+    (0, pi) and d_de outside (0, pi/2) raise ValueError.  An iv that is
+    not an `Interval` and a vectorized that is not a bool raise TypeError
+    naming the field ("expected bool vectorized, got str"): a string such
+    as "no" would select the array protocol, and a tuple would fail inside
+    the transforms.
     """
 
     iv: Interval
@@ -143,6 +147,9 @@ class Problem:
     vectorized: bool = False
 
     def __post_init__(self):
+        for name, kind in (("iv", Interval), ("vectorized", bool)):
+            if not isinstance(value := getattr(self, name), kind):
+                raise TypeError(f"expected {kind.__name__} {name}, got {type(value).__name__}")
         alpha, d_se = _check_mesh_args(TransformKind.SE, self.alpha, self.d_se)
         _, d_de = _check_mesh_args(TransformKind.DE, alpha, self.d_de)
         for name, value in (("alpha", alpha), ("d_se", d_se), ("d_de", d_de)):

@@ -9,10 +9,13 @@ direct formula, one np.sinc per (point, node), which `evaluate_many`
 replaced.  `subtract_evaluate` is the row rule of `evaluate_many` on all
 points at once: each point's P Taylor coefficients gathered from the
 interpolant's table by one fancy index, summed by a Horner loop in r,
-and beyond the table the full barycentric row, with u - j from a
-broadcast subtraction and the signed coefficients built per call, with
-the epilogue that the O(1) per-point one replaced: `k % 2` and
-`searchsorted` on every point.
+with the epilogue that the O(1) per-point one replaced: `k % 2` and
+`searchsorted` on every point.  Beyond the table it sums the full
+barycentric row (Richardson and Trefethen, "A sinc function analogue of
+Chebfun", SISC 33, 2011), with u - j from a broadcast subtraction and
+the signed coefficients built per call: the program builds those rows'
+columns by the table's rule instead, so this branch is an oracle for
+them independent of that rule.
 `expression_assemble` is the collocation system written as whole-array
 products, the form that assembly in place replaced.  `naive_assemble_new`
 and `naive_assemble_original` build it entry by entry from the scalar
@@ -155,11 +158,12 @@ def subtract_evaluate(interp, ts):
     """Interpolant values on a 1-D array of points by the row rule of
     `evaluate_many`, on all points at once: for |k| <= N + K the row of
     the Taylor table at k, gathered by fancy indexing, summed by Horner
-    in r = u - k, times 2^e; beyond the table the full row of entries
-    (-1)^j c_j 2^-e/(u - j), with u - j from np.subtract on u and j,
-    summed by np.add.reduce, times (-1)^k sin(pi r)/pi and 2^e; at
-    u = +-inf nothing.  The epilogue is the one that the O(1) per-point
-    one replaced: `k % 2` and `searchsorted` on every point."""
+    in r = u - k, times 2^e; beyond the table, as an oracle independent
+    of the table's rule that the program uses there, the full barycentric
+    row of entries (-1)^j c_j 2^-e/(u - j), with u - j from np.subtract
+    on u and j, summed by np.add.reduce, times (-1)^k sin(pi r)/pi and
+    2^e; at u = +-inf nothing.  The epilogue is the one that the O(1)
+    per-point one replaced: `k % 2` and `searchsorted` on every point."""
     grid = interp.grid
     ts = np.asarray(ts, dtype=float)
     N = grid.mesh.N

@@ -278,7 +278,7 @@ def test_grid_arrays_are_read_only():
     with pytest.raises(ValueError):
         grid.weights[0] = 0.0
     interp = approximate(grid, np.zeros(grid.n))
-    for name in ("samples", "coeffs", "_signed", "_taylor"):
+    for name in ("samples", "coeffs", "_taylor"):
         with pytest.raises(ValueError):
             getattr(interp, name)[0] = 1.0
 
@@ -465,12 +465,12 @@ def mp_taylor_rows(M, P):
 def test_taylor_table_matches_a_30_digit_sum(N, interpolants):
     # T[k, p] = sum_j c^_j s_p(k - j), c^_j = c_j 2^-e.  The build's w_p(m)
     # are each within 6u of their value, u = 2^-53, which the table of a
-    # single a_(-N) = 1 shows, since its row k is (-1)^k w_(k+N) exactly.
-    # T[k, p] is (-1)^k times a dot product of n nonzero terms
-    # a_j w_p(k - j) in some order, so its error is at most gamma_(n + 6)
-    # times the sum of the terms' magnitudes (Higham, "Accuracy and
-    # Stability of Numerical Algorithms", 3.1 and Lemma 3.3); T[k, 0] is
-    # c^_k itself
+    # single c^_(-N) = 1 shows, since its row k is s_(k+N) = (-1)^k w_(k+N)
+    # exactly (N is even).  T[k, p] is a dot product of n nonzero terms
+    # c^_j s_p(k - j) = (-1)^k a_j w_p(k - j), a_j = (-1)^j c^_j, in some
+    # order, so its error is at most gamma_(n + 6) times the sum of the
+    # terms' magnitudes (Higham, "Accuracy and Stability of Numerical
+    # Algorithms", 3.1 and Lemma 3.3); T[k, 0] is c^_k itself
     interp = interpolants[(2, Method.NEW_DE, N)]
     n = interp.grid.n
     assert interp._taylor.shape == (_TERMS, n + 2 * _MARGIN)
@@ -527,11 +527,13 @@ def test_sine_series_is_rounded_once_without_decimal():
     assert done.stdout.split() == ["False"]
 
 
-def test_points_beyond_the_table_take_the_full_row(rng, interpolants):
+def test_points_beyond_the_table_take_the_tables_rule(rng, interpolants):
     # on an SE grid, t = 5e-324 and 1e-300 have |k| > N + K, beyond the
     # Taylor table, and so has the point at u = -(N + K + 3/4): their
-    # rows are summed in full, in one call with rows inside the table (the
-    # last one, u = -(N + K + 1/4), among them) and at u = +-inf
+    # columns are built by the table's rule, in one call with rows inside
+    # the table (the last one, u = -(N + K + 1/4), among them) and at
+    # u = +-inf, and agree with the direct formula and with the full
+    # barycentric row of `subtract_evaluate`
     grid = se_grid(4)
     f = random_smooth(rng)
     cases = [approximate(grid, np.array([f(t) for t in grid.points])),
@@ -547,6 +549,7 @@ def test_points_beyond_the_table_take_the_full_row(rng, interpolants):
         ts = np.concatenate([tiny, [grid.iv.a, last, 0.3, 0.7, grid.iv.b]])
         got = evaluate_many(interp, ts)
         assert np.max(np.abs(got - dense_sinc_evaluate(interp, ts))) <= 1e-15
+        assert np.max(np.abs(got - subtract_evaluate(interp, ts))) <= 1e-15
         assert_bitwise(evaluate_many(interp, tiny), got[:3])
         assert_point_path_is_bitwise(interp, ts.tolist())
 
@@ -688,12 +691,14 @@ def test_quotient_under_and_overflow_give_the_finite_preimage(method):
 def test_huge_coefficients_give_finite_values_next_to_the_midpoint(method):
     # samples near 1e300 give finite values next to the midpoint of [0, 1],
     # within 1e-15 of the direct formula relative to their size, on both
-    # paths, with the coefficients stored scaled down
+    # paths, with the table built from the coefficients scaled down
     d = 3.14 if method.transform is TransformKind.SE else 1.57
     grid = build_grid(UNIT, method, 1.0, d, 16)
     scale = 1e300
     interp = approximate(grid, scale * np.random.default_rng(11).uniform(-1.0, 1.0, grid.n))
-    assert np.abs(interp._signed).max() < 2.0**-51
+    scaled = interp._taylor[0, _MARGIN:_MARGIN + grid.n]
+    assert_bitwise(scaled, np.ldexp(interp.coeffs, -interp._exponent))
+    assert np.abs(scaled).max() < 2.0**-51
     above = np.nextafter(0.5, 1.0)
     ts = np.array([np.nextafter(0.5, 0.0), above, np.nextafter(above, 1.0)])
     with warnings.catch_warnings():
@@ -755,6 +760,15 @@ def test_off_node_values_match_a_30_digit_sum(case, interpolants):
     interp = interpolants[case]
     grid = interp.grid
     ts = np.random.default_rng(7 * case[2] + case[0]).uniform(grid.iv.a, grid.iv.b, 100)
+    if grid.kind is TransformKind.SE:
+        # points beyond the Taylor table, whose columns the point path
+        # builds by the table's rule
+        edge = grid.mesh.N + _MARGIN
+        beyond = [5e-324, 1e-300, 1e-200, 1e-100,
+                  forward(grid.kind, grid.iv, -(edge + 0.75) * grid.h)]
+        k = np.rint(inverse(grid.kind, grid.iv, np.array(beyond)) / grid.h)
+        assert (np.abs(k) > edge).all(), k
+        ts = np.concatenate([ts, beyond])
     assert not np.isin(ts, grid.points).any()
     want = np.array([mp_interpolant(interp, t) for t in ts])
     assert np.max(np.abs(evaluate_many(interp, ts) - want)) <= 1e-15

@@ -10,7 +10,8 @@ TOOL = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "output_diges
 FAMILIES = [
     "assemble.A", "assemble.rhs", "solve.coeffs", "grid.points", "grid.weights", "grid.h",
     "evaluate_solution_many", "evaluate_solution_many.near_nodes",
-    "evaluate_solution_many.branches", "evaluate_solution", "max_error", "self_check",
+    "evaluate_solution_many.branches", "evaluate_solution", "evaluate_solution.beyond_table",
+    "max_error", "self_check",
     "run_sweep.records", "inverse", "cli.bench",
 ]
 

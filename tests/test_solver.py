@@ -978,6 +978,16 @@ def test_problem_refuses_alpha_and_strip_widths_that_are_not_real(alpha, d_se, d
         Problem(iv=UNIT, k1=zero, k2=zero, g=lambda t: t, alpha=alpha, d_se=d_se, d_de=d_de)
 
 
+@pytest.mark.parametrize("field, value, kind", [
+    ("iv", (0.0, 1.0), "Interval"), ("vectorized", "no", "bool"), ("vectorized", 1, "bool"),
+], ids=["iv tuple", "vectorized string", "vectorized int"])
+def test_problem_refuses_an_iv_or_vectorized_of_another_type(field, value, kind):
+    # a tuple would fail inside the transforms, and "no" or 1 would select
+    # the array protocol; each is refused by its field's name, at once
+    with pytest.raises(TypeError, match=f"^expected {kind} {field}, got {type(value).__name__}$"):
+        dataclasses.replace(NEVER_CALLED, **{field: value})
+
+
 def test_problem_accepts_strip_widths_just_inside_the_limits():
     problem = zero_kernel_problem(g=lambda t: t)
     assert (problem.alpha, problem.d_se, problem.d_de) == (1.0, 3.14, 1.57)

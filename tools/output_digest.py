@@ -21,7 +21,11 @@ neighbours of every node, and, as another, on one shuffled batch that
 takes every branch of evaluation: the nodes, some of them twice, some
 node neighbours, off-node points with an integral u = x/h, random points
 and the endpoints;
-`evaluate_solution` on some of those points; `max_error`; `self_check` of
+`evaluate_solution` on some of those points; on the SE grids (se-new and
+se-shamloo), as `evaluate_solution.beyond_table`, both calls on points
+whose cell k = rint(x/h) lies beyond the Taylor table, |k| > N + K:
+t = 5e-324, 1e-300, 1e-200, 1e-100 and the image of x = -(N + K + 3/4)h;
+`max_error`; `self_check` of
 both examples; h and max_error of each record of `run_sweep` over
 N = 4, 16, 64 with 4096 error points; `inverse` on random points, the
 endpoints and offsets L*10^k from each end, for every transform on two
@@ -110,6 +114,13 @@ def solver_families(vfie, out):
         out.add("evaluate_solution_many.branches", vfie.evaluate_solution_many(sol, shuffled))
         singles = np.concatenate([randoms[:24], grid.points[::max(1, grid.n // 24)], endpoints])
         out.add("evaluate_solution", [vfie.evaluate_solution(sol, float(t)) for t in singles])
+        if grid.kind is vfie.TransformKind.SE:
+            edge = N + vfie.approx._MARGIN
+            beyond = np.array([5e-324, 1e-300, 1e-200, 1e-100,
+                               vfie.forward(grid.kind, iv, -(edge + 0.75) * grid.h)])
+            out.add("evaluate_solution.beyond_table", vfie.evaluate_solution_many(sol, beyond))
+            out.add("evaluate_solution.beyond_table",
+                    [vfie.evaluate_solution(sol, t) for t in beyond.tolist()])
         out.add("max_error", [vfie.max_error(sol, example.exact, 4096)])
     for example_id in (1, 2):
         out.add("self_check", [vfie.self_check(vfie.builtin(example_id))])
